@@ -94,13 +94,11 @@ def build_comma(
                 for g in B.hom(b, b2):
                     if C.compose(beta.on_mor(g), phi) != lhs:
                         continue
+                    if len(morphisms) == max_morphisms:
+                        raise EngineError(f"{name}: more than {max_morphisms} morphisms")
                     mid = comma_mor(f, g, xid, yid)
                     morphisms.append((mid, xid, yid))
                     mor_data[mid] = (f, g)
-    if len(morphisms) > max_morphisms:
-        raise EngineError(
-            f"{name}: {len(morphisms)} morphisms exceed bound {max_morphisms}"
-        )
 
     identity = {}
     for xid, (a, phi, b) in obj_data.items():

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .comma import (
     CommaCategory,
@@ -38,7 +39,6 @@ from .fincat import (
     _violation,
     check_functor,
     compose_functors,
-    find_nat_trans,
     find_section,
     functor_equal,
     identity_functor,
@@ -105,80 +105,95 @@ def gamma_on_base(s: Setup) -> FunctorData:
 # and its lemmas refer to.
 
 
-@dataclass
 class CommaWeb:
-    arrow_base: CommaCategory      # Arrow(B)
-    comma_main: CommaCategory      # (j1 j2 | Id_M)
-    comma_probe: CommaCategory     # (j2 | pi)
-    comma_inter: CommaCategory     # (j2 | Id_I)
-    pi_star: FunctorData           # comma_main -> comma_probe
-    iota: dict[str, FunctorData]   # iota1..iota7 and, when available,
-                                   # iota3_rstar, iota1_rstar, iota2_rstar
+    """The comma categories and induced functors of a setup.
+
+    Each member is built the first time it is read and kept, so a command
+    pays only for the members it uses.
+    """
+
+    def __init__(self, s: Setup):
+        self.s = s
+
+    @cached_property
+    def arrow_base(self) -> CommaCategory:
+        """Arrow(B)."""
+        return arrow_category(self.s.base)
+
+    @cached_property
+    def comma_main(self) -> CommaCategory:
+        """(j1 j2 | Id_M)."""
+        return build_comma(j1j2(self.s), identity_functor(self.s.main), "(j1j2|M)")
+
+    @cached_property
+    def comma_probe(self) -> CommaCategory:
+        """(j2 | pi)."""
+        return build_comma(self.s.j2, self.s.pi, "(j2|pi)")
+
+    @cached_property
+    def comma_inter(self) -> CommaCategory:
+        """(j2 | Id_I)."""
+        return build_comma(self.s.j2, identity_functor(self.s.inter), "(j2|I)")
+
+    @cached_property
+    def pi_star(self) -> FunctorData:
+        """comma_main -> comma_probe."""
+        s = self.s
+        return induced_comma_functor(
+            "pi_star",
+            identity_functor(s.base),
+            s.pi,
+            identity_functor(s.main),
+            self.comma_main,
+            self.comma_probe,
+        )
+
+    @cached_property
+    def iota(self) -> dict[str, FunctorData]:
+        """iota1..iota7 and, when available, iota3_rstar, iota1_rstar and
+        iota2_rstar."""
+        s = self.s
+        jj = j1j2(s)
+        id_b = identity_functor(s.base)
+        id_i = identity_functor(s.inter)
+        arrow_base, comma_main = self.arrow_base, self.comma_main
+        comma_probe, comma_inter = self.comma_probe, self.comma_inter
+        iota = {
+            "iota1": induced_comma_functor(
+                "iota1", id_b, s.j2, jj, arrow_base, comma_probe
+            ),
+            "iota2": induced_comma_functor(
+                "iota2", id_b, jj, jj, arrow_base, comma_main
+            ),
+            "iota3": induced_comma_functor(
+                "iota3", id_b, s.j2, s.j2, arrow_base, comma_inter
+            ),
+            "iota4": induced_comma_functor(
+                "iota4", id_b, id_i, s.pi, comma_probe, comma_inter
+            ),
+            "iota5": induced_comma_functor(
+                "iota5", id_b, id_i, s.j1, comma_inter, comma_probe
+            ),
+            "iota6": induced_comma_functor(
+                "iota6", id_b, s.j1, s.j1, comma_inter, comma_main
+            ),
+            "iota7": induced_comma_functor(
+                "iota7", id_b, s.pi, s.pi, comma_main, comma_inter
+            ),
+        }
+        rstar = s.iota3_rstar or functor_inverse(iota["iota3"])
+        if rstar is not None:
+            rstar.name = "iota3_rstar"
+            iota["iota3_rstar"] = rstar
+            iota["iota1_rstar"] = compose_functors(rstar, iota["iota4"], "iota1_rstar")
+            iota["iota2_rstar"] = compose_functors(rstar, iota["iota7"], "iota2_rstar")
+        return iota
 
 
 def build_comma_web(s: Setup) -> CommaWeb:
-    if s._web is not None:
-        return s._web
-    jj = j1j2(s)
-    id_b = identity_functor(s.base)
-    id_i = identity_functor(s.inter)
-    id_m = identity_functor(s.main)
-
-    arrow_base = arrow_category(s.base)
-    comma_main = build_comma(jj, id_m, "(j1j2|M)")
-    comma_probe = build_comma(s.j2, s.pi, "(j2|pi)")
-    comma_inter = build_comma(s.j2, id_i, "(j2|I)")
-
-    pi_star = induced_comma_functor(
-        "pi_star", id_b, s.pi, id_m, comma_main, comma_probe
-    )
-    iota = {
-        "iota1": induced_comma_functor(
-            "iota1", id_b, s.j2, jj, arrow_base, comma_probe
-        ),
-        "iota2": induced_comma_functor(
-            "iota2", id_b, jj, jj, arrow_base, comma_main
-        ),
-        "iota3": induced_comma_functor(
-            "iota3", id_b, s.j2, s.j2, arrow_base, comma_inter
-        ),
-        "iota4": induced_comma_functor(
-            "iota4", id_b, id_i, s.pi, comma_probe, comma_inter
-        ),
-        "iota5": induced_comma_functor(
-            "iota5", id_b, id_i, s.j1, comma_inter, comma_probe
-        ),
-        "iota6": induced_comma_functor(
-            "iota6", id_b, s.j1, s.j1, comma_inter, comma_main
-        ),
-        "iota7": induced_comma_functor(
-            "iota7", id_b, s.pi, s.pi, comma_main, comma_inter
-        ),
-    }
-    rstar = s.iota3_rstar or functor_inverse(iota["iota3"])
-    if rstar is not None:
-        rstar.name = "iota3_rstar"
-        iota["iota3_rstar"] = rstar
-        iota["iota1_rstar"] = compose_functors(rstar, iota["iota4"], "iota1_rstar")
-        iota["iota2_rstar"] = compose_functors(rstar, iota["iota7"], "iota2_rstar")
-    s._web = CommaWeb(arrow_base, comma_main, comma_probe, comma_inter, pi_star, iota)
+    if s._web is None:
+        s._web = CommaWeb(s)
     return s._web
-
-
-def build_pi_star(s: Setup) -> FunctorData:
-    return build_comma_web(s).pi_star
-
-
-def build_iota(which: str, s: Setup) -> FunctorData:
-    web = build_comma_web(s)
-    if which == "pi_star":
-        return web.pi_star
-    try:
-        return web.iota[which]
-    except KeyError:
-        raise EngineError(
-            f"build_iota: no functor {which!r} (iota3_rstar missing or bad name)"
-        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -240,26 +255,6 @@ def check_assumptions(s: Setup) -> ValidationReport:
     return ValidationReport(not violations, checked, violations)
 
 
-def a4_comparisons(s: Setup, budget: int = DEFAULT_BUDGET) -> dict[str, bool]:
-    """Which identity comparisons the supplied iota3_rstar satisfies."""
-    web = build_comma_web(s)
-    rstar = web.iota.get("iota3_rstar")
-    if rstar is None:
-        return {"available": False}
-    iota3 = web.iota["iota3"]
-    fwd = compose_functors(iota3, rstar)
-    ident = identity_functor(web.comma_inter.category)
-    return {
-        "available": True,
-        "retraction_on_nose": functor_equal(
-            compose_functors(rstar, iota3), identity_functor(web.arrow_base.category)
-        ),
-        "section_on_nose": functor_equal(fwd, ident),
-        "nt_to_identity": find_nat_trans(fwd, ident, budget) is not None,
-        "nt_from_identity": find_nat_trans(ident, fwd, budget) is not None,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Pipeline stages.
 
@@ -283,21 +278,6 @@ def probe_carriers(s: Setup) -> dict[str, FiniteSet]:
         oid: carrier_of(s.gamma, m)
         for oid, (b, phi, m) in web.comma_probe.obj_data.items()
     }
-
-
-def probed_null(
-    s: Setup, *, cross_check: bool = False, budget: int = DEFAULT_BUDGET
-) -> KanResult:
-    """Right Kan extension of the comma nullity along pi_star."""
-    web = build_comma_web(s)
-    return right_kan(
-        web.pi_star,
-        comma_nullity(s),
-        probe_carriers(s),
-        mode="fiber",
-        cross_check=cross_check,
-        budget=budget,
-    )
 
 
 def probed_diagram(s: Setup, probed: KanResult) -> NullityDiagram:
@@ -347,7 +327,6 @@ def run_pipeline(
         web.pi_star,
         diag,
         probe_carriers(s),
-        mode="fiber",
         cross_check=cross_check,
         budget=budget,
     )
@@ -357,7 +336,6 @@ def run_pipeline(
         web.comma_probe.forget2,
         pdiag,
         main_carriers,
-        mode="fiber",
         cross_check=cross_check,
         budget=budget,
     )
@@ -474,7 +452,6 @@ def verify_invariance(
 def verify_minimality(
     s: Setup,
     *,
-    require_testable_everywhere: bool = True,
     guard: int = MINIMALITY_GUARD,
 ) -> ValidationReport:
     """main_null is contained in every functorial, testable assignment.
@@ -507,11 +484,7 @@ def verify_minimality(
         )
         if not functorial:
             continue
-        testable_at = {V: is_testable(cand, s, V) for V in objs}
-        if require_testable_everywhere:
-            if not all(testable_at.values()):
-                continue
-        elif not any(testable_at.values()):
+        if not all(is_testable(cand, s, V) for V in objs):
             continue
         checked["admissible"] += 1
         for V in objs:

@@ -9,7 +9,7 @@ every law check can produce a concrete witness when it fails.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -730,18 +730,6 @@ def check_half_right_adjoint(
     raise EngineError(f"unknown adjoint kind {kind!r}")
 
 
-def check_pre_right_adjoint(
-    T: FunctorData, Tstar: FunctorData, budget: int = DEFAULT_BUDGET
-) -> bool:
-    return check_half_right_adjoint(T, Tstar, "pre", budget) is not None
-
-
-def check_post_right_adjoint(
-    T: FunctorData, Tstar: FunctorData, budget: int = DEFAULT_BUDGET
-) -> bool:
-    return check_half_right_adjoint(T, Tstar, "post", budget) is not None
-
-
 def search_half_right_adjoint(
     T: FunctorData, kind: str, budget: int = DEFAULT_BUDGET
 ) -> tuple[FunctorData, NatTransData] | None:
@@ -751,16 +739,6 @@ def search_half_right_adjoint(
         if nt is not None:
             cand.name = f"{kind}-radj[{T.name}]"
             return cand, nt
-    return None
-
-
-def find_retraction(F: FunctorData, budget: int = DEFAULT_BUDGET) -> FunctorData | None:
-    """First functor R with R.F = Id on the source of F, or None."""
-    idX = identity_functor(F.source)
-    for cand in enumerate_functors(F.target, F.source, budget):
-        if functor_equal(compose_functors(cand, F), idX):
-            cand.name = f"retraction[{F.name}]"
-            return cand
     return None
 
 

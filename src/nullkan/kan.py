@@ -1,18 +1,17 @@
 """Pointwise Kan extensions for nullity-valued diagrams.
 
-The pipeline's extensions are computed per target object over the FIBER of
-that object (source objects mapping onto it, morphisms mapping onto its
+Both extensions are computed per target object over the FIBER of that
+object (source objects mapping onto it, morphisms mapping onto its
 identity), as the join (left) or meet (right) of the value families in the
 down-set lattice of the object's carrier.  That is exactly the union /
-intersection optimization the construction is built around, and a brute
-cross-check path replays it through the generic universal-cocone search of
-fincat inside the lattice.
+intersection optimization the construction is built around.  With
+`cross_check=True` each join or meet is replayed through the generic
+universal-cocone search of fincat inside that lattice.  Empty fibers
+follow the lattice units: left extensions give the trivial structure,
+right extensions the full power set, on the target object's carrier.
 
-Textbook comma-shaped slices are also provided; those run the general
-(co)limit search in a materialized nullity category and are what the
-Kan-identity lemma checks use.  Empty slices follow the lattice units:
-left extensions give the trivial structure, right extensions the full
-power set, on the target object's carrier.
+`slice_comma` builds the textbook comma-shaped slices; only the
+Kan-identity lemma checks use them.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .fincat import (
     discrete_category,
     limit,
 )
-from .nullity import materialize_nullity_category, nullity_fiber_preorder
+from .nullity import nullity_fiber_preorder
 from .order import (
     FiniteSet,
     NullityStructure,
@@ -45,20 +44,6 @@ from .order import (
 )
 
 
-class NonCocomplete(EngineError):
-    def __init__(self, obj: str, reason: str):
-        super().__init__(f"no colimit over the slice at {obj}: {reason}")
-        self.obj = obj
-        self.reason = reason
-
-
-class NonComplete(EngineError):
-    def __init__(self, obj: str, reason: str):
-        super().__init__(f"no limit over the slice at {obj}: {reason}")
-        self.obj = obj
-        self.reason = reason
-
-
 @dataclass
 class NullityDiagram:
     """Per-object structures and per-morphism carrier transports."""
@@ -66,29 +51,6 @@ class NullityDiagram:
     source: FinCategory
     values: dict[str, NullityStructure]
     transport: dict[str, SetMap] | None = None
-
-    def check(self, *, max_violations: int = 20) -> ValidationReport:
-        violations: list[Violation] = []
-        checked = {"objects": 0, "transports": 0}
-        for x in self.source.objects:
-            checked["objects"] += 1
-            if x not in self.values:
-                violations.append(_violation("diagram-value-missing", object=x))
-        if self.transport is not None and not violations:
-            for m in self.source.morphisms:
-                checked["transports"] += 1
-                t = self.transport.get(m.name)
-                if t is None:
-                    violations.append(_violation("diagram-transport-missing", morphism=m.name))
-                    continue
-                if (
-                    t.dom != self.values[m.dom].carrier
-                    or t.cod != self.values[m.cod].carrier
-                ):
-                    violations.append(_violation("diagram-transport-endpoints", morphism=m.name))
-                if len(violations) >= max_violations:
-                    break
-        return ValidationReport(not violations, checked, violations[:max_violations])
 
     def preservation_violations(self) -> list[Violation]:
         """Morphisms whose transport fails to send null sets to null sets."""
@@ -113,7 +75,6 @@ class NullityDiagram:
 @dataclass
 class KanResult:
     side: str
-    mode: str
     extension: dict[str, NullityStructure]
     path: dict[str, str]
     slice_sizes: dict[str, int]
@@ -158,18 +119,6 @@ def fiber_category(K: FunctorData, d: str) -> tuple[FinCategory, FunctorData]:
         f"incl[{cat.name}]", cat, src, {x: x for x in objs}, {m: m for m in keep}
     )
     return cat, incl
-
-
-def slice_diagram(
-    K: FunctorData, d: str, side: str, mode: str = "comma"
-) -> FunctorData:
-    """Projection from the slice index at d to K's source."""
-    if mode == "comma":
-        sl = slice_comma(K, d, side)
-        return sl.forget1 if side == "left" else sl.forget2
-    if mode == "fiber":
-        return fiber_category(K, d)[1]
-    raise EngineError(f"slice_diagram: unknown mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +215,6 @@ def _kan_fiber(
             unit_bad.append(x)
     return KanResult(
         side=side,
-        mode="fiber",
         extension=extension,
         path=path,
         slice_sizes=sizes,
@@ -278,80 +226,15 @@ def _kan_fiber(
     )
 
 
-# ---------------------------------------------------------------------------
-# The general comma-slice path.
-
-
-def _kan_comma(
-    K: FunctorData,
-    diag: NullityDiagram,
-    target_carriers: dict[str, FiniteSet],
-    side: str,
-    budget: int,
-    max_carrier: int,
-) -> KanResult:
-    if diag.transport is None:
-        raise EngineError("kan: comma mode needs transports for slice comparisons")
-    carriers = [v.carrier for v in diag.values.values()] + list(target_carriers.values())
-    mat = materialize_nullity_category("kan-nullity", carriers, max_carrier)
-
-    extension: dict[str, NullityStructure] = {}
-    path: dict[str, str] = {}
-    sizes: dict[str, int] = {}
-    for d in K.target.objects:
-        sl = slice_comma(K, d, side)
-        proj = sl.forget1 if side == "left" else sl.forget2
-        sizes[d] = len(sl.category.objects)
-        if not sl.category.objects:
-            extension[d] = (
-                trivial_nullity(target_carriers[d])
-                if side == "left"
-                else full_nullity(target_carriers[d])
-            )
-            path[d] = "empty"
-            continue
-        obj_map = {
-            o: mat.object_of(diag.values[proj.on_obj(o)]) for o in sl.category.objects
-        }
-        mor_map = {}
-        for m in sl.category.morphisms:
-            u = proj.on_mor(m.name)
-            mor_map[m.name] = mat.morphism_of(
-                obj_map[m.dom], obj_map[m.cod], diag.transport[u]
-            )
-        diagram = FunctorData("slice-values", sl.category, mat.category, obj_map, mor_map)
-        res = colimit(diagram, budget) if side == "left" else limit(diagram, budget)
-        if res.cone is None:
-            err = NonCocomplete if side == "left" else NonComplete
-            raise err(d, res.reason or "no universal cone")
-        extension[d] = mat.structure[res.cone.tip]
-        path[d] = "brute"
-    return KanResult(
-        side=side,
-        mode="comma",
-        extension=extension,
-        path=path,
-        slice_sizes=sizes,
-        comparison_ok=True,
-        diagnostics={},
-    )
-
-
 def left_kan(
     K: FunctorData,
     diag: NullityDiagram,
     target_carriers: dict[str, FiniteSet],
     *,
-    mode: str = "fiber",
     cross_check: bool = False,
     budget: int = DEFAULT_BUDGET,
-    max_carrier: int = 3,
 ) -> KanResult:
-    if mode == "fiber":
-        return _kan_fiber(K, diag, target_carriers, "left", cross_check, budget)
-    if mode == "comma":
-        return _kan_comma(K, diag, target_carriers, "left", budget, max_carrier)
-    raise EngineError(f"left_kan: unknown mode {mode!r}")
+    return _kan_fiber(K, diag, target_carriers, "left", cross_check, budget)
 
 
 def right_kan(
@@ -359,16 +242,10 @@ def right_kan(
     diag: NullityDiagram,
     target_carriers: dict[str, FiniteSet],
     *,
-    mode: str = "fiber",
     cross_check: bool = False,
     budget: int = DEFAULT_BUDGET,
-    max_carrier: int = 3,
 ) -> KanResult:
-    if mode == "fiber":
-        return _kan_fiber(K, diag, target_carriers, "right", cross_check, budget)
-    if mode == "comma":
-        return _kan_comma(K, diag, target_carriers, "right", budget, max_carrier)
-    raise EngineError(f"right_kan: unknown mode {mode!r}")
+    return _kan_fiber(K, diag, target_carriers, "right", cross_check, budget)
 
 
 # ---------------------------------------------------------------------------

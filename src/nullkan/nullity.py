@@ -2,8 +2,7 @@
 
 The nullity category over a batch of carriers has one object per (carrier,
 null family) pair and one morphism per set map that sends null sets to null
-sets.  Materializing it keeps the universal-property searches honest: they
-run inside a real finite category rather than a shortcut lattice.
+sets.  The `materialize` command builds it and checks its category laws.
 """
 
 from __future__ import annotations
@@ -326,19 +325,6 @@ def check_nullity_morphism(
 ) -> bool:
     """The category's morphism rule: images of null sets are null."""
     return image_violation(phi, a, b) is None
-
-
-def check_conullity_morphism(
-    phi: SetMap, a: NullityStructure, b: NullityStructure
-) -> bool:
-    """Diagnostic alternate rule: preimages of null sets are null.
-
-    Not the Nullity category's morphism rule; exposed so models can report
-    which maps would survive the stricter reading.
-    """
-    if a.carrier != phi.dom or b.carrier != phi.cod:
-        raise EngineError("check_conullity_morphism: carrier mismatch")
-    return all(phi.preimage_mask(s) in a.masks for s in b.masks)
 
 
 def base_nullity(kind: str, carrier: FiniteSet, k: int | None = None) -> NullityStructure:

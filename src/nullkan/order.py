@@ -145,9 +145,6 @@ class NullityStructure:
     def __contains__(self, mask: int) -> bool:
         return mask in self.masks
 
-    def subseteq(self, other: "NullityStructure") -> bool:
-        return self.carrier == other.carrier and self.masks <= other.masks
-
     def is_full(self) -> bool:
         return len(self.masks) == 1 << self.carrier.size
 
@@ -198,18 +195,6 @@ def down_closure(carrier: FiniteSet, masks) -> NullityStructure:
             if m >> i & 1:
                 stack.append(m & ~(1 << i))
     return NullityStructure(carrier, frozenset(seen))
-
-
-def union_structures(a: NullityStructure, b: NullityStructure) -> NullityStructure:
-    if a.carrier != b.carrier:
-        raise EngineError("union of structures on different carriers")
-    return NullityStructure(a.carrier, a.masks | b.masks)
-
-
-def intersect_structures(a: NullityStructure, b: NullityStructure) -> NullityStructure:
-    if a.carrier != b.carrier:
-        raise EngineError("intersection of structures on different carriers")
-    return NullityStructure(a.carrier, a.masks & b.masks)
 
 
 def union_all(carrier: FiniteSet, structures) -> NullityStructure:
@@ -263,12 +248,6 @@ def image_violation(
     return None
 
 
-def image_preserves(
-    f: SetMap, n_dom: NullityStructure, n_cod: NullityStructure
-) -> bool:
-    return image_violation(f, n_dom, n_cod) is None
-
-
 def all_down_sets(carrier: FiniteSet, bound: int = 4) -> list[frozenset[int]]:
     """Every legal null family on the carrier, in deterministic order.
 
@@ -288,65 +267,3 @@ def all_down_sets(carrier: FiniteSet, bound: int = 4) -> list[frozenset[int]]:
             out.append(masks)
     return sorted(out, key=lambda ms: (len(ms), sorted(ms)))
 
-
-def is_preorder(p) -> bool:
-    """At most one morphism between any ordered pair of objects."""
-    seen = set()
-    for m in p.morphisms:
-        if (m.dom, m.cod) in seen:
-            return False
-        seen.add((m.dom, m.cod))
-    return True
-
-
-@dataclass(frozen=True)
-class DownSet:
-    """A downward-closed set of objects of a preorder category."""
-
-    preorder: "object"
-    members: frozenset[str]
-
-    def __post_init__(self):
-        p = self.preorder
-        for x in self.members:
-            if x not in set(p.objects):
-                raise EngineError(f"down-set member {x!r} not in {p.name}")
-        for m in p.morphisms:
-            if m.cod in self.members and m.dom not in self.members:
-                raise EngineError(
-                    f"not downward closed: {m.dom} <= {m.cod} but only the "
-                    "larger is a member"
-                )
-
-
-def downward_closure(p, seed) -> DownSet:
-    """Smallest down-set of the preorder p containing the seed objects."""
-    if not is_preorder(p):
-        raise EngineError(f"{p.name} is not a preorder")
-    members = set()
-    stack = list(seed)
-    for x in stack:
-        if x not in set(p.objects):
-            raise EngineError(f"seed object {x!r} not in {p.name}")
-    below = {}
-    for m in p.morphisms:
-        below.setdefault(m.cod, []).append(m.dom)
-    while stack:
-        x = stack.pop()
-        if x in members:
-            continue
-        members.add(x)
-        stack.extend(below.get(x, ()))
-    return DownSet(p, frozenset(members))
-
-
-def union_down(a: DownSet, b: DownSet) -> DownSet:
-    if not a.preorder.same_table(b.preorder):
-        raise EngineError("union of down-sets over different preorders")
-    return DownSet(a.preorder, a.members | b.members)
-
-
-def intersect_down(a: DownSet, b: DownSet) -> DownSet:
-    if not a.preorder.same_table(b.preorder):
-        raise EngineError("intersection of down-sets over different preorders")
-    return DownSet(a.preorder, a.members & b.members)

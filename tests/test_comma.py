@@ -92,6 +92,12 @@ def test_build_comma_respects_bounds(c3):
         build_comma(
             identity_functor(c3), identity_functor(c3), "tiny", max_objects=2
         )
+    # the morphism bound is exact and refuses inside the morphism loop
+    n_mor = len(arrow_category(c3).category.morphisms)
+    ident = identity_functor(c3)
+    assert len(build_comma(ident, ident, max_morphisms=n_mor).category.morphisms) == n_mor
+    with pytest.raises(EngineError, match=f"more than {n_mor - 1} morphisms"):
+        build_comma(ident, ident, "tiny", max_morphisms=n_mor - 1)
 
 
 def test_induced_functor_between_slices(c2, c3):

@@ -2,6 +2,8 @@
 
 import pytest
 
+import nullkan.comma
+import nullkan.construct
 from nullkan.construct import (
     BUILTIN_NAMES,
     Setup,
@@ -105,6 +107,26 @@ def test_comma_web_shapes_and_memoization():
     assert len(w.comma_probe.category.objects) == 3
     assert build_comma_web(s) is w
     assert set(w.iota) >= {"iota1", "iota2", "iota3", "iota4", "iota5", "iota6", "iota7"}
+
+
+def test_comma_web_builds_members_on_first_use(monkeypatch):
+    built = []
+    real = nullkan.comma.build_comma
+
+    def counting(alpha, beta, name=None, **kw):
+        built.append(name)
+        return real(alpha, beta, name, **kw)
+
+    # arrow_category reaches build_comma through the comma module
+    monkeypatch.setattr(nullkan.construct, "build_comma", counting)
+    monkeypatch.setattr(nullkan.comma, "build_comma", counting)
+    s = builtin_model("f2_proper")
+    run_pipeline(s)
+    assert built == ["(j1j2|M)", "(j2|pi)"]
+    built.clear()
+    verify_extension(s)
+    web = {"(j1j2|M)", "(j2|pi)", "Arr(F2-linear)", "(j2|I)"}
+    assert sorted(n for n in built if n in web) == ["(j2|I)", "Arr(F2-linear)"]
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

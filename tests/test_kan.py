@@ -6,10 +6,8 @@ from nullkan.fincat import (
     FunctorData,
     chain_preorder,
     discrete_category,
-    identity_functor,
 )
 from nullkan.kan import (
-    NonCocomplete,
     NullityDiagram,
     check_universal,
     fiber_category,
@@ -17,7 +15,7 @@ from nullkan.kan import (
     right_kan,
     slice_comma,
 )
-from nullkan.order import FiniteSet, SetMap, down_closure, trivial_nullity
+from nullkan.order import FiniteSet, down_closure
 
 
 @pytest.fixture
@@ -76,40 +74,6 @@ def test_universal_property_of_fiber_result(two_points_over_chain):
     assert rep.checked["competitors"] > 0
 
 
-def test_comma_mode_along_identity():
-    T = chain_preorder("T", ["t0", "t1"])
-    c = FiniteSet(("a",))
-    diag = NullityDiagram(
-        T,
-        {"t0": trivial_nullity(c), "t1": down_closure(c, [1])},
-        {m.name: SetMap.identity(c) for m in T.morphisms},
-    )
-    carriers = {"t0": c, "t1": c}
-    for runner in (left_kan, right_kan):
-        res = runner(identity_functor(T), diag, carriers, mode="comma")
-        assert res.extension["t0"].masks == {0}
-        assert res.extension["t1"].masks == {0, 1}
-        assert set(res.path.values()) == {"brute"}
-
-
-def test_comma_mode_requires_transports(two_points_over_chain):
-    K, diag, carriers, c = two_points_over_chain
-    with pytest.raises(Exception, match="transports"):
-        left_kan(K, diag, carriers, mode="comma")
-
-
-def test_comma_mode_reports_missing_colimit(two_points_over_chain):
-    # a disconnected slice into the category of structures has no
-    # universal cocone, and the brute path says so instead of guessing
-    K, diag, carriers, c = two_points_over_chain
-    with_tr = NullityDiagram(
-        diag.source, diag.values,
-        {"id:d0": SetMap.identity(c), "id:d1": SetMap.identity(c)},
-    )
-    with pytest.raises(NonCocomplete):
-        left_kan(K, with_tr, carriers, mode="comma")
-
-
 def test_slice_and_fiber_shapes(two_points_over_chain):
     K, diag, carriers, c = two_points_over_chain
     sl = slice_comma(K, "t1", "left")
@@ -118,11 +82,3 @@ def test_slice_and_fiber_shapes(two_points_over_chain):
     assert fc.objects == ("d0",)
     assert incl.on_obj("d0") == "d0"
 
-
-def test_diagram_check(two_points_over_chain):
-    K, diag, carriers, c = two_points_over_chain
-    assert diag.check().ok
-    missing = NullityDiagram(diag.source, {"d0": diag.values["d0"]})
-    rep = missing.check()
-    assert not rep.ok
-    assert rep.violations[0].law == "diagram-value-missing"

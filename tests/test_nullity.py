@@ -9,7 +9,6 @@ from nullkan.nullity import (
     carrier_functor,
     carrier_of,
     check_carrier_action,
-    check_conullity_morphism,
     check_nullity_assignment,
     check_nullity_morphism,
     is_saturated,
@@ -164,6 +163,3 @@ def test_nullity_morphism_predicates():
     only_a = down_closure(c, [c.mask_of(["a"])])
     assert not check_nullity_morphism(swap, only_a, only_a)
     assert check_nullity_morphism(swap, only_a, full_nullity(c))
-    # conullity asks for preimages of null sets to be null
-    assert check_conullity_morphism(swap, only_a, down_closure(c, [c.mask_of(["b"])]))
-    assert not check_conullity_morphism(swap, only_a, only_a)

@@ -12,20 +12,15 @@ from nullkan.order import (
     all_down_sets,
     cardinality_nullity,
     down_closure,
-    downward_closure,
     full_nullity,
     image_violation,
     intersect_all,
-    intersect_down,
-    intersect_structures,
     is_down_closed,
     preimage_nullity,
     proper_nullity,
     pushforward_closure,
     trivial_nullity,
     union_all,
-    union_down,
-    union_structures,
 )
 
 
@@ -128,10 +123,10 @@ def test_canned_structures():
 def test_union_intersect_lattice_laws(c, data):
     a = data.draw(families(c))
     b = data.draw(families(c))
-    assert union_structures(a, b).masks == union_structures(b, a).masks
-    assert intersect_structures(a, b).masks == intersect_structures(b, a).masks
-    assert union_structures(a, intersect_structures(a, b)).masks == a.masks
-    assert intersect_structures(a, union_structures(a, b)).masks == a.masks
+    assert union_all(c, [a, b]).masks == union_all(c, [b, a]).masks
+    assert intersect_all(c, [a, b]).masks == intersect_all(c, [b, a]).masks
+    assert union_all(c, [a, intersect_all(c, [a, b])]).masks == a.masks
+    assert intersect_all(c, [a, union_all(c, [a, b])]).masks == a.masks
 
 
 def test_empty_family_conventions():
@@ -192,13 +187,3 @@ def test_all_down_sets_counts():
     with pytest.raises(EngineError):
         all_down_sets(FiniteSet(tuple("abcde")))
 
-
-def test_down_sets_of_preorder():
-    from nullkan.fincat import chain_preorder
-
-    p = chain_preorder("c3", ["0", "1", "2"])
-    d = downward_closure(p, ["1"])
-    assert d.members == {"0", "1"}
-    e = downward_closure(p, ["2"])
-    assert union_down(d, e).members == {"0", "1", "2"}
-    assert intersect_down(d, e).members == {"0", "1"}
