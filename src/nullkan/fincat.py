@@ -11,8 +11,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BUDGET = 200_000
 MAX_OBJECTS = 64
@@ -189,6 +191,8 @@ _SWEEP_CELLS = 1 << 18
 
 def _composition_triples(cat: FinCategory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The composition table as parallel (g, f, gf) index arrays."""
+    import numpy as np
+
     n = len(cat.composition)
     ix = cat._mor_index.__getitem__
     keys = cat.composition.keys()
@@ -216,6 +220,10 @@ def validate_category(
     row), never an n_morphisms x n_morphisms table.  Entries already reported as spurious
     or with wrong endpoints are left out of the sweep.
     """
+    # numpy is imported here and in the two helpers only, so that commands
+    # which never validate a category do not load it.
+    import numpy as np
+
     if len(cat.objects) > max_objects:
         raise EngineError(
             f"{cat.name}: {len(cat.objects)} objects exceeds bound {max_objects}"
@@ -329,6 +337,8 @@ def _associativity_sweep(
     `limit` failing triples are returned as (h, g, f) morphism indices,
     ordered by c, then h, g and f.
     """
+    import numpy as np
+
     garr, farr, harr = triples
     n_mor = dom.size
     outs = [np.flatnonzero(dom == x) for x in range(n_obj)]
@@ -654,20 +664,41 @@ def find_nat_trans(
 
 
 def enumerate_functors(
-    X: FinCategory, Y: FinCategory, budget: int = DEFAULT_BUDGET
+    X: FinCategory,
+    Y: FinCategory,
+    budget: int = DEFAULT_BUDGET,
+    *,
+    fibers: tuple[dict[str, list[str]], dict[str, set[str]]] | None = None,
 ):
     """Yield every functor X -> Y, deterministically.
 
-    Identity images are forced; other morphisms are assigned depth-first
-    with incremental composition checks.  Exhaustive, so keep X and Y tiny.
+    Object maps run in lexicographic order over Y's objects.  Identity
+    images are then forced; the other morphisms of X are assigned
+    depth-first in declared order, each over its hom-set of Y.  Every step
+    (one object map or one morphism image tried) counts against `budget`.
+
+    Each composable pair (g, f) of non-identities is checked once, at the
+    position of the last of g, f and gf (unless gf is an identity) to be
+    assigned: earlier steps cannot see it and later ones would only repeat
+    it (arc consistency in the sense of Mackworth 1977).
+
+    `fibers` = (objects, morphisms), if given, allows only the listed images:
+    `objects[x]` lists the candidates for x in Y's order and `morphisms[m]`
+    holds those for each non-identity m.  The yield order is then a
+    sub-order of the unrestricted one.  Exhaustive, so keep X and Y tiny.
     """
     objs = X.objects
     non_id = [m for m in X.morphisms if not X.is_identity(m.name)]
-    pairs = [
-        (g, f)
-        for g, f in X.composable_pairs()
-        if not X.is_identity(g) and not X.is_identity(f)
-    ]
+    pos = {m.name: i for i, m in enumerate(non_id)}
+    checks: list[list[tuple[str, str, str]]] = [[] for _ in non_id]
+    for g, f in X.composable_pairs():
+        if g in pos and f in pos:
+            gf = X.compose(g, f)
+            checks[max(pos[g], pos[f], pos.get(gf, -1))].append((g, f, gf))
+    if fibers is None:
+        obj_choices = [Y.objects] * len(objs)
+    else:
+        obj_choices = [fibers[0][x] for x in objs]
     steps = 0
 
     def assign_mors(obj_map, i, mor_map):
@@ -682,30 +713,23 @@ def enumerate_functors(
             )
             return
         m = non_id[i]
-        for c in Y.hom(obj_map[m.dom], obj_map[m.cod]):
+        cands = Y.hom(obj_map[m.dom], obj_map[m.cod])
+        if fibers is not None:
+            cands = [c for c in cands if c in fibers[1][m.name]]
+        for c in cands:
             steps += 1
             if steps > budget:
                 raise BudgetExceeded("enumerate_functors", budget)
             mor_map[m.name] = c
-            ok = True
-            for g, f in pairs:
-                if g not in mor_map or f not in mor_map:
-                    continue
-                comp = X.compose(g, f)
-                if X.is_identity(comp):
-                    img = Y.id_of(obj_map[X.dom(f)])
-                elif comp in mor_map:
-                    img = mor_map[comp]
-                else:
-                    continue
-                if Y.compose(mor_map[g], mor_map[f]) != img:
-                    ok = False
-                    break
-            if ok:
+            # mor_map holds the identity images too, so gf reads the same way.
+            if all(
+                Y.compose(mor_map[g], mor_map[f]) == mor_map[gf]
+                for g, f, gf in checks[i]
+            ):
                 yield from assign_mors(obj_map, i + 1, mor_map)
             del mor_map[m.name]
 
-    for combo in itertools.product(Y.objects, repeat=len(objs)):
+    for combo in itertools.product(*obj_choices):
         steps += 1
         if steps > budget:
             raise BudgetExceeded("enumerate_functors", budget)
@@ -743,12 +767,22 @@ def search_half_right_adjoint(
 
 
 def find_section(F: FunctorData, budget: int = DEFAULT_BUDGET) -> FunctorData | None:
-    """First functor S with F.S = Id on the target of F (a right inverse)."""
-    idY = identity_functor(F.target)
-    for cand in enumerate_functors(F.target, F.source, budget):
-        if functor_equal(compose_functors(F, cand), idY):
-            cand.name = f"section[{F.name}]"
-            return cand
+    """First functor S with F.S = Id on the target of F (a right inverse).
+
+    F.S = Id holds exactly when S sends each object and each morphism into
+    its fiber under F, so the search runs only over those: its first hit is
+    the first section of the unrestricted enumeration.
+    """
+    objs = {
+        y: [x for x in F.source.objects if F.on_obj(x) == y] for y in F.target.objects
+    }
+    by_image: dict[str, set[str]] = {}
+    for m in F.source.morphisms:
+        by_image.setdefault(F.on_mor(m.name), set()).add(m.name)
+    mors = {m.name: by_image.get(m.name, set()) for m in F.target.morphisms}
+    for cand in enumerate_functors(F.target, F.source, budget, fibers=(objs, mors)):
+        cand.name = f"section[{F.name}]"
+        return cand
     return None
 
 

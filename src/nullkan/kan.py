@@ -24,6 +24,7 @@ from .fincat import (
     EngineError,
     FinCategory,
     FunctorData,
+    Mor,
     ValidationReport,
     Violation,
     _violation,
@@ -97,28 +98,27 @@ def slice_comma(K: FunctorData, d: str, side: str) -> CommaCategory:
     raise EngineError(f"slice_comma: unknown side {side!r}")
 
 
-def fiber_category(K: FunctorData, d: str) -> tuple[FinCategory, FunctorData]:
-    """Subcategory of K's source lying strictly over d and its identity."""
+def fibers(K: FunctorData) -> dict[str, tuple[list[str], list[Mor]]]:
+    """For each target object d: the source objects over d, and the
+    non-identity source morphisms among them that K sends to d's identity.
+
+    One pass over K's source; both lists keep its declared order.
+    """
     src = K.source
-    idd = K.target.id_of(d)
-    objs = [x for x in src.objects if K.on_obj(x) == d]
-    keep = {
-        m.name
-        for m in src.morphisms
-        if m.dom in set(objs) and m.cod in set(objs) and K.on_mor(m.name) == idd
+    out: dict[str, tuple[list[str], list[Mor]]] = {
+        d: ([], []) for d in K.target.objects
     }
-    mors = [(m.name, m.dom, m.cod) for m in src.morphisms if m.name in keep]
-    identity = {x: src.id_of(x) for x in objs}
-    comp = {
-        (g, f): h
-        for (g, f), h in src.composition.items()
-        if g in keep and f in keep and src.cod(f) == src.dom(g)
-    }
-    cat = FinCategory(f"fiber[{K.name}@{d}]", objs, mors, identity, comp)
-    incl = FunctorData(
-        f"incl[{cat.name}]", cat, src, {x: x for x in objs}, {m: m for m in keep}
-    )
-    return cat, incl
+    for x in src.objects:
+        out[K.on_obj(x)][0].append(x)
+    for m in src.morphisms:
+        d = K.on_obj(m.dom)
+        if (
+            K.on_obj(m.cod) == d
+            and not src.is_identity(m.name)
+            and K.on_mor(m.name) == K.target.id_of(d)
+        ):
+            out[d][1].append(m)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +165,10 @@ def _kan_fiber(
     bad_squares: list[Violation] = []
     comparison_ok = True
 
-    for d in K.target.objects:
+    for d, (objs, mors) in fibers(K).items():
         carrier = target_carriers[d]
-        fiber, _ = fiber_category(K, d)
         pieces = []
-        for x in fiber.objects:
+        for x in objs:
             v = diag.values[x]
             if v.carrier != carrier:
                 raise EngineError(
@@ -185,9 +184,7 @@ def _kan_fiber(
         sizes[d] = len(pieces)
         path[d] = "fast"
         if diag.transport is not None:
-            for m in fiber.morphisms:
-                if fiber.is_identity(m.name):
-                    continue
+            for m in mors:
                 bad = image_violation(
                     diag.transport[m.name], diag.values[m.dom], diag.values[m.cod]
                 )

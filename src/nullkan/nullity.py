@@ -94,22 +94,6 @@ class MaterializedNullity:
     category: FinCategory
     structure: dict[str, NullityStructure]  # object id -> structure
     setmap: dict[str, SetMap]  # morphism id -> underlying map
-    _index: dict[tuple[tuple[str, ...], frozenset[int]], str]
-
-    def object_of(self, s: NullityStructure) -> str:
-        try:
-            return self._index[(s.carrier.elements, s.masks)]
-        except KeyError:
-            raise EngineError("structure not present in materialized category") from None
-
-    def morphism_of(self, a: str, b: str, f: SetMap) -> str:
-        mid = _map_id(a, b, f.images)
-        if mid not in self.setmap:
-            raise EngineError(
-                f"{self.category.name}: {mid} is not a nullity morphism "
-                "(the map does not preserve null sets)"
-            )
-        return mid
 
 
 def materialize_nullity_category(
@@ -127,7 +111,6 @@ def materialize_nullity_category(
 
     objects: list[str] = []
     structure: dict[str, NullityStructure] = {}
-    index: dict[tuple[tuple[str, ...], frozenset[int]], str] = {}
     for c in distinct:
         cid = carrier_id(c)
         for masks in all_down_sets(c):
@@ -136,7 +119,6 @@ def materialize_nullity_category(
                 raise EngineError("materialize: object label collision")
             objects.append(oid)
             structure[oid] = NullityStructure(c, masks)
-            index[(c.elements, masks)] = oid
 
     mors: list[Mor] = []
     setmap: dict[str, SetMap] = {}
@@ -174,7 +156,7 @@ def materialize_nullity_category(
             comp[(g.name, f.name)] = by_data[(f.dom, g.cod, gf)]
 
     cat = FinCategory(name, objects, mors, identity, comp)
-    return MaterializedNullity(cat, structure, setmap, index)
+    return MaterializedNullity(cat, structure, setmap)
 
 
 def nullity_fiber_preorder(carrier: FiniteSet) -> tuple[FinCategory, dict[str, frozenset[int]]]:

@@ -1,5 +1,7 @@
 """Core finite-category layer: tables, functors, adjoint fragments, (co)limits."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,89 @@ def test_retraction_and_section(c2, c3):
     assert sec is not None
     assert functor_equal(compose_functors(surj, sec), identity_functor(c2))
     assert find_section(thin("bot", c2, c2, {"y0": "y0", "y1": "y0"})) is None
+
+
+def idempotent_monoid():
+    """{1, e} with e after e = e, as a one-object category."""
+    comp = {("1", "1"): "1", ("1", "e"): "e", ("e", "1"): "e", ("e", "e"): "e"}
+    mors = [("1", "*", "*"), ("e", "*", "*")]
+    return FinCategory("E", ("*",), mors, {"*": "1"}, comp)
+
+
+def full_transformation_monoid():
+    """All four maps of a 2-point set under composition, as a one-object category."""
+    maps = {"id": (0, 1), "sw": (1, 0), "c0": (0, 0), "c1": (1, 1)}
+    name = {v: k for k, v in maps.items()}
+    comp = {
+        (g, f): name[tuple(maps[g][i] for i in maps[f])] for g in maps for f in maps
+    }
+    return FinCategory("T2", ("*",), [(m, "*", "*") for m in maps], {"*": "id"}, comp)
+
+
+SMALL = {
+    "Z2": lambda: cyclic_group(2),
+    "Z3": lambda: cyclic_group(3),
+    "E": idempotent_monoid,
+    "C2": lambda: chain_preorder("C2", ["y0", "y1"]),
+    "C3": lambda: chain_preorder("C3", ["x0", "x1", "x2"]),
+    "T2": full_transformation_monoid,
+}
+
+# (X, Y, functors X -> Y, smallest budget at which enumerate_functors
+# completes); the budgets were pinned from the earlier search that rescanned
+# every composable pair at every step.
+# C3 -> C3 is left out: its brute force would try 27 * 6^6 maps.
+ENUMERATIONS = [
+    ("Z2", "Z2", 2, 3), ("Z2", "Z3", 1, 4), ("Z2", "E", 1, 3), ("Z2", "C2", 2, 4),
+    ("Z2", "C3", 3, 6), ("Z3", "Z2", 1, 7), ("Z3", "Z3", 3, 13), ("Z3", "E", 1, 7),
+    ("Z3", "C2", 2, 6), ("Z3", "C3", 3, 9), ("E", "Z2", 1, 3), ("E", "Z3", 1, 4),
+    ("E", "E", 2, 3), ("E", "C2", 2, 4), ("E", "C3", 3, 6), ("C2", "Z2", 2, 3),
+    ("C2", "Z3", 3, 4), ("C2", "E", 2, 3), ("C2", "C2", 3, 7), ("C2", "C3", 6, 15),
+    ("C3", "Z2", 4, 15), ("C3", "Z3", 9, 40), ("C3", "E", 4, 15), ("C3", "C2", 4, 23),
+    ("T2", "T2", 5, 33), ("T2", "Z2", 1, 9), ("T2", "Z3", 1, 10), ("T2", "E", 2, 9),
+    ("T2", "C2", 2, 8), ("T2", "C3", 3, 12), ("Z2", "T2", 2, 5), ("Z3", "T2", 1, 21),
+    ("E", "T2", 3, 5), ("C2", "T2", 4, 5), ("C3", "T2", 16, 85),
+]
+
+
+def brute_functors(X, Y):
+    """Every object and morphism map X -> Y that check_functor accepts, in
+    lexicographic order of the images."""
+    names = [m.name for m in X.morphisms]
+    out = []
+    for objs in itertools.product(Y.objects, repeat=len(X.objects)):
+        obj_map = dict(zip(X.objects, objs))
+        for mors in itertools.product([m.name for m in Y.morphisms], repeat=len(names)):
+            F = FunctorData("brute", X, Y, obj_map, dict(zip(names, mors)))
+            if check_functor(F).ok:
+                out.append(F)
+    return out
+
+
+def tables(functors):
+    return [(F.obj_map, F.mor_map) for F in functors]
+
+
+@pytest.mark.parametrize("x,y,count,steps", ENUMERATIONS)
+def test_enumerate_functors_matches_brute_force(x, y, count, steps):
+    X, Y = SMALL[x](), SMALL[y]()
+    got = tables(enumerate_functors(X, Y))
+    assert got == tables(brute_functors(X, Y))
+    assert len(got) == count
+    assert tables(enumerate_functors(X, Y, budget=steps)) == got
+    with pytest.raises(BudgetExceeded):
+        list(enumerate_functors(X, Y, budget=steps - 1))
+
+
+@pytest.mark.parametrize("x,y", [(x, y) for x, y, _, _ in ENUMERATIONS])
+def test_find_section_matches_filter(x, y):
+    X, Y = SMALL[x](), SMALL[y]()
+    backs = brute_functors(Y, X)
+    idY = identity_functor(Y)
+    for F in brute_functors(X, Y):
+        want = [S for S in backs if functor_equal(compose_functors(F, S), idY)][:1]
+        got = find_section(F)
+        assert tables([got] if got is not None else []) == tables(want)
 
 
 def test_colimit_limit_of_chain(c3):

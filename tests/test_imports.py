@@ -1,6 +1,10 @@
-"""Every name a module imports is used there or re-exported."""
+"""Every name a module imports is used there or re-exported, and the CLI
+imports no numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,12 @@ def test_detector_flags_an_unused_import():
     tree = ast.parse("import os\nfrom json import dumps, loads\nloads('1')\n")
     unused = set(imported_names(tree)) - used_names(tree)
     assert unused == {"os", "dumps"}
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy serves validate_category only; every other command runs without it.
+    env = dict(os.environ)
+    paths = [str(SRC.parent), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    code = "import nullkan.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -10,7 +10,7 @@ from nullkan.fincat import (
 from nullkan.kan import (
     NullityDiagram,
     check_universal,
-    fiber_category,
+    fibers,
     left_kan,
     right_kan,
     slice_comma,
@@ -78,7 +78,11 @@ def test_slice_and_fiber_shapes(two_points_over_chain):
     K, diag, carriers, c = two_points_over_chain
     sl = slice_comma(K, "t1", "left")
     assert len(sl.category.objects) == 2  # d0 via t0<=t1 and d1 via id
-    fc, incl = fiber_category(K, "t0")
-    assert fc.objects == ("d0",)
-    assert incl.on_obj("d0") == "d0"
+    assert fibers(K) == {"t0": (["d0"], []), "t1": (["d1"], [])}
+    S = chain_preorder("S", ["s0", "s1"])
+    crush = FunctorData(
+        "crush", S, K.target, {"s0": "t0", "s1": "t0"},
+        {m.name: "le:t0>t0" for m in S.morphisms},
+    )
+    assert fibers(crush) == {"t0": (["s0", "s1"], [S.mor("le:s0>s1")]), "t1": ([], [])}
 

@@ -124,3 +124,14 @@ def test_setup_adjoints_on_identity_model():
     got = check_setup_adjoints(builtin_model("identity"))
     assert all(v["present"] for v in got.values())
     assert got["pi_star_right_inverse"]["how"] == "induced"
+
+
+def test_setup_adjoints_on_injections():
+    # The forget2 section search runs inside the fibers of forget2, so it
+    # ends well within the default budget instead of answering "budget".
+    got = check_setup_adjoints(builtin_model("injections_card_0"))
+    assert got["forget2_right_inverse"] == {"present": True, "how": "search"}
+    assert got["forget2_pre_right_adjoint"] == {"present": True, "how": "section"}
+    assert got["pi_star_right_inverse"] == {"present": True, "how": "induced"}
+    assert got["iota2_post_right_adjoint"] == {"present": True, "how": "composite"}
+    assert got["iota1_pre_right_adjoint"] == {"present": True, "how": "composite"}
