@@ -16,6 +16,7 @@ from .fincat import (
     FinCategory,
     FunctorData,
     compose_functors,
+    functor_diff,
     functor_equal,
     identity_functor,
 )
@@ -164,16 +165,6 @@ def arrow_category(C: FinCategory, name: str | None = None) -> CommaCategory:
     return build_comma(i, i, name or f"Arr({C.name})")
 
 
-def _functor_diff(F: FunctorData, G: FunctorData) -> str | None:
-    for x in F.source.objects:
-        if F.obj_map[x] != G.obj_map[x]:
-            return f"object {x}: {F.obj_map[x]} != {G.obj_map[x]}"
-    for m in F.source.morphisms:
-        if F.mor_map[m.name] != G.mor_map[m.name]:
-            return f"morphism {m.name}: {F.mor_map[m.name]} != {G.mor_map[m.name]}"
-    return None
-
-
 def induced_comma_functor(
     name: str,
     I: FunctorData,
@@ -193,14 +184,14 @@ def induced_comma_functor(
     if not functor_equal(left_lhs, left_rhs):
         raise EngineError(
             f"{name}: left square fails ({J.name}.{src.left.name} != "
-            f"{dst.left.name}.{I.name}) at {_functor_diff(left_lhs, left_rhs)}"
+            f"{dst.left.name}.{I.name}) at {functor_diff(left_lhs, left_rhs)}"
         )
     right_lhs = compose_functors(J, src.right)
     right_rhs = compose_functors(dst.right, K)
     if not functor_equal(right_lhs, right_rhs):
         raise EngineError(
             f"{name}: right square fails ({J.name}.{src.right.name} != "
-            f"{dst.right.name}.{K.name}) at {_functor_diff(right_lhs, right_rhs)}"
+            f"{dst.right.name}.{K.name}) at {functor_diff(right_lhs, right_rhs)}"
         )
 
     obj_map = {}
@@ -224,7 +215,7 @@ def induced_comma_functor(
         if not functor_equal(lhs, rhs):
             raise EngineError(
                 f"{name}: marginal commutation with {dst_forget.name} broken "
-                f"at {_functor_diff(lhs, rhs)}"
+                f"at {functor_diff(lhs, rhs)}"
             )
     return psi
 

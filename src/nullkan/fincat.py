@@ -95,17 +95,18 @@ class FinCategory:
         self.identity = dict(identity)
         self.composition = dict(composition)
 
-        if len(set(self.objects)) != len(self.objects):
+        objects_set = set(self.objects)
+        if len(objects_set) != len(self.objects):
             raise EngineError(f"{name}: duplicate object names")
         self._mor = {}
         for m in self.morphisms:
             if m.name in self._mor:
                 raise EngineError(f"{name}: duplicate morphism name {m.name!r}")
-            if m.dom not in set(self.objects) or m.cod not in set(self.objects):
+            if m.dom not in objects_set or m.cod not in objects_set:
                 raise EngineError(f"{name}: morphism {m.name!r} has unknown endpoint")
             self._mor[m.name] = m
         for x, i in self.identity.items():
-            if x not in set(self.objects) or i not in self._mor:
+            if x not in objects_set or i not in self._mor:
                 raise EngineError(f"{name}: identity table references unknown name")
         for (g, f), h in self.composition.items():
             if g not in self._mor or f not in self._mor or h not in self._mor:
@@ -480,6 +481,18 @@ def power_set_preorder(name: str, elements, bound: int = 5) -> FinCategory:
     return build_preorder(name, [labels[m] for m in masks], leq)
 
 
+def opposite(C: FinCategory) -> FinCategory:
+    """C^op: the same names with every morphism reversed, so that g after f
+    in C^op is f after g in C."""
+    return FinCategory(
+        f"{C.name}^op",
+        C.objects,
+        [Mor(m.name, m.cod, m.dom) for m in C.morphisms],
+        C.identity,
+        {(f, g): h for (g, f), h in C.composition.items()},
+    )
+
+
 # ---------------------------------------------------------------------------
 # Functors and natural transformations.
 
@@ -574,12 +587,22 @@ def compose_functors(G: FunctorData, F: FunctorData, name: str | None = None) ->
     )
 
 
+def functor_diff(F: FunctorData, G: FunctorData) -> str | None:
+    """The first object, then morphism, of F's source where F and G differ."""
+    for x in F.source.objects:
+        if F.obj_map[x] != G.obj_map[x]:
+            return f"object {x}: {F.obj_map[x]} != {G.obj_map[x]}"
+    for m in F.source.morphisms:
+        if F.mor_map[m.name] != G.mor_map[m.name]:
+            return f"morphism {m.name}: {F.mor_map[m.name]} != {G.mor_map[m.name]}"
+    return None
+
+
 def functor_equal(F: FunctorData, G: FunctorData) -> bool:
     return (
         F.source.same_table(G.source)
         and F.target.same_table(G.target)
-        and all(F.obj_map[x] == G.obj_map[x] for x in F.source.objects)
-        and all(F.mor_map[m.name] == G.mor_map[m.name] for m in F.source.morphisms)
+        and functor_diff(F, G) is None
     )
 
 
@@ -618,49 +641,86 @@ def check_natural(t: NatTransData, *, max_violations: int = 20) -> ValidationRep
     return ValidationReport(not violations, checked, violations)
 
 
+class _Meter:
+    """The step count of one exhaustive search: the step after `budget`
+    steps raises BudgetExceeded(what, budget)."""
+
+    def __init__(self, what: str, budget: int):
+        self.what = what
+        self.budget = budget
+        self.left = budget
+
+    def step(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise BudgetExceeded(self.what, self.budget)
+
+
+class _Backtrack:
+    """Depth-first assignment of `slots` in order, pruned by constraints.
+
+    Each constraint comes as (reads, c) and is filed under the last slot
+    in `reads` (names outside `slots` are fixed before the search starts).
+    It is checked once, as `holds(assignment, c)`, right after that slot is
+    filled: earlier steps cannot decide it and later ones would only repeat
+    it (arc consistency in the sense of Mackworth 1977).
+    """
+
+    def __init__(self, slots, constraints, holds):
+        pos = {k: i for i, k in enumerate(slots)}
+        self.slots = tuple(slots)
+        self.filed: list[list] = [[] for _ in self.slots]
+        for reads, c in constraints:
+            self.filed[max(pos.get(k, -1) for k in reads)].append(c)
+        self.holds = holds
+
+    def run(self, choices, meter: _Meter, assign: dict):
+        """Yield `assign` each time every slot is filled consistently.
+
+        `choices(i)` gives the candidates for slot i in order; each one
+        tried is a step of `meter`.  The same dict is yielded every time,
+        so copy it to keep it.
+        """
+        slots, filed, holds = self.slots, self.filed, self.holds
+
+        def extend(i):
+            if i == len(slots):
+                yield assign
+                return
+            key = slots[i]
+            for c in choices(i):
+                meter.step()
+                assign[key] = c
+                if all(holds(assign, k) for k in filed[i]):
+                    yield from extend(i + 1)
+                del assign[key]
+
+        return extend(0)
+
+
 def find_nat_trans(
     F: FunctorData, G: FunctorData, budget: int = DEFAULT_BUDGET
 ) -> NatTransData | None:
     """First natural transformation F => G in component order, or None.
 
-    Depth-first over source objects; a partial assignment is pruned as soon
-    as some morphism between already-assigned objects breaks naturality.
+    Depth-first over source objects; the naturality square of each source
+    morphism is checked as soon as both its components are assigned.
     """
     tgt = F.target
     objs = F.source.objects
-    mors = F.source.morphisms
-    steps = 0
 
-    def extend(i: int, comp: dict[str, str]) -> dict[str, str] | None:
-        nonlocal steps
-        if i == len(objs):
-            return dict(comp)
-        x = objs[i]
-        assigned = set(list(comp) + [x])
-        for c in tgt.hom(F.obj_map[x], G.obj_map[x]):
-            steps += 1
-            if steps > budget:
-                raise BudgetExceeded("find_nat_trans", budget)
-            comp[x] = c
-            ok = True
-            for m in mors:
-                if m.dom in assigned and m.cod in assigned and (m.dom == x or m.cod == x):
-                    if tgt.compose(comp[m.cod], F.mor_map[m.name]) != tgt.compose(
-                        G.mor_map[m.name], comp[m.dom]
-                    ):
-                        ok = False
-                        break
-            if ok:
-                out = extend(i + 1, comp)
-                if out is not None:
-                    return out
-            del comp[x]
-        return None
+    def natural(comp, m):
+        return tgt.compose(comp[m.cod], F.mor_map[m.name]) == tgt.compose(
+            G.mor_map[m.name], comp[m.dom]
+        )
 
-    found = extend(0, {})
-    if found is None:
-        return None
-    return NatTransData(f"nt[{F.name}=>{G.name}]", F, G, found)
+    def choices(i):
+        return tgt.hom(F.obj_map[objs[i]], G.obj_map[objs[i]])
+
+    search = _Backtrack(objs, (((m.dom, m.cod), m) for m in F.source.morphisms), natural)
+    for comp in search.run(choices, _Meter("find_nat_trans", budget), {}):
+        return NatTransData(f"nt[{F.name}=>{G.name}]", F, G, dict(comp))
+    return None
 
 
 def enumerate_functors(
@@ -676,11 +736,8 @@ def enumerate_functors(
     images are then forced; the other morphisms of X are assigned
     depth-first in declared order, each over its hom-set of Y.  Every step
     (one object map or one morphism image tried) counts against `budget`.
-
-    Each composable pair (g, f) of non-identities is checked once, at the
-    position of the last of g, f and gf (unless gf is an identity) to be
-    assigned: earlier steps cannot see it and later ones would only repeat
-    it (arc consistency in the sense of Mackworth 1977).
+    Each composable pair (g, f) of non-identities is checked once, when the
+    last of g, f and gf (unless gf is an identity) has its image.
 
     `fibers` = (objects, morphisms), if given, allows only the listed images:
     `objects[x]` lists the candidates for x in Y's order and `morphisms[m]`
@@ -689,53 +746,41 @@ def enumerate_functors(
     """
     objs = X.objects
     non_id = [m for m in X.morphisms if not X.is_identity(m.name)]
-    pos = {m.name: i for i, m in enumerate(non_id)}
-    checks: list[list[tuple[str, str, str]]] = [[] for _ in non_id]
-    for g, f in X.composable_pairs():
-        if g in pos and f in pos:
-            gf = X.compose(g, f)
-            checks[max(pos[g], pos[f], pos.get(gf, -1))].append((g, f, gf))
+    names = [m.name for m in non_id]
+    non_id_names = set(names)
+    triples = [
+        (g, f, X.compose(g, f))
+        for g, f in X.composable_pairs()
+        if g in non_id_names and f in non_id_names
+    ]
+
+    def preserved(mor_map, triple):
+        # mor_map holds the identity images too, so gf reads the same way.
+        g, f, gf = triple
+        return Y.compose(mor_map[g], mor_map[f]) == mor_map[gf]
+
+    search = _Backtrack(names, ((t, t) for t in triples), preserved)
     if fibers is None:
         obj_choices = [Y.objects] * len(objs)
     else:
         obj_choices = [fibers[0][x] for x in objs]
-    steps = 0
 
-    def assign_mors(obj_map, i, mor_map):
-        nonlocal steps
-        if i == len(non_id):
-            yield FunctorData(
-                f"cand:{Y.name}^{X.name}",
-                X,
-                Y,
-                dict(obj_map),
-                dict(mor_map),
-            )
-            return
+    def choices(i):
         m = non_id[i]
         cands = Y.hom(obj_map[m.dom], obj_map[m.cod])
-        if fibers is not None:
-            cands = [c for c in cands if c in fibers[1][m.name]]
-        for c in cands:
-            steps += 1
-            if steps > budget:
-                raise BudgetExceeded("enumerate_functors", budget)
-            mor_map[m.name] = c
-            # mor_map holds the identity images too, so gf reads the same way.
-            if all(
-                Y.compose(mor_map[g], mor_map[f]) == mor_map[gf]
-                for g, f, gf in checks[i]
-            ):
-                yield from assign_mors(obj_map, i + 1, mor_map)
-            del mor_map[m.name]
+        if fibers is None:
+            return cands
+        return [c for c in cands if c in fibers[1][m.name]]
 
+    meter = _Meter("enumerate_functors", budget)
     for combo in itertools.product(*obj_choices):
-        steps += 1
-        if steps > budget:
-            raise BudgetExceeded("enumerate_functors", budget)
+        meter.step()
         obj_map = dict(zip(objs, combo))
         mor_map = {X.id_of(x): Y.id_of(obj_map[x]) for x in objs}
-        yield from assign_mors(obj_map, 0, mor_map)
+        for full in search.run(choices, meter, mor_map):
+            yield FunctorData(
+                f"cand:{Y.name}^{X.name}", X, Y, dict(obj_map), dict(full)
+            )
 
 
 def check_half_right_adjoint(
@@ -787,7 +832,8 @@ def find_section(F: FunctorData, budget: int = DEFAULT_BUDGET) -> FunctorData | 
 
 
 # ---------------------------------------------------------------------------
-# Limits and colimits by exhaustive universal-cocone search.
+# Limits and colimits by exhaustive universal-cocone search; a limit is a
+# colimit in the opposite category.
 
 
 @dataclass
@@ -804,132 +850,61 @@ class UniversalResult:
     reason: str | None = None
 
 
-def _cocones(F: FunctorData, budget: int):
-    """All cocones over F, tips in ambient order, legs in lexicographic order."""
-    C = F.target
-    J = F.source
-    objs = J.objects
-    steps = 0
+def _colimit(F: FunctorData, budget: int, kind: str, cone: str) -> UniversalResult:
+    """First universal cocone over F in deterministic order, else Absent.
+
+    Cocones run over tips in ambient order, legs depth-first over F's
+    source objects.  Universality is literal: against every other cocone
+    there must be exactly one mediating morphism commuting with all legs.
+    `kind` and `cone` name the result and the two searches, each metered
+    by `budget`: "colimit" and "cocone", or "limit" and "cone" when F is
+    read between the opposite categories.
+    """
+    C, objs = F.target, F.source.objects
+
+    def commutes(legs, w):
+        return C.compose(legs[w.cod], F.mor_map[w.name]) == legs[w.dom]
+
+    search = _Backtrack(objs, (((w.dom, w.cod), w) for w in F.source.morphisms), commutes)
+    meter = _Meter(f"{cone} search", budget)
+    cocones = []
     for tip in C.objects:
-        legs: dict[str, str] = {}
 
-        def extend(i):
-            nonlocal steps
-            if i == len(objs):
-                yield Cone(tip, dict(legs))
-                return
-            j = objs[i]
-            for leg in C.hom(F.obj_map[j], tip):
-                steps += 1
-                if steps > budget:
-                    raise BudgetExceeded("cocone search", budget)
-                legs[j] = leg
-                ok = True
-                for w in J.morphisms:
-                    if w.dom in legs and w.cod in legs and (w.dom == j or w.cod == j):
-                        if C.compose(legs[w.cod], F.mor_map[w.name]) != legs[w.dom]:
-                            ok = False
-                            break
-                if ok:
-                    yield from extend(i + 1)
-                del legs[j]
+        def choices(i):
+            return C.hom(F.obj_map[objs[i]], tip)
 
-        yield from extend(0)
+        cocones.extend(Cone(tip, dict(legs)) for legs in search.run(choices, meter, {}))
+    if not cocones:
+        return UniversalResult(kind, None, 0, f"no {cone}")
 
+    universality = _Meter(f"{kind} universality", budget)
 
-def _cones(F: FunctorData, budget: int):
-    C = F.target
-    J = F.source
-    objs = J.objects
-    steps = 0
-    for tip in C.objects:
-        legs: dict[str, str] = {}
+    def one_mediator(cand, other):
+        found = 0
+        for phi in C.hom(cand.tip, other.tip):
+            universality.step()
+            if all(C.compose(phi, cand.legs[j]) == other.legs[j] for j in objs):
+                found += 1
+                if found > 1:
+                    break
+        return found == 1
 
-        def extend(i):
-            nonlocal steps
-            if i == len(objs):
-                yield Cone(tip, dict(legs))
-                return
-            j = objs[i]
-            for leg in C.hom(tip, F.obj_map[j]):
-                steps += 1
-                if steps > budget:
-                    raise BudgetExceeded("cone search", budget)
-                legs[j] = leg
-                ok = True
-                for w in J.morphisms:
-                    if w.dom in legs and w.cod in legs and (w.dom == j or w.cod == j):
-                        if C.compose(F.mor_map[w.name], legs[w.dom]) != legs[w.cod]:
-                            ok = False
-                            break
-                if ok:
-                    yield from extend(i + 1)
-                del legs[j]
-
-        yield from extend(0)
+    for cand in cocones:
+        if all(one_mediator(cand, other) for other in cocones):
+            return UniversalResult(kind, cand, len(cocones))
+    return UniversalResult(kind, None, len(cocones), f"no universal {cone}")
 
 
 def colimit(F: FunctorData, budget: int = DEFAULT_BUDGET) -> UniversalResult:
-    """First universal cocone over F in deterministic order, else Absent.
-
-    Universality is literal: against every other cocone there must be
-    exactly one mediating morphism commuting with all legs.
-    """
-    C = F.target
-    all_cocones = list(_cocones(F, budget))
-    if not all_cocones:
-        return UniversalResult("colimit", None, 0, "no cocone")
-    steps = 0
-    for cand in all_cocones:
-        universal = True
-        for other in all_cocones:
-            mediators = 0
-            for phi in C.hom(cand.tip, other.tip):
-                steps += 1
-                if steps > budget:
-                    raise BudgetExceeded("colimit universality", budget)
-                if all(
-                    C.compose(phi, cand.legs[j]) == other.legs[j]
-                    for j in F.source.objects
-                ):
-                    mediators += 1
-                    if mediators > 1:
-                        break
-            if mediators != 1:
-                universal = False
-                break
-        if universal:
-            return UniversalResult("colimit", cand, len(all_cocones))
-    return UniversalResult("colimit", None, len(all_cocones), "no universal cocone")
+    """First universal cocone over F in deterministic order, else Absent."""
+    return _colimit(F, budget, "colimit", "cocone")
 
 
 def limit(F: FunctorData, budget: int = DEFAULT_BUDGET) -> UniversalResult:
-    C = F.target
-    all_cones = list(_cones(F, budget))
-    if not all_cones:
-        return UniversalResult("limit", None, 0, "no cone")
-    steps = 0
-    for cand in all_cones:
-        universal = True
-        for other in all_cones:
-            mediators = 0
-            for phi in C.hom(other.tip, cand.tip):
-                steps += 1
-                if steps > budget:
-                    raise BudgetExceeded("limit universality", budget)
-                if all(
-                    C.compose(cand.legs[j], phi) == other.legs[j]
-                    for j in F.source.objects
-                ):
-                    mediators += 1
-                    if mediators > 1:
-                        break
-            if mediators != 1:
-                universal = False
-                break
-        if universal:
-            return UniversalResult("limit", cand, len(all_cones))
-    return UniversalResult("limit", None, len(all_cones), "no universal cone")
+    """First universal cone over F: the universal cocone over F read as a
+    functor between the opposite categories, whose legs are F's cone legs."""
+    Fop = FunctorData(F.name, opposite(F.source), opposite(F.target), F.obj_map, F.mor_map)
+    return _colimit(Fop, budget, "limit", "cone")
 
 
 def find_iso(C: FinCategory, a: str, b: str) -> tuple[str, str] | None:

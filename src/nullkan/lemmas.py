@@ -131,11 +131,28 @@ def check_comma_inherits_adjoint(
     return out
 
 
-def _pointwise_kan_compare(pairs, target, adj_kind, budget) -> dict:
+def _slice(F: FunctorData, d: str, kind: str):
+    """The slice of F at d over which a pointwise Kan extension of `kind`
+    takes its (co)limit: (F/d) for "colim", (d/F) for "lim".
+
+    Returns the comma category, its projection to F's source, its
+    one-object side, and `place(main, point)`, which puts a functor on F's
+    source side and one on the one-object side into the (I, K) argument
+    slots of `induced_comma_functor`.
+    """
+    if kind == "colim":
+        c = slice_comma(F, d, "left")
+        return c, c.forget1, c.right.source, lambda main, point: (main, point)
+    c = slice_comma(F, d, "right")
+    return c, c.forget2, c.left.source, lambda main, point: (point, main)
+
+
+def _pointwise_kan_compare(pairs, target, kind, budget) -> dict:
     """Shared core: at each anchor, verify the slice comparison functor has
     the required half adjoint and both (co)limits exist, then compare the
     (co)limit tips of the two slice diagrams."""
-    oper = colimit if adj_kind == "post" else limit
+    adj_kind = "post" if kind == "colim" else "pre"
+    oper = colimit if kind == "colim" else limit
     checked, vacuous, results = 0, [], []
     for anchor, t, src_diag, dst_diag in pairs:
         try:
@@ -182,24 +199,12 @@ def check_kan_restrict_source(
     id_e = identity_functor(E)
     pairs = []
     for e in E.objects:
-        if kind == "colim":
-            src = slice_comma(fa, e, "left")
-            dst = slice_comma(f, e, "left")
-            star = identity_functor(src.right.source)
-            t = induced_comma_functor(f"cmp[{e}]", a, id_e, star, src, dst)
-            pairs.append(
-                (e, t, compose_functors(ba, src.forget1), compose_functors(b, dst.forget1))
-            )
-        else:
-            src = slice_comma(fa, e, "right")
-            dst = slice_comma(f, e, "right")
-            star = identity_functor(src.left.source)
-            t = induced_comma_functor(f"cmp[{e}]", star, id_e, a, src, dst)
-            pairs.append(
-                (e, t, compose_functors(ba, src.forget2), compose_functors(b, dst.forget2))
-            )
-    adj_kind = "post" if kind == "colim" else "pre"
-    out = _pointwise_kan_compare(pairs, b.target, adj_kind, budget)
+        src, src_proj, point, place = _slice(fa, e, kind)
+        dst, dst_proj, _, _ = _slice(f, e, kind)
+        I, K = place(a, identity_functor(point))
+        t = induced_comma_functor(f"cmp[{e}]", I, id_e, K, src, dst)
+        pairs.append((e, t, compose_functors(ba, src_proj), compose_functors(b, dst_proj)))
+    out = _pointwise_kan_compare(pairs, b.target, kind, budget)
     out["lemma"] = "kan-restrict-source"
     out["kind"] = kind
     return out
@@ -215,38 +220,12 @@ def check_kan_after_composite(
     id_a = identity_functor(d.source)
     pairs = []
     for x in d.target.objects:
-        ex = e.on_obj(x)
-        if kind == "colim":
-            src = slice_comma(d, x, "left")
-            dst = slice_comma(ed, ex, "left")
-            star_src = src.right.source
-            t = induced_comma_functor(
-                f"cmp[{x}]",
-                id_a,
-                e,
-                thin_functor("pt", star_src, dst.right.source, {"*": "*"}),
-                src,
-                dst,
-            )
-            pairs.append(
-                (x, t, compose_functors(c, src.forget1), compose_functors(c, dst.forget1))
-            )
-        else:
-            src = slice_comma(d, x, "right")
-            dst = slice_comma(ed, ex, "right")
-            t = induced_comma_functor(
-                f"cmp[{x}]",
-                thin_functor("pt", src.left.source, dst.left.source, {"*": "*"}),
-                e,
-                id_a,
-                src,
-                dst,
-            )
-            pairs.append(
-                (x, t, compose_functors(c, src.forget2), compose_functors(c, dst.forget2))
-            )
-    adj_kind = "post" if kind == "colim" else "pre"
-    out = _pointwise_kan_compare(pairs, c.target, adj_kind, budget)
+        src, src_proj, src_point, place = _slice(d, x, kind)
+        dst, dst_proj, dst_point, _ = _slice(ed, e.on_obj(x), kind)
+        I, K = place(id_a, thin_functor("pt", src_point, dst_point, {"*": "*"}))
+        t = induced_comma_functor(f"cmp[{x}]", I, e, K, src, dst)
+        pairs.append((x, t, compose_functors(c, src_proj), compose_functors(c, dst_proj)))
+    out = _pointwise_kan_compare(pairs, c.target, kind, budget)
     out["lemma"] = "kan-after-composite"
     out["kind"] = kind
     out["note"] = "comparison goes from the d-slice into the ed-slice"
@@ -279,46 +258,16 @@ def check_kan_square(
     pairs = []
     for x in d.target.objects:
         ex = e.on_obj(x)
-        if kind == "colim":
-            src = slice_comma(d, x, "left")
-            mid = slice_comma(fa, ex, "left")
-            dst = slice_comma(f, ex, "left")
-            m = induced_comma_functor(
-                f"m[{x}]",
-                id_a,
-                e,
-                thin_functor("pt", src.right.source, mid.right.source, {"*": "*"}),
-                src,
-                mid,
-            )
-            astar = induced_comma_functor(
-                f"a*[{x}]", a, id_e, identity_functor(mid.right.source), mid, dst
-            )
-            t = compose_functors(astar, m)
-            pairs.append(
-                (x, t, compose_functors(ba, src.forget1), compose_functors(b, dst.forget1))
-            )
-        else:
-            src = slice_comma(d, x, "right")
-            mid = slice_comma(fa, ex, "right")
-            dst = slice_comma(f, ex, "right")
-            m = induced_comma_functor(
-                f"m[{x}]",
-                thin_functor("pt", src.left.source, mid.left.source, {"*": "*"}),
-                e,
-                id_a,
-                src,
-                mid,
-            )
-            astar = induced_comma_functor(
-                f"a*[{x}]", identity_functor(mid.left.source), id_e, a, mid, dst
-            )
-            t = compose_functors(astar, m)
-            pairs.append(
-                (x, t, compose_functors(ba, src.forget2), compose_functors(b, dst.forget2))
-            )
-    adj_kind = "post" if kind == "colim" else "pre"
-    out = _pointwise_kan_compare(pairs, b.target, adj_kind, budget)
+        src, src_proj, src_point, place = _slice(d, x, kind)
+        mid, _, mid_point, _ = _slice(fa, ex, kind)
+        dst, dst_proj, _, _ = _slice(f, ex, kind)
+        I, K = place(id_a, thin_functor("pt", src_point, mid_point, {"*": "*"}))
+        m = induced_comma_functor(f"m[{x}]", I, e, K, src, mid)
+        I, K = place(a, identity_functor(mid_point))
+        astar = induced_comma_functor(f"a*[{x}]", I, id_e, K, mid, dst)
+        t = compose_functors(astar, m)
+        pairs.append((x, t, compose_functors(ba, src_proj), compose_functors(b, dst_proj)))
+    out = _pointwise_kan_compare(pairs, b.target, kind, budget)
     out["lemma"] = "kan-square"
     out["kind"] = kind
     return out

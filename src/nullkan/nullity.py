@@ -51,6 +51,47 @@ def all_set_maps(dom: FiniteSet, cod: FiniteSet):
     return itertools.product(range(cod.size), repeat=dom.size)
 
 
+def _maps_category(
+    name: str, carriers: dict[str, FiniteSet], admits
+) -> tuple[FinCategory, dict[str, SetMap]]:
+    """One object per entry of `carriers` (object id -> carrier) and one
+    morphism per set map f: a -> b with `admits(f, a, b)`, composed as maps.
+
+    Returns (category, morphism id -> SetMap).
+    """
+    mors: list[Mor] = []
+    setmap: dict[str, SetMap] = {}
+    by_data: dict[tuple[str, str, tuple[int, ...]], str] = {}
+    for a, ca in carriers.items():
+        for b, cb in carriers.items():
+            for images in all_set_maps(ca, cb):
+                f = SetMap(ca, cb, images)
+                if admits(f, a, b):
+                    mid = _map_id(a, b, images)
+                    mors.append(Mor(mid, a, b))
+                    setmap[mid] = f
+                    by_data[(a, b, images)] = mid
+
+    identity = {o: by_data[(o, o, tuple(range(c.size)))] for o, c in carriers.items()}
+
+    by_cod: dict[str, list[Mor]] = {o: [] for o in carriers}
+    for f in mors:
+        by_cod[f.cod].append(f)
+    compose_images: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
+    comp = {}
+    for g in mors:
+        gi = setmap[g.name].images
+        for f in by_cod[g.dom]:
+            fi = setmap[f.name].images
+            key = (gi, fi)
+            gf = compose_images.get(key)
+            if gf is None:
+                gf = tuple(gi[j] for j in fi)
+                compose_images[key] = gf
+            comp[(g.name, f.name)] = by_data[(f.dom, g.cod, gf)]
+    return FinCategory(name, list(carriers), mors, identity, comp), setmap
+
+
 def set_category(name: str, carriers) -> tuple[FinCategory, dict, dict]:
     """The full category of the given carriers and all maps between them.
 
@@ -64,28 +105,7 @@ def set_category(name: str, carriers) -> tuple[FinCategory, dict, dict]:
     if len(set(obj_ids)) != len(obj_ids):
         raise EngineError("set_category: carrier label collision")
     obj_carrier = dict(zip(obj_ids, distinct))
-
-    mors: list[Mor] = []
-    mor_map: dict[str, SetMap] = {}
-    by_data: dict[tuple[str, str, tuple[int, ...]], str] = {}
-    for d_id, d in zip(obj_ids, distinct):
-        for c_id, c in zip(obj_ids, distinct):
-            for images in all_set_maps(d, c):
-                mid = _map_id(d_id, c_id, images)
-                mors.append(Mor(mid, d_id, c_id))
-                mor_map[mid] = SetMap(d, c, images)
-                by_data[(d_id, c_id, images)] = mid
-
-    identity = {
-        o: by_data[(o, o, tuple(range(obj_carrier[o].size)))] for o in obj_ids
-    }
-    comp = {}
-    for g in mors:
-        for f in mors:
-            if f.cod == g.dom:
-                gf = mor_map[f.name].then(mor_map[g.name])
-                comp[(g.name, f.name)] = by_data[(f.dom, g.cod, gf.images)]
-    cat = FinCategory(name, obj_ids, mors, identity, comp)
+    cat, mor_map = _maps_category(name, obj_carrier, lambda f, a, b: True)
     return cat, obj_carrier, mor_map
 
 
@@ -109,7 +129,6 @@ def materialize_nullity_category(
         if c not in distinct:
             distinct.append(c)
 
-    objects: list[str] = []
     structure: dict[str, NullityStructure] = {}
     for c in distinct:
         cid = carrier_id(c)
@@ -117,45 +136,13 @@ def materialize_nullity_category(
             oid = f"{cid}{family_id(c, masks)}"
             if oid in structure:
                 raise EngineError("materialize: object label collision")
-            objects.append(oid)
             structure[oid] = NullityStructure(c, masks)
 
-    mors: list[Mor] = []
-    setmap: dict[str, SetMap] = {}
-    by_data: dict[tuple[str, str, tuple[int, ...]], str] = {}
-    for a in objects:
-        na = structure[a]
-        for b in objects:
-            nb = structure[b]
-            for images in all_set_maps(na.carrier, nb.carrier):
-                f = SetMap(na.carrier, nb.carrier, images)
-                if image_violation(f, na, nb) is None:
-                    mid = _map_id(a, b, images)
-                    mors.append(Mor(mid, a, b))
-                    setmap[mid] = f
-                    by_data[(a, b, images)] = mid
-
-    identity = {
-        o: by_data[(o, o, tuple(range(structure[o].carrier.size)))] for o in objects
-    }
-
-    by_cod: dict[str, list[Mor]] = {o: [] for o in objects}
-    for f in mors:
-        by_cod[f.cod].append(f)
-    compose_images: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
-    comp = {}
-    for g in mors:
-        gi = setmap[g.name].images
-        for f in by_cod[g.dom]:
-            fi = setmap[f.name].images
-            key = (gi, fi)
-            gf = compose_images.get(key)
-            if gf is None:
-                gf = tuple(gi[j] for j in fi)
-                compose_images[key] = gf
-            comp[(g.name, f.name)] = by_data[(f.dom, g.cod, gf)]
-
-    cat = FinCategory(name, objects, mors, identity, comp)
+    cat, setmap = _maps_category(
+        name,
+        {o: n.carrier for o, n in structure.items()},
+        lambda f, a, b: image_violation(f, structure[a], structure[b]) is None,
+    )
     return MaterializedNullity(cat, structure, setmap)
 
 

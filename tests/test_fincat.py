@@ -1,5 +1,6 @@
 """Core finite-category layer: tables, functors, adjoint fragments, (co)limits."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -27,11 +28,12 @@ from nullkan.fincat import (
     functor_equal,
     identity_functor,
     limit,
+    opposite,
     power_set_preorder,
     search_half_right_adjoint,
     validate_category,
 )
-from nullkan.nullity import materialize_nullity_category
+from nullkan.nullity import materialize_nullity_category, nullity_fiber_preorder
 from nullkan.order import FiniteSet
 
 
@@ -324,6 +326,250 @@ def test_find_section_matches_filter(x, y):
         want = [S for S in backs if functor_equal(compose_functors(F, S), idY)][:1]
         got = find_section(F)
         assert tables([got] if got is not None else []) == tables(want)
+
+
+# The SMALL categories plus the 2-antichain, the down-set lattices of 1- and
+# 2-element carriers (where the Kan cross-check takes its joins and meets)
+# and the empty category.
+SEARCH_CATS = {
+    **SMALL,
+    "A2": lambda: build_preorder("A2", ["w0", "w1"], [("w0", "w0"), ("w1", "w1")]),
+    "L1": lambda: nullity_fiber_preorder(FiniteSet(("a",)))[0],
+    "L2": lambda: nullity_fiber_preorder(FiniteSet(("a", "b")))[0],
+    "D0": lambda: discrete_category("D0", ()),
+}
+
+
+@functools.cache
+def functors(x, y):
+    """The brute-force list of functors x -> y, built once per pair."""
+    return brute_functors(SEARCH_CATS[x](), SEARCH_CATS[y]())
+
+
+def run_at_smallest_budget(search, budget):
+    """search(budget), after checking that one step less runs out.  A search
+    that takes no step completes at every budget, so 0 is its smallest."""
+    if budget > 0:
+        with pytest.raises(BudgetExceeded):
+            search(budget - 1)
+    return search(budget)
+
+
+# (X, Y, i, j, components of the first natural transformation from the i-th
+# to the j-th functor X -> Y in X's object order, or None, smallest budget
+# at which find_nat_trans completes); pinned from the search written out
+# by hand before the shared backtracking core.
+NAT_TRANS = [
+    ("Z2", "T2", 0, 0, ("id",), 1), ("Z2", "T2", 0, 1, None, 4),
+    ("Z2", "T2", 1, 0, ("c0",), 3), ("Z2", "T2", 1, 1, ("id",), 1),
+    ("E", "T2", 0, 0, ("id",), 1), ("E", "T2", 0, 1, ("c0",), 3),
+    ("E", "T2", 0, 2, ("c1",), 4), ("E", "T2", 1, 0, ("c0",), 3),
+    ("E", "T2", 1, 1, ("id",), 1), ("E", "T2", 1, 2, ("sw",), 2),
+    ("E", "T2", 2, 0, ("c0",), 3), ("E", "T2", 2, 1, ("sw",), 2),
+    ("E", "T2", 2, 2, ("id",), 1), ("C3", "Z2", 0, 0, ("r0", "r0", "r0"), 3),
+    ("C3", "Z2", 0, 1, ("r0", "r0", "r1"), 4), ("C3", "Z2", 0, 2, ("r0", "r1", "r0"), 4),
+    ("C3", "Z2", 0, 3, ("r0", "r1", "r1"), 5), ("C3", "Z2", 1, 0, ("r0", "r0", "r1"), 4),
+    ("C3", "Z2", 1, 1, ("r0", "r0", "r0"), 3), ("C3", "Z2", 1, 2, ("r0", "r1", "r1"), 5),
+    ("C3", "Z2", 1, 3, ("r0", "r1", "r0"), 4), ("C3", "Z2", 2, 0, ("r0", "r1", "r0"), 4),
+    ("C3", "Z2", 2, 1, ("r0", "r1", "r1"), 5), ("C3", "Z2", 2, 2, ("r0", "r0", "r0"), 3),
+    ("C3", "Z2", 2, 3, ("r0", "r0", "r1"), 4), ("C3", "Z2", 3, 0, ("r0", "r1", "r1"), 5),
+    ("C3", "Z2", 3, 1, ("r0", "r1", "r0"), 4), ("C3", "Z2", 3, 2, ("r0", "r0", "r1"), 4),
+    ("C3", "Z2", 3, 3, ("r0", "r0", "r0"), 3),
+    ("A2", "L1", 0, 0, ("le:{}>{}", "le:{}>{}"), 2),
+    ("A2", "L1", 0, 1, ("le:{}>{}", "le:{}>{}|{a}"), 2),
+    ("A2", "L1", 0, 2, ("le:{}>{}|{a}", "le:{}>{}"), 2),
+    ("A2", "L1", 0, 3, ("le:{}>{}|{a}", "le:{}>{}|{a}"), 2), ("A2", "L1", 1, 0, None, 1),
+    ("A2", "L1", 1, 1, ("le:{}>{}", "le:{}|{a}>{}|{a}"), 2), ("A2", "L1", 1, 2, None, 1),
+    ("A2", "L1", 1, 3, ("le:{}>{}|{a}", "le:{}|{a}>{}|{a}"), 2),
+    ("A2", "L1", 2, 0, None, 0), ("A2", "L1", 2, 1, None, 0),
+    ("A2", "L1", 2, 2, ("le:{}|{a}>{}|{a}", "le:{}>{}"), 2),
+    ("A2", "L1", 2, 3, ("le:{}|{a}>{}|{a}", "le:{}>{}|{a}"), 2),
+    ("A2", "L1", 3, 0, None, 0), ("A2", "L1", 3, 1, None, 0), ("A2", "L1", 3, 2, None, 1),
+    ("A2", "L1", 3, 3, ("le:{}|{a}>{}|{a}", "le:{}|{a}>{}|{a}"), 2),
+]
+
+
+@pytest.mark.parametrize("x,y,i,j,components,budget", NAT_TRANS)
+def test_find_nat_trans_pinned(x, y, i, j, components, budget):
+    F, G = functors(x, y)[i], functors(x, y)[j]
+    nt = run_at_smallest_budget(lambda b: find_nat_trans(F, G, b), budget)
+    if nt is None:
+        assert components is None
+    else:
+        assert tuple(nt.components[o] for o in F.source.objects) == components
+        assert check_natural(nt).ok
+
+
+# (operation, J, C, i, tip, legs in J's object order, cones_seen, reason,
+# smallest budget at which it completes) for the i-th functor J -> C;
+# pinned from the separate cone and cocone searches before limits were
+# computed as colimits in the opposite category.
+UNIVERSALS = [
+    ("colimit", "D0", "L2", 0, "{}", (), 5, None, 5),
+    ("colimit", "A2", "L2", 0, "{}", ("le:{}>{}", "le:{}>{}"), 5, None, 10),
+    ("colimit", "A2", "L2", 1, "{}|{a}", ("le:{}>{}|{a}", "le:{}|{a}>{}|{a}"), 3, None, 8),
+    ("colimit", "A2", "L2", 2, "{}|{b}", ("le:{}>{}|{b}", "le:{}|{b}>{}|{b}"), 3, None, 8),
+    ("colimit", "A2", "L2", 3, "{}|{a}|{b}",
+     ("le:{}>{}|{a}|{b}", "le:{}|{a}|{b}>{}|{a}|{b}"), 2, None, 7),
+    ("colimit", "A2", "L2", 4, "{}|{a}|{b}|{a,b}",
+     ("le:{}>{}|{a}|{b}|{a,b}", "le:{}|{a}|{b}|{a,b}>{}|{a}|{b}|{a,b}"), 1, None, 6),
+    ("colimit", "A2", "L2", 5, "{}|{a}", ("le:{}|{a}>{}|{a}", "le:{}>{}|{a}"), 3, None, 6),
+    ("colimit", "A2", "L2", 6, "{}|{a}",
+     ("le:{}|{a}>{}|{a}", "le:{}|{a}>{}|{a}"), 3, None, 6),
+    ("colimit", "A2", "L2", 7, "{}|{a}|{b}",
+     ("le:{}|{a}>{}|{a}|{b}", "le:{}|{b}>{}|{a}|{b}"), 2, None, 5),
+    ("colimit", "A2", "L2", 8, "{}|{a}|{b}",
+     ("le:{}|{a}>{}|{a}|{b}", "le:{}|{a}|{b}>{}|{a}|{b}"), 2, None, 5),
+    ("colimit", "A2", "L2", 9, "{}|{a}|{b}|{a,b}",
+     ("le:{}|{a}>{}|{a}|{b}|{a,b}", "le:{}|{a}|{b}|{a,b}>{}|{a}|{b}|{a,b}"), 1, None, 4),
+    ("colimit", "A2", "L2", 10, "{}|{b}", ("le:{}|{b}>{}|{b}", "le:{}>{}|{b}"), 3, None, 6),
+    ("colimit", "A2", "L2", 11, "{}|{a}|{b}",
+     ("le:{}|{b}>{}|{a}|{b}", "le:{}|{a}>{}|{a}|{b}"), 2, None, 5),
+    ("colimit", "A2", "L2", 12, "{}|{b}",
+     ("le:{}|{b}>{}|{b}", "le:{}|{b}>{}|{b}"), 3, None, 6),
+    ("colimit", "A2", "L2", 13, "{}|{a}|{b}",
+     ("le:{}|{b}>{}|{a}|{b}", "le:{}|{a}|{b}>{}|{a}|{b}"), 2, None, 5),
+    ("colimit", "A2", "L2", 14, "{}|{a}|{b}|{a,b}",
+     ("le:{}|{b}>{}|{a}|{b}|{a,b}", "le:{}|{a}|{b}|{a,b}>{}|{a}|{b}|{a,b}"), 1, None, 4),
+    ("colimit", "A2", "L2", 15, "{}|{a}|{b}",
+     ("le:{}|{a}|{b}>{}|{a}|{b}", "le:{}>{}|{a}|{b}"), 2, None, 4),
+    ("colimit", "A2", "L2", 16, "{}|{a}|{b}",
+     ("le:{}|{a}|{b}>{}|{a}|{b}", "le:{}|{a}>{}|{a}|{b}"), 2, None, 4),
+    ("colimit", "A2", "L2", 17, "{}|{a}|{b}",
+     ("le:{}|{a}|{b}>{}|{a}|{b}", "le:{}|{b}>{}|{a}|{b}"), 2, None, 4),
+    ("colimit", "A2", "L2", 18, "{}|{a}|{b}",
+     ("le:{}|{a}|{b}>{}|{a}|{b}", "le:{}|{a}|{b}>{}|{a}|{b}"), 2, None, 4),
+    ("colimit", "A2", "L2", 19, "{}|{a}|{b}|{a,b}",
+     ("le:{}|{a}|{b}>{}|{a}|{b}|{a,b}", "le:{}|{a}|{b}|{a,b}>{}|{a}|{b}|{a,b}"),
+     1, None, 3),
+    ("colimit", "A2", "L2", 20, "{}|{a}|{b}|{a,b}",
+     ("le:{}|{a}|{b}|{a,b}>{}|{a}|{b}|{a,b}", "le:{}>{}|{a}|{b}|{a,b}"), 1, None, 2),
+    ("colimit", "A2", "L2", 21, "{}|{a}|{b}|{a,b}",
+     ("le:{}|{a}|{b}|{a,b}>{}|{a}|{b}|{a,b}", "le:{}|{a}>{}|{a}|{b}|{a,b}"), 1, None, 2),
+    ("colimit", "A2", "L2", 22, "{}|{a}|{b}|{a,b}",
+     ("le:{}|{a}|{b}|{a,b}>{}|{a}|{b}|{a,b}", "le:{}|{b}>{}|{a}|{b}|{a,b}"), 1, None, 2),
+    ("colimit", "A2", "L2", 23, "{}|{a}|{b}|{a,b}",
+     ("le:{}|{a}|{b}|{a,b}>{}|{a}|{b}|{a,b}", "le:{}|{a}|{b}>{}|{a}|{b}|{a,b}"),
+     1, None, 2),
+    ("colimit", "A2", "L2", 24, "{}|{a}|{b}|{a,b}",
+     ("le:{}|{a}|{b}|{a,b}>{}|{a}|{b}|{a,b}", "le:{}|{a}|{b}|{a,b}>{}|{a}|{b}|{a,b}"),
+     1, None, 2),
+    ("colimit", "E", "T2", 0, "*", ("id",), 4, None, 16),
+    ("colimit", "E", "T2", 1, None, None, 2, "no universal cocone", 6),
+    ("colimit", "E", "T2", 2, None, None, 2, "no universal cocone", 6),
+    ("colimit", "T2", "T2", 0, "*", ("id",), 4, None, 16),
+    ("colimit", "T2", "T2", 1, None, None, 2, "no universal cocone", 6),
+    ("colimit", "T2", "T2", 2, None, None, 2, "no universal cocone", 6),
+    ("colimit", "T2", "T2", 3, None, None, 2, "no universal cocone", 6),
+    ("colimit", "T2", "T2", 4, None, None, 2, "no universal cocone", 6),
+    ("colimit", "Z3", "Z3", 0, "*", ("r0",), 3, None, 9),
+    ("colimit", "Z3", "Z3", 1, None, None, 0, "no cocone", 3),
+    ("colimit", "Z3", "Z3", 2, None, None, 0, "no cocone", 3),
+    ("colimit", "A2", "A2", 0, "w0", ("le:w0>w0", "le:w0>w0"), 1, None, 2),
+    ("colimit", "A2", "A2", 1, None, None, 0, "no cocone", 1),
+    ("colimit", "A2", "A2", 2, None, None, 0, "no cocone", 1),
+    ("colimit", "A2", "A2", 3, "w1", ("le:w1>w1", "le:w1>w1"), 1, None, 2),
+    ("colimit", "C3", "C2", 0, "y0", ("le:y0>y0", "le:y0>y0", "le:y0>y0"), 2, None, 6),
+    ("colimit", "C3", "C2", 1, "y1", ("le:y0>y1", "le:y0>y1", "le:y1>y1"), 1, None, 5),
+    ("colimit", "C3", "C2", 2, "y1", ("le:y0>y1", "le:y1>y1", "le:y1>y1"), 1, None, 4),
+    ("colimit", "C3", "C2", 3, "y1", ("le:y1>y1", "le:y1>y1", "le:y1>y1"), 1, None, 3),
+    ("limit", "D0", "L2", 0, "{}|{a}|{b}|{a,b}", (), 5, None, 13),
+    ("limit", "A2", "L2", 0, "{}", ("le:{}>{}", "le:{}>{}"), 1, None, 2),
+    ("limit", "A2", "L2", 1, "{}", ("le:{}>{}", "le:{}>{}|{a}"), 1, None, 2),
+    ("limit", "A2", "L2", 2, "{}", ("le:{}>{}", "le:{}>{}|{b}"), 1, None, 2),
+    ("limit", "A2", "L2", 3, "{}", ("le:{}>{}", "le:{}>{}|{a}|{b}"), 1, None, 2),
+    ("limit", "A2", "L2", 4, "{}", ("le:{}>{}", "le:{}>{}|{a}|{b}|{a,b}"), 1, None, 2),
+    ("limit", "A2", "L2", 5, "{}", ("le:{}>{}|{a}", "le:{}>{}"), 1, None, 3),
+    ("limit", "A2", "L2", 6, "{}|{a}",
+     ("le:{}|{a}>{}|{a}", "le:{}|{a}>{}|{a}"), 2, None, 4),
+    ("limit", "A2", "L2", 7, "{}", ("le:{}>{}|{a}", "le:{}>{}|{b}"), 1, None, 3),
+    ("limit", "A2", "L2", 8, "{}|{a}",
+     ("le:{}|{a}>{}|{a}", "le:{}|{a}>{}|{a}|{b}"), 2, None, 4),
+    ("limit", "A2", "L2", 9, "{}|{a}",
+     ("le:{}|{a}>{}|{a}", "le:{}|{a}>{}|{a}|{b}|{a,b}"), 2, None, 4),
+    ("limit", "A2", "L2", 10, "{}", ("le:{}>{}|{b}", "le:{}>{}"), 1, None, 3),
+    ("limit", "A2", "L2", 11, "{}", ("le:{}>{}|{b}", "le:{}>{}|{a}"), 1, None, 3),
+    ("limit", "A2", "L2", 12, "{}|{b}",
+     ("le:{}|{b}>{}|{b}", "le:{}|{b}>{}|{b}"), 2, None, 4),
+    ("limit", "A2", "L2", 13, "{}|{b}",
+     ("le:{}|{b}>{}|{b}", "le:{}|{b}>{}|{a}|{b}"), 2, None, 4),
+    ("limit", "A2", "L2", 14, "{}|{b}",
+     ("le:{}|{b}>{}|{b}", "le:{}|{b}>{}|{a}|{b}|{a,b}"), 2, None, 4),
+    ("limit", "A2", "L2", 15, "{}", ("le:{}>{}|{a}|{b}", "le:{}>{}"), 1, None, 5),
+    ("limit", "A2", "L2", 16, "{}|{a}",
+     ("le:{}|{a}>{}|{a}|{b}", "le:{}|{a}>{}|{a}"), 2, None, 6),
+    ("limit", "A2", "L2", 17, "{}|{b}",
+     ("le:{}|{b}>{}|{a}|{b}", "le:{}|{b}>{}|{b}"), 2, None, 6),
+    ("limit", "A2", "L2", 18, "{}|{a}|{b}",
+     ("le:{}|{a}|{b}>{}|{a}|{b}", "le:{}|{a}|{b}>{}|{a}|{b}"), 4, None, 8),
+    ("limit", "A2", "L2", 19, "{}|{a}|{b}",
+     ("le:{}|{a}|{b}>{}|{a}|{b}", "le:{}|{a}|{b}>{}|{a}|{b}|{a,b}"), 4, None, 8),
+    ("limit", "A2", "L2", 20, "{}", ("le:{}>{}|{a}|{b}|{a,b}", "le:{}>{}"), 1, None, 6),
+    ("limit", "A2", "L2", 21, "{}|{a}",
+     ("le:{}|{a}>{}|{a}|{b}|{a,b}", "le:{}|{a}>{}|{a}"), 2, None, 7),
+    ("limit", "A2", "L2", 22, "{}|{b}",
+     ("le:{}|{b}>{}|{a}|{b}|{a,b}", "le:{}|{b}>{}|{b}"), 2, None, 7),
+    ("limit", "A2", "L2", 23, "{}|{a}|{b}",
+     ("le:{}|{a}|{b}>{}|{a}|{b}|{a,b}", "le:{}|{a}|{b}>{}|{a}|{b}"), 4, None, 9),
+    ("limit", "A2", "L2", 24, "{}|{a}|{b}|{a,b}",
+     ("le:{}|{a}|{b}|{a,b}>{}|{a}|{b}|{a,b}", "le:{}|{a}|{b}|{a,b}>{}|{a}|{b}|{a,b}"),
+     5, None, 13),
+    ("limit", "E", "T2", 0, "*", ("id",), 4, None, 16),
+    ("limit", "E", "T2", 1, None, None, 1, "no universal cone", 4),
+    ("limit", "E", "T2", 2, None, None, 1, "no universal cone", 4),
+    ("limit", "T2", "T2", 0, "*", ("id",), 4, None, 16),
+    ("limit", "T2", "T2", 1, None, None, 1, "no universal cone", 4),
+    ("limit", "T2", "T2", 2, None, None, 1, "no universal cone", 4),
+    ("limit", "T2", "T2", 3, None, None, 0, "no cone", 4),
+    ("limit", "T2", "T2", 4, None, None, 0, "no cone", 4),
+    ("limit", "Z3", "Z3", 0, "*", ("r0",), 3, None, 9),
+    ("limit", "Z3", "Z3", 1, None, None, 0, "no cone", 3),
+    ("limit", "Z3", "Z3", 2, None, None, 0, "no cone", 3),
+    ("limit", "A2", "A2", 0, "w0", ("le:w0>w0", "le:w0>w0"), 1, None, 2),
+    ("limit", "A2", "A2", 1, None, None, 0, "no cone", 1),
+    ("limit", "A2", "A2", 2, None, None, 0, "no cone", 1),
+    ("limit", "A2", "A2", 3, "w1", ("le:w1>w1", "le:w1>w1"), 1, None, 2),
+    ("limit", "C3", "C2", 0, "y0", ("le:y0>y0", "le:y0>y0", "le:y0>y0"), 1, None, 3),
+    ("limit", "C3", "C2", 1, "y0", ("le:y0>y0", "le:y0>y0", "le:y0>y1"), 1, None, 3),
+    ("limit", "C3", "C2", 2, "y0", ("le:y0>y0", "le:y0>y1", "le:y0>y1"), 1, None, 3),
+    ("limit", "C3", "C2", 3, "y1", ("le:y1>y1", "le:y1>y1", "le:y1>y1"), 2, None, 6),
+]
+
+
+@pytest.mark.parametrize("op,j,c,i,tip,legs,seen,reason,budget", UNIVERSALS)
+def test_colimit_limit_pinned(op, j, c, i, tip, legs, seen, reason, budget):
+    F = functors(j, c)[i]
+    oper = colimit if op == "colimit" else limit
+    res = run_at_smallest_budget(lambda b: oper(F, b), budget)
+    assert (res.kind, res.cones_seen, res.reason) == (op, seen, reason)
+    if res.cone is None:
+        assert (tip, legs) == (None, None)
+    else:
+        got = (res.cone.tip, tuple(res.cone.legs[o] for o in F.source.objects))
+        assert got == (tip, legs)
+
+
+def test_universal_search_budget_names():
+    # e -> id into T2: four (co)cones on the one tip, sixteen mediator steps.
+    F = functors("E", "T2")[0]
+    for oper, search, universality in (
+        (colimit, "cocone search", "colimit universality"),
+        (limit, "cone search", "limit universality"),
+    ):
+        with pytest.raises(BudgetExceeded) as first:
+            oper(F, 3)
+        with pytest.raises(BudgetExceeded) as second:
+            oper(F, 15)
+        assert (first.value.what, second.value.what) == (search, universality)
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_CATS))
+def test_opposite(name):
+    C = SEARCH_CATS[name]()
+    Cop = opposite(C)
+    assert opposite(Cop).same_table(C)
+    assert validate_category(Cop).ok
+    assert all(Cop.hom(a, b) == C.hom(b, a) for a in C.objects for b in C.objects)
 
 
 def test_colimit_limit_of_chain(c3):

@@ -1,7 +1,9 @@
-"""Every name a module imports is used there or re-exported, and the CLI
-imports no numpy."""
+"""Every name a module imports is used there or re-exported, the CLI
+imports no numpy, and the benchmark tracer's targets exist."""
 
 import ast
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nullkan"
+TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -59,3 +62,16 @@ def test_cli_import_does_not_load_numpy():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
     code = "import nullkan.cli, sys; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_tracer_targets_exist():
+    # The traced benchmark run patches these by name, so a rename would
+    # otherwise surface only when someone runs it with --trace 1.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, function in tracer.TIMED:
+        target = getattr(importlib.import_module(f"nullkan.{module}"), function, None)
+        assert inspect.isfunction(target), f"nullkan.{module}.{function}"
+    fincat = importlib.import_module("nullkan.fincat")
+    assert inspect.isgeneratorfunction(fincat.enumerate_functors)
