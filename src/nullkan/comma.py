@@ -3,8 +3,9 @@
 A comma category over a cospan  A --alpha--> C <--beta-- B  is materialized
 with objects (a, phi, b) where phi: alpha(a) -> beta(b), and morphisms the
 commuting squares (f, g).  Both forgetful functors are built alongside the
-category.  `induced_comma_functor` lifts a triple of functors between two
-such cospans after exhaustively checking the two defining squares.
+category; jointly faithful, they certify its associativity.
+`induced_comma_functor` lifts a triple of functors between two such cospans
+after exhaustively checking the two defining squares.
 """
 
 from __future__ import annotations
@@ -134,6 +135,7 @@ def build_comma(
         {x: obj_data[x][2] for x in objects},
         {m: mor_data[m][1] for m in mor_data},
     )
+    cat.faithful = (forget1, forget2)
     return CommaCategory(cat, alpha, beta, obj_data, mor_data, forget1, forget2)
 
 

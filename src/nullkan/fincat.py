@@ -10,11 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_BUDGET = 200_000
 MAX_OBJECTS = 64
@@ -77,6 +72,13 @@ class FinCategory:
     cod(f) == dom(g).  Referential integrity is enforced on construction;
     the categorical laws are checked separately by `validate_category` so
     that deliberately broken tables can be built and then rejected.
+
+    `faithful` is a certificate of associativity, set only by builders of
+    concrete categories: functors out of this category that should preserve
+    its composition and be jointly faithful, into categories checked by
+    brute force.  `validate_category` verifies it before it relies on it,
+    and sweeps every triple when it fails, so a wrong certificate costs
+    time, never a verdict.  Default: none.
     """
 
     def __init__(
@@ -94,6 +96,7 @@ class FinCategory:
         )
         self.identity = dict(identity)
         self.composition = dict(composition)
+        self.faithful: tuple[FunctorData, ...] = ()
 
         objects_set = set(self.objects)
         if len(objects_set) != len(self.objects):
@@ -185,24 +188,6 @@ class FinCategory:
         )
 
 
-# Largest number of cells in one temporary of the associativity sweep; a
-# slice is cut below this unless a single row of a block is larger.
-_SWEEP_CELLS = 1 << 18
-
-
-def _composition_triples(cat: FinCategory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The composition table as parallel (g, f, gf) index arrays."""
-    import numpy as np
-
-    n = len(cat.composition)
-    ix = cat._mor_index.__getitem__
-    keys = cat.composition.keys()
-    garr = np.fromiter(map(ix, map(itemgetter(0), keys)), dtype=np.int32, count=n)
-    farr = np.fromiter(map(ix, map(itemgetter(1), keys)), dtype=np.int32, count=n)
-    harr = np.fromiter(map(ix, cat.composition.values()), dtype=np.int32, count=n)
-    return garr, farr, harr
-
-
 def validate_category(
     cat: FinCategory,
     *,
@@ -212,19 +197,12 @@ def validate_category(
 ) -> ValidationReport:
     """Check the full category laws, collecting witnesses for failures.
 
-    Identity and unit problems are found by direct table walks.  Totality
-    and endpoints are checked with index arithmetic over the composition
-    table, turned into index arrays once.  Associativity is swept by brute
-    force over every composable triple (see `_associativity_sweep`), using
-    one block of the table per object: memory is one cell per composable
-    pair plus temporaries of at most `_SWEEP_CELLS` cells (or one block
-    row), never an n_morphisms x n_morphisms table.  Entries already reported as spurious
-    or with wrong endpoints are left out of the sweep.
+    Identities, units, totality and endpoints are checked by direct table
+    walks.  Associativity is proved through `cat.faithful` when that
+    certificate holds (see `_certified`); otherwise every composable triple
+    is swept by brute force (see `_associativity_sweep`).  Entries already
+    reported as spurious or with wrong endpoints are left out of the sweep.
     """
-    # numpy is imported here and in the two helpers only, so that commands
-    # which never validate a category do not load it.
-    import numpy as np
-
     if len(cat.objects) > max_objects:
         raise EngineError(
             f"{cat.name}: {len(cat.objects)} objects exceeds bound {max_objects}"
@@ -254,39 +232,43 @@ def validate_category(
         if full:
             return ValidationReport(False, checked, violations)
 
-    # Totality and endpoint sanity of the composition table. Index arithmetic
-    # covers the whole table; the per-pair witness walk only runs once the
-    # entry count proves some composable pair has no entry.
-    names = [m.name for m in cat.morphisms]
-    dom_ix = np.array([cat._obj_index[m.dom] for m in cat.morphisms], dtype=np.int32)
-    cod_ix = np.array([cat._obj_index[m.cod] for m in cat.morphisms], dtype=np.int32)
-    n_obj = len(cat.objects)
-    n_pairs = int(
-        np.bincount(dom_ix, minlength=n_obj) @ np.bincount(cod_ix, minlength=n_obj)
-    )
+    # Totality and endpoint sanity of the composition table, in one pass
+    # that also checks that each certificate functor preserves each entry.
+    # The per-pair witness walk only runs once the entry count proves some
+    # composable pair has no entry.
+    n_out = dict.fromkeys(cat.objects, 0)
+    n_in = dict.fromkeys(cat.objects, 0)
+    for m in cat.morphisms:
+        n_out[m.dom] += 1
+        n_in[m.cod] += 1
+    n_pairs = sum(n_out[x] * n_in[x] for x in cat.objects)
     checked["totality"] = n_pairs
-    garr, farr, harr = _composition_triples(cat)
-    composable = cod_ix[farr] == dom_ix[garr]
-    for i in np.nonzero(~composable)[0]:
-        if add(_violation("composition-spurious", g=names[garr[i]], f=names[farr[i]])):
+    functors = [(F.mor_map, F.target.composition) for F in cat.faithful]
+    preserved = all(_functor_frame(F, cat) for F in cat.faithful)
+    mor = cat._mor
+    spurious, bad_ends = [], []
+    for (g, f), h in cat.composition.items():
+        mg, mf, mh = mor[g], mor[f], mor[h]
+        if mf.cod != mg.dom:
+            spurious.append((g, f))
+        elif mh.dom != mf.dom or mh.cod != mg.cod:
+            bad_ends.append((g, f))
+        if preserved:
+            for fm, tc in functors:
+                if tc.get((fm[g], fm[f])) != fm[h]:
+                    preserved = False
+                    break
+    for g, f in spurious:
+        if add(_violation("composition-spurious", g=g, f=f)):
             return ValidationReport(False, checked, violations)
-    bad_ends = composable & (
-        (dom_ix[harr] != dom_ix[farr]) | (cod_ix[harr] != cod_ix[garr])
-    )
-    for i in np.nonzero(bad_ends)[0]:
-        if add(
-            _violation(
-                "composition-endpoints",
-                g=names[garr[i]],
-                f=names[farr[i]],
-                composite=names[harr[i]],
-            )
-        ):
+    for g, f in bad_ends:
+        v = _violation("composition-endpoints", g=g, f=f, composite=cat.composition[g, f])
+        if add(v):
             return ValidationReport(False, checked, violations)
-    if int(composable.sum()) < n_pairs:
-        have = set(cat.composition)
+    total = len(cat.composition) - len(spurious) == n_pairs
+    if not total:
         for g, f in cat.composable_pairs():
-            if (g, f) not in have:
+            if (g, f) not in cat.composition:
                 if add(_violation("composition-missing", g=g, f=f)):
                     return ValidationReport(False, checked, violations)
 
@@ -302,105 +284,95 @@ def validate_category(
             if add(_violation("right-unit", morphism=m.name, identity=rid)):
                 return ValidationReport(False, checked, violations)
 
-    keep = composable & ~bad_ends
-    n_assoc, bad = _associativity_sweep(
-        n_obj,
-        dom_ix,
-        cod_ix,
-        (garr[keep], farr[keep], harr[keep]),
-        max_violations - len(violations),
-    )
+    if preserved and total and not bad_ends and _certified(cat):
+        # Every triple is composable and every composite is in the table.
+        checked["associativity"] = sum(n_in[m.dom] * n_out[m.cod] for m in cat.morphisms)
+        return ValidationReport(not violations, checked, violations)
+    table = cat.composition
+    if spurious or bad_ends:
+        dropped = set(spurious + bad_ends)
+        table = {k: h for k, h in table.items() if k not in dropped}
+    n_assoc, bad = _associativity_sweep(cat, table, max_violations - len(violations))
     checked["associativity"] = n_assoc
     for h, g, f in bad:
-        violations.append(_violation("associativity", h=names[h], g=names[g], f=names[f]))
+        violations.append(_violation("associativity", h=h, g=g, f=f))
     return ValidationReport(not violations, checked, violations)
 
 
+def _functor_frame(F: FunctorData, cat: FinCategory) -> bool:
+    """Does F send cat's objects, morphisms and identities to the right
+    places in its target?  (Composition is checked on cat's table.)"""
+    tgt = F.target
+    for x in cat.objects:
+        y = F.obj_map.get(x)
+        if y not in tgt._obj_index:
+            return False
+        if x not in cat.identity or F.mor_map.get(cat.identity[x]) != tgt.identity.get(y):
+            return False
+    for m in cat.morphisms:
+        im = tgt._mor.get(F.mor_map.get(m.name))
+        if im is None or (im.dom, im.cod) != (F.obj_map[m.dom], F.obj_map[m.cod]):
+            return False
+    return True
+
+
+def _certified(cat: FinCategory) -> bool:
+    """Do the functors in `cat.faithful` prove cat associative?
+
+    The caller has checked that cat's table is total with the right
+    endpoints and that each functor preserves it, objects, endpoints and
+    identities included.  It remains that each target carries no
+    certificate of its own and passes the brute-force check, and that the
+    functors are jointly faithful: m -> (dom, cod, F1(m), F2(m), ...) is
+    injective.  Then h(gf) and (hg)f have the same endpoints and the same
+    image under every Fi, as Fi(h)(Fi(g)Fi(f)) = (Fi(h)Fi(g))Fi(f) in an
+    associative target, so they are one morphism.
+    """
+    if not cat.faithful:
+        return False
+    for F in cat.faithful:
+        tgt = F.target
+        small = len(tgt.objects) <= MAX_OBJECTS and len(tgt.morphisms) <= MAX_MORPHISMS
+        if tgt.faithful or not small or not validate_category(tgt).ok:
+            return False
+    images = {
+        (m.dom, m.cod, *(F.mor_map[m.name] for F in cat.faithful)) for m in cat.morphisms
+    }
+    return len(images) == len(cat.morphisms)
+
+
 def _associativity_sweep(
-    n_obj: int,
-    dom: np.ndarray,
-    cod: np.ndarray,
-    triples: tuple[np.ndarray, np.ndarray, np.ndarray],
-    limit: int,
-) -> tuple[int, list[tuple[int, int, int]]]:
+    cat: FinCategory, table: dict[tuple[str, str], str], limit: int
+) -> tuple[int, list[tuple[str, str, str]]]:
     """Count the composable triples (h, g, f) and find those with h(gf) != (hg)f.
 
-    `triples` are (g, f, gf) index arrays whose entries are composable and
-    have the right endpoints.  They are laid out as one block per object x:
-    `block[x][i, j]` is the i-th morphism out of x after the j-th morphism
-    into x, or -1 where the table has no entry, so the blocks hold one cell
-    per composable pair.  For f: a -> b, g: b -> c and h: c -> d, h(gf) is
-    read from `block[c]` and (hg)f from `block[b]`.  The sweep runs over
-    each b and each c with Hom(b, c) non-empty, cut along g and h so that
-    no temporary exceeds `_SWEEP_CELLS` cells or one row of a block.
-
-    Every triple with both gf and hg in the table is counted.  The first
-    `limit` failing triples are returned as (h, g, f) morphism indices,
-    ordered by c, then h, g and f.
+    `table` holds the composition entries that are composable and have the
+    right endpoints.  Every triple with both gf and hg in it is counted.
+    The first `limit` failing triples are returned as (h, g, f), ordered by
+    the index of c = cod(g), then of h, g and f.
     """
-    import numpy as np
-
-    garr, farr, harr = triples
-    n_mor = dom.size
-    outs = [np.flatnonzero(dom == x) for x in range(n_obj)]
-    ins = [np.flatnonzero(cod == x) for x in range(n_obj)]
-    # Position of each morphism among those out of its domain (row) and into
-    # its codomain (col); the extra last slot sends a missing entry, -1, to 0.
-    row = np.zeros(n_mor + 1, dtype=np.intp)
-    col = np.zeros(n_mor + 1, dtype=np.intp)
-    for x in range(n_obj):
-        row[outs[x]] = np.arange(outs[x].size)
-        col[ins[x]] = np.arange(ins[x].size)
-    n_in = np.array([a.size for a in ins], dtype=np.intp)
-    start = np.zeros(n_obj + 1, dtype=np.intp)
-    start[1:] = np.cumsum([outs[x].size * ins[x].size for x in range(n_obj)])
-    cells = np.full(int(start[-1]), -1, dtype=np.int32)
-    mid = dom[garr]
-    cells[start[mid] + row[garr] * n_in[mid] + col[farr]] = harr
-    block = [
-        cells[start[x] : start[x + 1]].reshape(outs[x].size, ins[x].size)
-        for x in range(n_obj)
-    ]
-
+    # row[g] maps f to gf, in the order of f.
+    row = {
+        g.name: {f: table[g.name, f] for f in cat._by_cod[g.dom] if (g.name, f) in table}
+        for g in cat.morphisms
+    }
     total = 0
-    found: list[tuple[int, int, int]] = []
-    for c in range(n_obj):
-        tc = block[c]
-        hits = []
-        for b in range(n_obj):
-            gs = outs[b][cod[outs[b]] == c]
-            tb = block[b]
-            n_f = tb.shape[1]
-            if gs.size == 0 or n_f == 0:
+    found: list[tuple[str, str, str]] = []
+    for h in sorted(cat.morphisms, key=lambda m: cat._obj_index[m.dom]):
+        rh = row[h.name]
+        for g in cat._by_cod[h.dom]:
+            hg = rh.get(g)
+            if hg is None:
                 continue
-            g_step = max(1, _SWEEP_CELLS // n_f)
-            for g0 in range(0, gs.size, g_step):
-                g = gs[g0 : g0 + g_step]
-                gf = tb[row[g]]
-                gf_ok = gf >= 0
-                n_gf = np.count_nonzero(gf_ok, axis=1)
-                gf_col = col[gf].ravel()
-                h_step = max(1, _SWEEP_CELLS // gf.size)
-                for h0 in range(0, tc.shape[0], h_step):
-                    th = tc[h0 : h0 + h_step]
-                    hg = th[:, col[g]]
-                    hg_ok = hg >= 0
-                    total += int(np.count_nonzero(hg_ok, axis=0) @ n_gf)
-                    if len(found) >= limit:
-                        continue
-                    lhs = np.take(th, gf_col, axis=1).reshape(-1)
-                    rhs = np.take(tb, row[hg].ravel(), axis=0).reshape(-1)
-                    neq = lhs != rhs
-                    if not neq.any():
-                        continue
-                    neq = neq.reshape(th.shape[0], g.size, n_f)
-                    neq &= hg_ok[:, :, None] & gf_ok[None, :, :]
-                    hi, gi, fi = (a[:limit] for a in np.nonzero(neq))
-                    hits.append(np.stack([outs[c][h0 + hi], g[gi], ins[b][fi]]))
-        if hits:
-            wh, wg, wf = np.concatenate(hits, axis=1)
-            order = np.lexsort((wf, wg, wh))[: limit - len(found)]
-            found.extend(zip(wh[order].tolist(), wg[order].tolist(), wf[order].tolist()))
+            rg = row[g]
+            total += len(rg)
+            if len(found) == limit:
+                continue
+            lhs = list(map(rh.get, rg.values()))
+            rhs = list(map(row[hg].get, rg))
+            if lhs != rhs:
+                bad = [f for f, x, y in zip(rg, lhs, rhs) if x != y]
+                found.extend((h.name, g, f) for f in bad[: limit - len(found)])
     return total, found
 
 

@@ -560,16 +560,15 @@ def check_setup_adjoints(s, budget: int = DEFAULT_BUDGET) -> dict:
     def half(name, T, cand, kind):
         got = None
         how = "absent"
-        if cand is not None and check_half_right_adjoint(T, cand, kind, budget) is not None:
-            got, how = cand, "composite"
-        else:
-            try:
-                found = search_half_right_adjoint(T, kind, budget)
-            except BudgetExceeded:
-                found, how = None, "budget"
+        try:
+            if cand is not None and check_half_right_adjoint(T, cand, kind, budget) is not None:
+                got, how = cand, "composite"
             else:
+                found = search_half_right_adjoint(T, kind, budget)
                 if found is not None:
                     got, how = found[0], "search"
+        except BudgetExceeded:
+            how = "budget"
         out[name] = {"present": got is not None, "how": how}
 
     rstar1 = web.iota.get("iota1_rstar")

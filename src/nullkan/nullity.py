@@ -138,11 +138,14 @@ def materialize_nullity_category(
                 raise EngineError("materialize: object label collision")
             structure[oid] = NullityStructure(c, masks)
 
+    obj_carrier = {o: n.carrier for o, n in structure.items()}
     cat, setmap = _maps_category(
         name,
-        {o: n.carrier for o, n in structure.items()},
+        obj_carrier,
         lambda f, a, b: image_violation(f, structure[a], structure[b]) is None,
     )
+    # Forgetting the null families is faithful: it certifies associativity.
+    cat.faithful = (carrier_functor(f"forget[{name}]", cat, obj_carrier, setmap),)
     return MaterializedNullity(cat, structure, setmap)
 
 

@@ -2,11 +2,11 @@
 
 import functools
 import itertools
+import random
 
-import numpy as np
 import pytest
 
-from nullkan.comma import arrow_category
+from nullkan.comma import arrow_category, bang_functor
 from nullkan.fincat import (
     BudgetExceeded,
     EngineError,
@@ -46,11 +46,12 @@ def thin(name, src, tgt, obj_map):
 
 def composable_triples(cat):
     """Composable (h, g, f) counted from hom-set sizes: the sum of H^3."""
-    ix = {x: i for i, x in enumerate(cat.objects)}
-    hom = np.zeros((len(ix), len(ix)), dtype=np.int64)
-    for m in cat.morphisms:
-        hom[ix[m.dom], ix[m.cod]] += 1
-    return int((hom @ hom @ hom).sum())
+    objs = cat.objects
+    hom = {(a, b): len(cat.hom(a, b)) for a in objs for b in objs}
+    return sum(
+        hom[a, b] * hom[b, c] * hom[c, d]
+        for a, b, c, d in itertools.product(objs, repeat=4)
+    )
 
 
 def cyclic_group(n):
@@ -130,18 +131,17 @@ def test_validate_catches_bad_composition(c3):
     assert any(v.law in ("composition-endpoints", "associativity") for v in rep.violations)
 
 
-def test_validate_catches_associativity_only():
+def z3_bad():
+    """Z3 with r1 after r1 redirected from r2 to r1: one object, so endpoints
+    hold, and the identity row and column are untouched, so the units hold."""
     z3 = cyclic_group(3)
-    assert validate_category(z3).ok
-    # r1 after r1 is redirected from r2 to r1: one object, so endpoints hold,
-    # and the identity row and column are untouched, so the units hold.
-    broken = FinCategory(
-        "Z3-bad",
-        z3.objects,
-        z3.morphisms,
-        z3.identity,
-        {**z3.composition, ("r1", "r1"): "r1"},
-    )
+    comp = {**z3.composition, ("r1", "r1"): "r1"}
+    return FinCategory("Z3-bad", z3.objects, z3.morphisms, z3.identity, comp)
+
+
+def test_validate_catches_associativity_only():
+    assert validate_category(cyclic_group(3)).ok
+    broken = z3_bad()
     rep = validate_category(broken)
     assert not rep.ok
     assert {v.law for v in rep.violations} == {"associativity"}
@@ -152,6 +152,58 @@ def test_validate_catches_associativity_only():
         )
     # r1(r1 r2) = r1 but (r1 r1) r2 = r0.
     assert ("r1", "r1", "r2") in witnesses
+
+
+def partial_functor(cat):
+    return FunctorData("partial", cat, cyclic_group(3), {"*": "*"}, {"r0": "r0"})
+
+
+@pytest.mark.parametrize(
+    "certificate",
+    [
+        # Preserves every entry but is not faithful.
+        bang_functor,
+        # Faithful and preserves everything, but its target is the category
+        # under test, which carries a certificate.
+        identity_functor,
+        # Has no image for r1 and r2.
+        partial_functor,
+    ],
+    ids=["unfaithful", "circular", "partial"],
+)
+def test_bad_certificate_is_not_trusted(certificate):
+    plain = validate_category(z3_bad()).as_dict()
+    broken = z3_bad()
+    broken.faithful = (certificate(broken),)
+    assert validate_category(broken).as_dict() == plain
+    assert {v["law"] for v in plain["violations"]} == {"associativity"}
+
+
+def test_certificate_on_mutated_materialized_category():
+    # Redirecting an entry to a parallel morphism keeps every endpoint
+    # right, and deleting one leaves the others preserved.  Either way the
+    # re-attached forgetful functor proves nothing, so the report must be
+    # the one without a certificate.
+    cat = materialize_nullity_category("m2", [FiniteSet(("a", "b"))]).category
+    (forget,) = cat.faithful
+    assert validate_category(cat).ok
+    rng = random.Random(0)
+    keys = [k for k, h in cat.composition.items() if len(cat.hom(cat.dom(h), cat.cod(h))) > 1]
+    tables = []
+    for key in rng.sample(keys, 20):
+        h = cat.composition[key]
+        others = [p for p in cat.hom(cat.dom(h), cat.cod(h)) if p != h]
+        tables.append({**cat.composition, key: rng.choice(others)})
+    for key in rng.sample(keys, 5):
+        tables.append({k: h for k, h in cat.composition.items() if k != key})
+    for comp in tables:
+        broken = FinCategory("m2-bad", cat.objects, cat.morphisms, cat.identity, comp)
+        plain = validate_category(broken).as_dict()
+        broken.faithful = (
+            FunctorData(forget.name, broken, forget.target, forget.obj_map, forget.mor_map),
+        )
+        assert validate_category(broken).as_dict() == plain
+        assert not plain["ok"]
 
 
 def test_associativity_count_matches_hom_sizes():

@@ -1,11 +1,10 @@
-"""Every name a module imports is used there or re-exported, the CLI
-imports no numpy, and the benchmark tracer's targets exist."""
+"""Every name a module imports is used there or re-exported, every module
+imports only the standard library and nullkan, and the benchmark tracer's
+targets exist."""
 
 import ast
 import importlib.util
 import inspect
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -55,13 +54,21 @@ def test_detector_flags_an_unused_import():
     assert unused == {"os", "dumps"}
 
 
-def test_cli_import_does_not_load_numpy():
-    # numpy serves validate_category only; every other command runs without it.
-    env = dict(os.environ)
-    paths = [str(SRC.parent), env.get("PYTHONPATH")]
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
-    code = "import nullkan.cli, sys; assert 'numpy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_stdlib(path):
+    # The package has no runtime dependencies.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+    outside = {
+        m for m in modules
+        if m.split(".")[0] not in sys.stdlib_module_names | {"nullkan"}
+    }
+    assert not outside, f"{path.name}: non-stdlib imports {sorted(outside)}"
 
 
 def test_tracer_targets_exist():

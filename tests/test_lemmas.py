@@ -135,3 +135,16 @@ def test_setup_adjoints_on_injections():
     assert got["pi_star_right_inverse"] == {"present": True, "how": "induced"}
     assert got["iota2_post_right_adjoint"] == {"present": True, "how": "composite"}
     assert got["iota1_pre_right_adjoint"] == {"present": True, "how": "composite"}
+
+
+@pytest.mark.parametrize("model", ["injections_card_0", "f2_proper"])
+def test_setup_adjoints_report_budget_at_every_small_budget(model):
+    # Every exhausted search, the declared composite candidate's check
+    # included, is reported as "budget" instead of escaping as an error.
+    s = builtin_model(model)
+    seen = set()
+    for budget in range(31):
+        got = check_setup_adjoints(s, budget)
+        seen |= {(k, v["how"]) for k, v in got.items()}
+    assert ("iota2_post_right_adjoint", "budget") in seen
+    assert ("iota2_post_right_adjoint", "composite") in seen
