@@ -81,7 +81,6 @@ class Setup:
     pi: FunctorData
     gamma: FunctorData
     base_null: dict[str, NullityStructure]
-    iota3_rstar: FunctorData | None = None
     _web: "CommaWeb | None" = field(default=None, repr=False, compare=False)
 
 
@@ -150,8 +149,8 @@ class CommaWeb:
 
     @cached_property
     def iota(self) -> dict[str, FunctorData]:
-        """iota1..iota7 and, when available, iota3_rstar, iota1_rstar and
-        iota2_rstar."""
+        """iota1..iota7 and, when iota3 is invertible, iota3_rstar,
+        iota1_rstar and iota2_rstar."""
         s = self.s
         jj = j1j2(s)
         id_b = identity_functor(s.base)
@@ -181,7 +180,7 @@ class CommaWeb:
                 "iota7", id_b, s.pi, s.pi, comma_main, comma_inter
             ),
         }
-        rstar = s.iota3_rstar or functor_inverse(iota["iota3"])
+        rstar = functor_inverse(iota["iota3"])
         if rstar is not None:
             rstar.name = "iota3_rstar"
             iota["iota3_rstar"] = rstar
@@ -280,15 +279,6 @@ def probe_carriers(s: Setup) -> dict[str, FiniteSet]:
     }
 
 
-def probed_diagram(s: Setup, probed: KanResult) -> NullityDiagram:
-    web = build_comma_web(s)
-    cp = web.comma_probe
-    transport = {
-        mid: setmap_of(s.gamma, g) for mid, (f, g) in cp.mor_data.items()
-    }
-    return NullityDiagram(cp.category, dict(probed.extension), transport)
-
-
 @dataclass
 class PipelineResult:
     setup: Setup
@@ -330,7 +320,7 @@ def run_pipeline(
         cross_check=cross_check,
         budget=budget,
     )
-    pdiag = probed_diagram(s, probed)
+    pdiag = NullityDiagram(web.comma_probe.category, dict(probed.extension))
     main_carriers = {V: carrier_of(s.gamma, V) for V in s.main.objects}
     main = left_kan(
         web.comma_probe.forget2,
@@ -341,9 +331,10 @@ def run_pipeline(
     )
     invariance = check_nullity_assignment(s.gamma, main.extension)
     if not invariance.ok:
-        # The lift is a union of preimage structures, so it must already be
-        # functorial; a failure here means the engine composed something
-        # inconsistent, not that a model is unusual.
+        # The fiber formula is functorial only when the comma nullity is a
+        # functor and each strict fiber is initial (right step) or final
+        # (left step) in its slice; see ROADMAP item 1.  Inputs that fail
+        # those hypotheses stop here as bad input (exit 2) for now.
         raise EngineError(
             f"pipeline produced a non-functorial main nullity: "
             f"{[v.as_dict() for v in invariance.violations][:3]}"
@@ -566,11 +557,12 @@ def verify_extension(s: Setup, budget: int = DEFAULT_BUDGET) -> ExtensionReport:
     statement needs), and the object-by-object restriction equality.
     """
     items: dict[str, dict] = {}
-    sat = is_saturated_base(s)
+    gamma_b = gamma_on_base(s)
+    bar = _bar_null(gamma_b, s.base_null)
+    sat = all(bar[b].masks == s.base_null[b].masks for b in s.base.objects)
     a4 = check_assumptions(s)
     hypothesis_met = sat and a4.ok
     if not sat:
-        bar = bar_base(s)
         bad = next(
             (b for b in s.base.objects if bar[b].masks != s.base_null[b].masks), None
         )
@@ -593,7 +585,6 @@ def verify_extension(s: Setup, budget: int = DEFAULT_BUDGET) -> ExtensionReport:
     pipe = run_pipeline(s)
 
     # Square 1: the carrier action commutes with the comma construction.
-    gamma_b = gamma_on_base(s)
     if not s.gamma.target.same_table(gamma_b.target):
         items["gamma_square"] = {
             "status": "skipped",
@@ -679,7 +670,6 @@ def verify_extension(s: Setup, budget: int = DEFAULT_BUDGET) -> ExtensionReport:
 
     # Red triangle: the lifted nullity restricted along j1 j2 equals the
     # bar closure of the base (= the base itself, once saturated).
-    bar = bar_base(s)
     red_bad = [
         b
         for b in s.base.objects

@@ -73,6 +73,10 @@ class FinCategory:
     the categorical laws are checked separately by `validate_category` so
     that deliberately broken tables can be built and then rejected.
 
+    The category owns the `identity` and `composition` dicts it is given
+    and keeps them without copying: callers pass fresh dicts, or dicts
+    that nothing writes to again.
+
     `faithful` is a certificate of associativity, set only by builders of
     concrete categories: functors out of this category that should preserve
     its composition and be jointly faithful, into categories checked by
@@ -94,8 +98,8 @@ class FinCategory:
         self.morphisms = tuple(
             m if isinstance(m, Mor) else Mor(*m) for m in morphisms
         )
-        self.identity = dict(identity)
-        self.composition = dict(composition)
+        self.identity = identity
+        self.composition = composition
         self.faithful: tuple[FunctorData, ...] = ()
 
         objects_set = set(self.objects)
@@ -154,13 +158,6 @@ class FinCategory:
                 f"{self.name}: composition table has no entry for ({g!r}, {f!r})"
             ) from None
 
-    def compose_path(self, *names: str) -> str:
-        """Compose a whole path written outermost-first: compose_path(h, g, f)."""
-        out = names[0]
-        for f in names[1:]:
-            out = self.compose(out, f)
-        return out
-
     def hom(self, a: str, b: str) -> tuple[str, ...]:
         return tuple(self._hom.get((a, b), ()))
 
@@ -174,7 +171,7 @@ class FinCategory:
                 yield g.name, f
 
     def same_table(self, other: "FinCategory") -> bool:
-        return (
+        return self is other or (
             self.objects == other.objects
             and self.morphisms == other.morphisms
             and self.identity == other.identity
@@ -548,7 +545,7 @@ def identity_functor(C: FinCategory) -> FunctorData:
 
 def compose_functors(G: FunctorData, F: FunctorData, name: str | None = None) -> FunctorData:
     """G after F."""
-    if F.target is not G.source and not F.target.same_table(G.source):
+    if not F.target.same_table(G.source):
         raise EngineError(f"cannot compose {G.name} after {F.name}: middle mismatch")
     return FunctorData(
         name or f"{G.name}.{F.name}",

@@ -1,14 +1,14 @@
 """Pointwise Kan extensions for nullity-valued diagrams.
 
 Both extensions are computed per target object over the FIBER of that
-object (source objects mapping onto it, morphisms mapping onto its
-identity), as the join (left) or meet (right) of the value families in the
-down-set lattice of the object's carrier.  That is exactly the union /
-intersection optimization the construction is built around.  With
-`cross_check=True` each join or meet is replayed through the generic
-universal-cocone search of fincat inside that lattice.  Empty fibers
-follow the lattice units: left extensions give the trivial structure,
-right extensions the full power set, on the target object's carrier.
+object (the source objects that K sends onto it), as the join (left) or
+meet (right) of the value families in the down-set lattice of the
+object's carrier.  That is exactly the union / intersection optimization
+the construction is built around.  With `cross_check=True` each join or
+meet is replayed through the generic universal-cocone search of fincat
+inside that lattice.  Empty fibers follow the lattice units: left
+extensions give the trivial structure, right extensions the full power
+set, on the target object's carrier.
 
 `slice_comma` builds the textbook comma-shaped slices; only the
 Kan-identity lemma checks use them.
@@ -16,15 +16,16 @@ Kan-identity lemma checks use them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 from .comma import CommaCategory, build_comma, const_functor, terminal_category
 from .fincat import (
     DEFAULT_BUDGET,
+    BudgetExceeded,
     EngineError,
     FinCategory,
     FunctorData,
-    Mor,
     ValidationReport,
     Violation,
     _violation,
@@ -37,6 +38,7 @@ from .order import (
     FiniteSet,
     NullityStructure,
     SetMap,
+    all_down_sets,
     full_nullity,
     image_violation,
     intersect_all,
@@ -80,7 +82,6 @@ class KanResult:
     path: dict[str, str]
     slice_sizes: dict[str, int]
     comparison_ok: bool
-    diagnostics: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -98,26 +99,12 @@ def slice_comma(K: FunctorData, d: str, side: str) -> CommaCategory:
     raise EngineError(f"slice_comma: unknown side {side!r}")
 
 
-def fibers(K: FunctorData) -> dict[str, tuple[list[str], list[Mor]]]:
-    """For each target object d: the source objects over d, and the
-    non-identity source morphisms among them that K sends to d's identity.
-
-    One pass over K's source; both lists keep its declared order.
-    """
-    src = K.source
-    out: dict[str, tuple[list[str], list[Mor]]] = {
-        d: ([], []) for d in K.target.objects
-    }
-    for x in src.objects:
-        out[K.on_obj(x)][0].append(x)
-    for m in src.morphisms:
-        d = K.on_obj(m.dom)
-        if (
-            K.on_obj(m.cod) == d
-            and not src.is_identity(m.name)
-            and K.on_mor(m.name) == K.target.id_of(d)
-        ):
-            out[d][1].append(m)
+def fibers(K: FunctorData) -> dict[str, list[str]]:
+    """For each target object d, the source objects over d, in the
+    source's declared order."""
+    out: dict[str, list[str]] = {d: [] for d in K.target.objects}
+    for x in K.source.objects:
+        out[K.on_obj(x)].append(x)
     return out
 
 
@@ -162,10 +149,9 @@ def _kan_fiber(
     extension: dict[str, NullityStructure] = {}
     path: dict[str, str] = {}
     sizes: dict[str, int] = {}
-    bad_squares: list[Violation] = []
     comparison_ok = True
 
-    for d, (objs, mors) in fibers(K).items():
+    for d, objs in fibers(K).items():
         carrier = target_carriers[d]
         pieces = []
         for x in objs:
@@ -183,44 +169,11 @@ def _kan_fiber(
         extension[d] = ext
         sizes[d] = len(pieces)
         path[d] = "fast"
-        if diag.transport is not None:
-            for m in mors:
-                bad = image_violation(
-                    diag.transport[m.name], diag.values[m.dom], diag.values[m.cod]
-                )
-                if bad is not None:
-                    bad_squares.append(
-                        _violation(
-                            "fiber-square-not-null-preserving",
-                            target=d,
-                            morphism=m.name,
-                            null_set=diag.values[m.dom].carrier.label(bad),
-                        )
-                    )
         if cross_check:
             if not _lattice_check(carrier, pieces, ext, side, budget):
                 comparison_ok = False
             path[d] = "fast+brute"
-
-    # Unit (left) / counit (right) components are carrier-identity
-    # inclusions; record that they are well formed.
-    unit_bad = []
-    for x in K.source.objects:
-        v, e = diag.values[x], extension[K.on_obj(x)]
-        ok = v.masks <= e.masks if side == "left" else e.masks <= v.masks
-        if not ok:
-            unit_bad.append(x)
-    return KanResult(
-        side=side,
-        extension=extension,
-        path=path,
-        slice_sizes=sizes,
-        comparison_ok=comparison_ok and not unit_bad,
-        diagnostics={
-            "fiber_squares_not_preserving": [v.as_dict() for v in bad_squares],
-            "comparison_failures": unit_bad,
-        },
-    )
+    return KanResult(side, extension, path, sizes, comparison_ok)
 
 
 def left_kan(
@@ -257,18 +210,12 @@ def enumerate_assignments(
 ):
     """All per-object structures, filtered to functorial ones if transports
     are given; deterministic order."""
-    from .order import all_down_sets
-
     per_obj = {d: all_down_sets(target_carriers[d]) for d in target.objects}
     total = 1
     for fams in per_obj.values():
         total *= len(fams)
         if total > budget:
-            raise EngineError(
-                f"enumerate_assignments: {total}+ candidates exceed budget {budget}"
-            )
-    import itertools
-
+            raise BudgetExceeded(f"enumerate_assignments ({total}+ candidates)", budget)
     objs = list(target.objects)
     for combo in itertools.product(*(per_obj[d] for d in objs)):
         cand = {

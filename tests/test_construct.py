@@ -24,6 +24,7 @@ from nullkan.construct import (
 from nullkan.fincat import BudgetExceeded, EngineError
 from nullkan.nullity import carrier_of
 from nullkan.order import down_closure, full_nullity, proper_nullity, trivial_nullity
+from nullkan.specfile import parse_spec, to_setup
 
 
 def test_builtin_names():
@@ -97,6 +98,26 @@ def test_pipeline_cross_check():
     r = run_pipeline(builtin_model("f2_proper"), cross_check=True)
     assert r.main.comparison_ok
     assert r.probed.comparison_ok
+
+
+@pytest.mark.parametrize(
+    "name", [*BUILTIN_NAMES, "f2_proper.spec", "f2_proper_model.spec", "idempotent.spec"]
+)
+def test_kan_counit_and_unit_inclusions(name, specs_dir):
+    # Right step's counit: the probed value over a main-comma object is
+    # contained in the comma value there.  Left step's unit: each probed
+    # value is contained in the main value at its forget2 image.
+    if name.endswith(".spec"):
+        s = to_setup(parse_spec((specs_dir / name).read_text()), name.removesuffix(".spec"))
+    else:
+        s = builtin_model(name)
+    r = run_pipeline(s)
+    web = build_comma_web(s)
+    assert r.comma_values.values and r.probed.extension
+    for x, v in r.comma_values.values.items():
+        assert r.probed.extension[web.pi_star.on_obj(x)].masks <= v.masks, x
+    for p, v in r.probed.extension.items():
+        assert v.masks <= r.main_null[web.comma_probe.forget2.on_obj(p)].masks, p
 
 
 def test_comma_web_shapes_and_memoization():

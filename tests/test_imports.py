@@ -1,6 +1,7 @@
-"""Every name a module imports is used there or re-exported, every module
-imports only the standard library and nullkan, and the benchmark tracer's
-targets exist."""
+"""Every name a module imports is used there or re-exported, every function
+and class the package defines is referenced somewhere, every module imports
+only the standard library and nullkan, and the benchmark tracer's targets
+exist."""
 
 import ast
 import importlib.util
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nullkan"
-TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
+ROOT = SRC.parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -52,6 +54,75 @@ def test_detector_flags_an_unused_import():
     tree = ast.parse("import os\nfrom json import dumps, loads\nloads('1')\n")
     unused = set(imported_names(tree)) - used_names(tree)
     assert unused == {"os", "dumps"}
+
+
+def defined_names(tree: ast.Module) -> dict[str, int]:
+    """Qualified name -> line, for every non-dunder function and class,
+    methods and nested definitions included."""
+    out = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = child.name
+                if not (name.startswith("__") and name.endswith("__")):
+                    out[prefix + name] = child.lineno
+                visit(child, f"{prefix}{name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return out
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names, attributes, imported names and string constants."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_definition_is_used():
+    # A definition that nothing in the package, its tests or the benchmark
+    # refers to is dead code.
+    scanned = [
+        *SRC.glob("*.py"),
+        *(ROOT / "tests").rglob("*.py"),
+        *(ROOT / "perfbench").rglob("*.py"),
+    ]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in scanned}
+    referenced = set().union(*map(referenced_names, trees.values()))
+    unused = [
+        f"{path.name}:{line} {qualname}"
+        for path in sorted(SRC.glob("*.py"))
+        for qualname, line in defined_names(trees[path]).items()
+        if qualname.rsplit(".", 1)[-1] not in referenced
+    ]
+    assert not unused, f"unreferenced definitions: {unused}"
+
+
+def test_definition_detector_flags_an_unused_function():
+    tree = ast.parse(
+        "class A:\n"
+        "    def __init__(self): pass\n"
+        "    def used(self): pass\n"
+        "    def idle(self): pass\n"
+        "def f(): return A().used()\n"
+        "def g(): pass\n"
+        "def h(): pass\n"
+        "HOOKS = [f, 'h']\n"
+    )
+    referenced = referenced_names(tree)
+    unused = {q for q in defined_names(tree) if q.rsplit(".", 1)[-1] not in referenced}
+    assert unused == {"A.idle", "g"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

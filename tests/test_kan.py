@@ -3,6 +3,7 @@
 import pytest
 
 from nullkan.fincat import (
+    BudgetExceeded,
     FunctorData,
     chain_preorder,
     discrete_category,
@@ -74,15 +75,22 @@ def test_universal_property_of_fiber_result(two_points_over_chain):
     assert rep.checked["competitors"] > 0
 
 
+def test_universal_check_reports_budget(two_points_over_chain):
+    K, diag, carriers, c = two_points_over_chain
+    L = left_kan(K, diag, carriers)
+    with pytest.raises(BudgetExceeded, match="enumerate_assignments"):
+        check_universal(K, diag, L, target_carriers=carriers, budget=1)
+
+
 def test_slice_and_fiber_shapes(two_points_over_chain):
     K, diag, carriers, c = two_points_over_chain
     sl = slice_comma(K, "t1", "left")
     assert len(sl.category.objects) == 2  # d0 via t0<=t1 and d1 via id
-    assert fibers(K) == {"t0": (["d0"], []), "t1": (["d1"], [])}
+    assert fibers(K) == {"t0": ["d0"], "t1": ["d1"]}
     S = chain_preorder("S", ["s0", "s1"])
     crush = FunctorData(
         "crush", S, K.target, {"s0": "t0", "s1": "t0"},
         {m.name: "le:t0>t0" for m in S.morphisms},
     )
-    assert fibers(crush) == {"t0": (["s0", "s1"], [S.mor("le:s0>s1")]), "t1": ([], [])}
+    assert fibers(crush) == {"t0": ["s0", "s1"], "t1": []}
 
