@@ -440,25 +440,22 @@ def verify_invariance(
     return ValidationReport(not violations, checked, violations)
 
 
-def verify_minimality(
-    s: Setup,
-    *,
-    guard: int = MINIMALITY_GUARD,
-) -> ValidationReport:
+def verify_minimality(s: Setup) -> ValidationReport:
     """main_null is contained in every functorial, testable assignment.
 
     Enumerates the full candidate space (product of all null families per
-    main object), so it refuses models where that space exceeds the guard.
+    main object), so it refuses models where that space exceeds
+    MINIMALITY_GUARD.
     """
     carriers = {V: carrier_of(s.gamma, V) for V in s.main.objects}
     per_obj = {V: all_down_sets(carriers[V]) for V in s.main.objects}
     total = 1
     for fams in per_obj.values():
         total *= len(fams)
-    if total > guard:
+    if total > MINIMALITY_GUARD:
         raise BudgetExceeded(
             f"verify_minimality candidate space ({total}; a reduced model is required)",
-            guard,
+            MINIMALITY_GUARD,
         )
     computed = main_null(s)
 
@@ -816,7 +813,6 @@ def _injections_setup(k: int) -> Setup:
     elements = ("a", "b", "c")
     carriers = [FiniteSet(elements[:n]) for n in range(4)]
     objs = [f"S{n}" for n in range(4)]
-    import itertools
 
     mors: list[tuple[str, str, str]] = []
     maps: dict[str, SetMap] = {}

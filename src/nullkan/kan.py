@@ -10,24 +10,23 @@ inside that lattice.  Empty fibers follow the lattice units: left
 extensions give the trivial structure, right extensions the full power
 set, on the target object's carrier.
 
-`slice_comma` builds the textbook comma-shaped slices; only the
-Kan-identity lemma checks use them.
+The Kan-identity lemmas (restrict-source and after-composite, both
+checked as the Kan square) build their textbook slices in `lemmas`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .comma import CommaCategory, build_comma, const_functor, terminal_category
 from .fincat import (
     DEFAULT_BUDGET,
-    BudgetExceeded,
     EngineError,
     FinCategory,
     FunctorData,
     ValidationReport,
     Violation,
+    _Backtrack,
+    _Meter,
     _violation,
     colimit,
     discrete_category,
@@ -82,21 +81,6 @@ class KanResult:
     path: dict[str, str]
     slice_sizes: dict[str, int]
     comparison_ok: bool
-
-
-# ---------------------------------------------------------------------------
-# Slices.
-
-
-def slice_comma(K: FunctorData, d: str, side: str) -> CommaCategory:
-    """Textbook slice as a comma category over the terminal cospan leg."""
-    star = terminal_category()
-    anchor = const_functor(star, K.target, d, name=f"at[{d}]")
-    if side == "left":
-        return build_comma(K, anchor, f"({K.name}/{d})")
-    if side == "right":
-        return build_comma(anchor, K, f"({d}/{K.name})")
-    raise EngineError(f"slice_comma: unknown side {side!r}")
 
 
 def fibers(K: FunctorData) -> dict[str, list[str]]:
@@ -209,30 +193,25 @@ def enumerate_assignments(
     budget: int,
 ):
     """All per-object structures, filtered to functorial ones if transports
-    are given; deterministic order."""
-    per_obj = {d: all_down_sets(target_carriers[d]) for d in target.objects}
-    total = 1
-    for fams in per_obj.values():
-        total *= len(fams)
-        if total > budget:
-            raise BudgetExceeded(f"enumerate_assignments ({total}+ candidates)", budget)
-    objs = list(target.objects)
-    for combo in itertools.product(*(per_obj[d] for d in objs)):
-        cand = {
-            d: NullityStructure(target_carriers[d], masks)
-            for d, masks in zip(objs, combo)
-        }
-        if target_transports is not None:
-            ok = all(
-                image_violation(
-                    target_transports[m.name], cand[m.dom], cand[m.cod]
-                )
-                is None
-                for m in target.morphisms
-            )
-            if not ok:
-                continue
-        yield cand
+    are given; deterministic order.
+
+    Depth-first over target objects; each structure tried is a step
+    against `budget`, and each transport is checked once both its ends
+    have a structure.
+    """
+    objs = target.objects
+    per_obj = []
+    for d in objs:
+        c = target_carriers[d]
+        per_obj.append([NullityStructure(c, masks) for masks in all_down_sets(c)])
+
+    def preserved(cand, m):
+        return image_violation(target_transports[m.name], cand[m.dom], cand[m.cod]) is None
+
+    morphisms = [] if target_transports is None else target.morphisms
+    search = _Backtrack(objs, (((m.dom, m.cod), m) for m in morphisms), preserved)
+    for cand in search.run(per_obj.__getitem__, _Meter("enumerate_assignments", budget), {}):
+        yield dict(cand)
 
 
 def check_universal(
@@ -242,25 +221,29 @@ def check_universal(
     *,
     target_carriers: dict[str, FiniteSet],
     target_transports: dict[str, SetMap] | None = None,
-    competitors=None,
     budget: int = DEFAULT_BUDGET,
     max_violations: int = 20,
 ) -> ValidationReport:
-    """Check the candidate extension against every competitor.
+    """Check the candidate extension against every competitor, that is,
+    every assignment `enumerate_assignments` yields.
 
-    Left side: the unit F(x) <= cand(Kx) must exist, and every competitor H
-    admitting a comparison F(x) <= H(Kx) must factor through the candidate
-    (cand(d) <= H(d) for all d).  Right side dual.
+    Read with the order `below` (inclusion on the left side, reverse
+    inclusion on the right): the unit F(x) below cand(Kx) must exist, and
+    every competitor H admitting a comparison F(x) below H(Kx) must factor
+    through the candidate (cand(d) below H(d) for all d).
     """
     side = candidate.side
+    ext = candidate.extension
+
+    def below(p: NullityStructure, q: NullityStructure) -> bool:
+        return p.masks <= q.masks if side == "left" else q.masks <= p.masks
+
     violations: list[Violation] = []
     checked = {"unit_components": 0, "competitors": 0}
 
     for x in K.source.objects:
         checked["unit_components"] += 1
-        v, e = diag.values[x], candidate.extension[K.on_obj(x)]
-        ok = v.masks <= e.masks if side == "left" else e.masks <= v.masks
-        if not ok:
+        if not below(diag.values[x], ext[K.on_obj(x)]):
             violations.append(
                 _violation(
                     "kan-unit-missing" if side == "left" else "kan-counit-missing",
@@ -268,45 +251,17 @@ def check_universal(
                 )
             )
 
-    if competitors is None:
-        competitors = enumerate_assignments(
-            K.target, target_carriers, target_transports, budget
-        )
-    for H in competitors:
+    for H in enumerate_assignments(K.target, target_carriers, target_transports, budget):
         checked["competitors"] += 1
-        if side == "left":
-            admits = all(
-                diag.values[x].masks <= H[K.on_obj(x)].masks for x in K.source.objects
-            )
-            factors = all(
-                candidate.extension[d].masks <= H[d].masks for d in K.target.objects
-            )
-        else:
-            admits = all(
-                H[K.on_obj(x)].masks <= diag.values[x].masks for x in K.source.objects
-            )
-            factors = all(
-                H[d].masks <= candidate.extension[d].masks for d in K.target.objects
-            )
-        if admits and not factors:
-            bad = next(
-                d
-                for d in K.target.objects
-                if not (
-                    candidate.extension[d].masks <= H[d].masks
-                    if side == "left"
-                    else H[d].masks <= candidate.extension[d].masks
-                )
-            )
+        admits = all(below(diag.values[x], H[K.on_obj(x)]) for x in K.source.objects)
+        bad = next((d for d in K.target.objects if not below(ext[d], H[d])), None)
+        if admits and bad is not None:
             violations.append(
                 _violation(
                     "kan-not-universal",
                     object=bad,
                     competitor=H[bad].carrier.label(
-                        min(
-                            (H[bad].masks ^ candidate.extension[bad].masks),
-                            default=0,
-                        )
+                        min(H[bad].masks ^ ext[bad].masks, default=0)
                     ),
                 )
             )

@@ -8,13 +8,15 @@ silent passes: with only a pre- or post-adjoint the textbook proofs
 produce a retract of the true (co)limit, so the statements are honest on
 thin (preorder-shaped) instances, and the generators below stick to
 chains, collapse functors, and down-set lattices of small carriers.
+Restrict-source and after-composite are checked as the Kan square
+(Mac Lane, *Categories for the Working Mathematician*, X.3-X.5).
 """
 
 from __future__ import annotations
 
 import random
 
-from .comma import build_comma, induced_comma_functor
+from .comma import build_comma, const_functor, induced_comma_functor, terminal_category
 from .fincat import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -33,7 +35,6 @@ from .fincat import (
     limit,
     search_half_right_adjoint,
 )
-from .kan import slice_comma
 from .nullity import nullity_fiber_preorder
 from .order import FiniteSet
 
@@ -67,6 +68,23 @@ def _universal(oper, diagram, budget):
     return res.cone.tip, None
 
 
+def _vacuous_without_adjoint(
+    out: dict, T: FunctorData, who: str, adj_kind: str, budget: int
+) -> bool:
+    """Search for a half right adjoint of T; if there is none, or the search
+    hits the budget (noted in `out`), mark `out` vacuous and say so."""
+    try:
+        found = search_half_right_adjoint(T, adj_kind, budget)
+    except BudgetExceeded:
+        found = None
+        out["note"] = "adjoint search hit the budget"
+    if found is not None:
+        return False
+    out["status"] = "vacuous"
+    out["reason"] = f"{who} has no {adj_kind}-right adjoint"
+    return True
+
+
 def check_precompose_invariance(
     f: FunctorData, g: FunctorData, kind: str, budget: int = DEFAULT_BUDGET
 ) -> dict:
@@ -75,17 +93,9 @@ def check_precompose_invariance(
     kind "colim" needs a post-right adjoint of f, kind "lim" a pre one.
     """
     out = {"lemma": "precompose-invariance", "kind": kind}
-    adj_kind = "post" if kind == "colim" else "pre"
-    oper = colimit if kind == "colim" else limit
-    try:
-        found = search_half_right_adjoint(f, adj_kind, budget)
-    except BudgetExceeded:
-        found = None
-        out["note"] = "adjoint search hit the budget"
-    if found is None:
-        out["status"] = "vacuous"
-        out["reason"] = f"f has no {adj_kind}-right adjoint"
+    if _vacuous_without_adjoint(out, f, "f", "post" if kind == "colim" else "pre", budget):
         return out
+    oper = colimit if kind == "colim" else limit
     gf = compose_functors(g, f)
     tip_g, why_g = _universal(oper, g, budget)
     tip_gf, why_gf = _universal(oper, gf, budget)
@@ -104,14 +114,7 @@ def check_comma_inherits_adjoint(
 ) -> dict:
     """A half right adjoint of a lifts to the induced comma-level functor."""
     out = {"lemma": "comma-inherits-adjoint", "kind": adj_kind}
-    try:
-        found = search_half_right_adjoint(a, adj_kind, budget)
-    except BudgetExceeded:
-        found = None
-        out["note"] = "adjoint search hit the budget"
-    if found is None:
-        out["status"] = "vacuous"
-        out["reason"] = f"a has no {adj_kind}-right adjoint"
+    if _vacuous_without_adjoint(out, a, "a", adj_kind, budget):
         return out
     E = f.target
     fa = compose_functors(f, a)
@@ -133,103 +136,21 @@ def check_comma_inherits_adjoint(
 
 def _slice(F: FunctorData, d: str, kind: str):
     """The slice of F at d over which a pointwise Kan extension of `kind`
-    takes its (co)limit: (F/d) for "colim", (d/F) for "lim".
+    takes its (co)limit: the comma category (F/d) for "colim", (d/F) for
+    "lim", against the one-object category sent to d.
 
     Returns the comma category, its projection to F's source, its
     one-object side, and `place(main, point)`, which puts a functor on F's
     source side and one on the one-object side into the (I, K) argument
     slots of `induced_comma_functor`.
     """
+    star = terminal_category()
+    anchor = const_functor(star, F.target, d, name=f"at[{d}]")
     if kind == "colim":
-        c = slice_comma(F, d, "left")
-        return c, c.forget1, c.right.source, lambda main, point: (main, point)
-    c = slice_comma(F, d, "right")
-    return c, c.forget2, c.left.source, lambda main, point: (point, main)
-
-
-def _pointwise_kan_compare(pairs, target, kind, budget) -> dict:
-    """Shared core: at each anchor, verify the slice comparison functor has
-    the required half adjoint and both (co)limits exist, then compare the
-    (co)limit tips of the two slice diagrams."""
-    adj_kind = "post" if kind == "colim" else "pre"
-    oper = colimit if kind == "colim" else limit
-    checked, vacuous, results = 0, [], []
-    for anchor, t, src_diag, dst_diag in pairs:
-        try:
-            adj = search_half_right_adjoint(t, adj_kind, budget)
-        except BudgetExceeded:
-            adj = None
-        tip_src, why_s = _universal(oper, src_diag, budget)
-        tip_dst, why_d = _universal(oper, dst_diag, budget)
-        if adj is None or tip_src is None or tip_dst is None:
-            why = (
-                f"no {adj_kind}-right adjoint of the slice comparison"
-                if adj is None
-                else f"missing (co)limit ({why_s or why_d})"
-            )
-            vacuous.append({"anchor": anchor, "reason": why})
-            continue
-        checked += 1
-        iso = find_iso(target, tip_src, tip_dst)
-        results.append(
-            {"anchor": anchor, "tips": (tip_src, tip_dst), "ok": iso is not None}
-        )
-    failed = [r for r in results if not r["ok"]]
-    status = "failed" if failed else ("verified" if checked else "vacuous")
-    return {
-        "status": status,
-        "objects_checked": checked,
-        "vacuous_at": vacuous,
-        "failures": failed,
-    }
-
-
-def check_kan_restrict_source(
-    a: FunctorData, b: FunctorData, f: FunctorData, kind: str, budget: int = DEFAULT_BUDGET
-) -> dict:
-    """Kan extension along f of b agrees with the one along f.a of b.a.
-
-    kind "colim": at each e, colim over the slice (f.a | e) of b.a equals
-    colim over (f | e) of b, provided the induced slice functor has a
-    post-right adjoint; "lim" is the dual over the co-slices.
-    """
-    E = f.target
-    fa = compose_functors(f, a)
-    ba = compose_functors(b, a)
-    id_e = identity_functor(E)
-    pairs = []
-    for e in E.objects:
-        src, src_proj, point, place = _slice(fa, e, kind)
-        dst, dst_proj, _, _ = _slice(f, e, kind)
-        I, K = place(a, identity_functor(point))
-        t = induced_comma_functor(f"cmp[{e}]", I, id_e, K, src, dst)
-        pairs.append((e, t, compose_functors(ba, src_proj), compose_functors(b, dst_proj)))
-    out = _pointwise_kan_compare(pairs, b.target, kind, budget)
-    out["lemma"] = "kan-restrict-source"
-    out["kind"] = kind
-    return out
-
-
-def check_kan_after_composite(
-    c: FunctorData, d: FunctorData, e: FunctorData, kind: str, budget: int = DEFAULT_BUDGET
-) -> dict:
-    """The Kan extension along e.d, evaluated back through e, is the one
-    along d: pointwise at x, the slice of x along d embeds in the slice of
-    e(x) along e.d and the (co)limits agree under the slice adjoint."""
-    ed = compose_functors(e, d)
-    id_a = identity_functor(d.source)
-    pairs = []
-    for x in d.target.objects:
-        src, src_proj, src_point, place = _slice(d, x, kind)
-        dst, dst_proj, dst_point, _ = _slice(ed, e.on_obj(x), kind)
-        I, K = place(id_a, thin_functor("pt", src_point, dst_point, {"*": "*"}))
-        t = induced_comma_functor(f"cmp[{x}]", I, e, K, src, dst)
-        pairs.append((x, t, compose_functors(c, src_proj), compose_functors(c, dst_proj)))
-    out = _pointwise_kan_compare(pairs, c.target, kind, budget)
-    out["lemma"] = "kan-after-composite"
-    out["kind"] = kind
-    out["note"] = "comparison goes from the d-slice into the ed-slice"
-    return out
+        c = build_comma(F, anchor, f"({F.name}/{d})")
+        return c, c.forget1, star, lambda main, point: (main, point)
+    c = build_comma(anchor, F, f"({d}/{F.name})")
+    return c, c.forget2, star, lambda main, point: (point, main)
 
 
 def check_kan_square(
@@ -241,35 +162,69 @@ def check_kan_square(
     kind: str,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
-    """The combined square: the Kan extension of b.a along d agrees with
-    the extension of b along f read back through e, given f.a = e.d."""
-    fa = compose_functors(f, a)
-    ed = compose_functors(e, d)
-    if not functor_equal(fa, ed):
-        return {
-            "lemma": "kan-square",
-            "kind": kind,
-            "status": "vacuous",
-            "reason": "the square f.a = e.d does not commute",
-        }
+    """The Kan extension of b.a along d agrees with the extension of b
+    along f read back through e, given f.a = e.d.
+
+    At each object x of d's target, (a, e) induce a comparison from the
+    slice of x along d into the slice of e(x) along f.  Where it has the
+    required half adjoint (post-right for "colim", pre-right for "lim") and
+    both (co)limits exist, their tips must be isomorphic.
+    """
+    out = {"lemma": "kan-square", "kind": kind}
+    if not functor_equal(compose_functors(f, a), compose_functors(e, d)):
+        out["status"] = "vacuous"
+        out["reason"] = "the square f.a = e.d does not commute"
+        return out
+    adj_kind = "post" if kind == "colim" else "pre"
+    oper = colimit if kind == "colim" else limit
     ba = compose_functors(b, a)
-    id_a = identity_functor(a.source)
-    id_e = identity_functor(f.target)
-    pairs = []
+    checked, vacuous, failed = 0, [], []
     for x in d.target.objects:
-        ex = e.on_obj(x)
         src, src_proj, src_point, place = _slice(d, x, kind)
-        mid, _, mid_point, _ = _slice(fa, ex, kind)
-        dst, dst_proj, _, _ = _slice(f, ex, kind)
-        I, K = place(id_a, thin_functor("pt", src_point, mid_point, {"*": "*"}))
-        m = induced_comma_functor(f"m[{x}]", I, e, K, src, mid)
-        I, K = place(a, identity_functor(mid_point))
-        astar = induced_comma_functor(f"a*[{x}]", I, id_e, K, mid, dst)
-        t = compose_functors(astar, m)
-        pairs.append((x, t, compose_functors(ba, src_proj), compose_functors(b, dst_proj)))
-    out = _pointwise_kan_compare(pairs, b.target, kind, budget)
-    out["lemma"] = "kan-square"
-    out["kind"] = kind
+        dst, dst_proj, dst_point, _ = _slice(f, e.on_obj(x), kind)
+        I, K = place(a, thin_functor("pt", src_point, dst_point, {"*": "*"}))
+        t = induced_comma_functor(f"cmp[{x}]", I, e, K, src, dst)
+        try:
+            adj = search_half_right_adjoint(t, adj_kind, budget)
+        except BudgetExceeded:
+            adj = None
+        tip_src, why_s = _universal(oper, compose_functors(ba, src_proj), budget)
+        tip_dst, why_d = _universal(oper, compose_functors(b, dst_proj), budget)
+        if adj is None:
+            why = f"no {adj_kind}-right adjoint of the slice comparison"
+            vacuous.append({"anchor": x, "reason": why})
+        elif tip_src is None or tip_dst is None:
+            why = f"missing (co)limit ({why_s or why_d})"
+            vacuous.append({"anchor": x, "reason": why})
+        else:
+            checked += 1
+            if find_iso(b.target, tip_src, tip_dst) is None:
+                failed.append({"anchor": x, "tips": (tip_src, tip_dst), "ok": False})
+    out["status"] = "failed" if failed else ("verified" if checked else "vacuous")
+    out.update(objects_checked=checked, vacuous_at=vacuous, failures=failed)
+    return out
+
+
+def check_kan_restrict_source(
+    a: FunctorData, b: FunctorData, f: FunctorData, kind: str, budget: int = DEFAULT_BUDGET
+) -> dict:
+    """Kan extension along f of b agrees with the one along f.a of b.a:
+    the Kan square with d = f.a and e = Id."""
+    id_e = identity_functor(f.target)
+    out = check_kan_square(a, b, compose_functors(f, a), id_e, f, kind, budget)
+    out["lemma"] = "kan-restrict-source"
+    return out
+
+
+def check_kan_after_composite(
+    c: FunctorData, d: FunctorData, e: FunctorData, kind: str, budget: int = DEFAULT_BUDGET
+) -> dict:
+    """The Kan extension along e.d, evaluated back through e, is the one
+    along d: the Kan square with a = Id and f = e.d."""
+    id_a = identity_functor(d.source)
+    out = check_kan_square(id_a, c, d, e, compose_functors(e, d), kind, budget)
+    out["lemma"] = "kan-after-composite"
+    out["note"] = "comparison goes from the d-slice into the ed-slice"
     return out
 
 
@@ -473,36 +428,23 @@ def kan_square_instances(seed: int) -> list[dict]:
     return out
 
 
+# Each lemma: its instance generator, its checker, and the instance keys
+# passed to the checker in order (the budget follows them).
 LEMMA_CHECKS = {
     "precompose_invariance": (
-        precompose_instances,
-        lambda inst, budget: check_precompose_invariance(
-            inst["f"], inst["g"], inst["kind"], budget
-        ),
+        precompose_instances, check_precompose_invariance, ("f", "g", "kind")
     ),
     "comma_inherits_adjoint": (
-        comma_inherits_instances,
-        lambda inst, budget: check_comma_inherits_adjoint(
-            inst["a"], inst["f"], inst["kind"], budget
-        ),
+        comma_inherits_instances, check_comma_inherits_adjoint, ("a", "f", "kind")
     ),
     "kan_restrict_source": (
-        kan_restrict_instances,
-        lambda inst, budget: check_kan_restrict_source(
-            inst["a"], inst["b"], inst["f"], inst["kind"], budget
-        ),
+        kan_restrict_instances, check_kan_restrict_source, ("a", "b", "f", "kind")
     ),
     "kan_after_composite": (
-        kan_composite_instances,
-        lambda inst, budget: check_kan_after_composite(
-            inst["c"], inst["d"], inst["e"], inst["kind"], budget
-        ),
+        kan_composite_instances, check_kan_after_composite, ("c", "d", "e", "kind")
     ),
     "kan_square": (
-        kan_square_instances,
-        lambda inst, budget: check_kan_square(
-            inst["a"], inst["b"], inst["d"], inst["e"], inst["f"], inst["kind"], budget
-        ),
+        kan_square_instances, check_kan_square, ("a", "b", "d", "e", "f", "kind")
     ),
 }
 
@@ -510,10 +452,10 @@ LEMMA_CHECKS = {
 def run_lemma_suite(seed: int = 0, budget: int = DEFAULT_BUDGET) -> dict[str, dict]:
     """All lemma checkers over their seeded instances, with per-lemma tallies."""
     report: dict[str, dict] = {}
-    for lemma, (gen, check) in LEMMA_CHECKS.items():
+    for lemma, (gen, check, keys) in LEMMA_CHECKS.items():
         rows = []
         for inst in gen(seed):
-            res = check(inst, budget)
+            res = check(*(inst[k] for k in keys), budget)
             res["instance"] = inst["name"]
             rows.append(res)
         report[lemma] = {

@@ -42,6 +42,7 @@ round-trip byte-for-byte.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .construct import BUILTIN_NAMES, Setup, builtin_model
@@ -112,6 +113,10 @@ class SpecDocument:
 def parse_spec(text: str) -> SpecDocument:
     doc = SpecDocument()
     block = None       # (kind, object)
+    # The ids each line kind has declared in the open block, and the object
+    # and morphism ids of each closed category, so every check is a lookup.
+    ids: dict[str, set] = defaultdict(set)
+    category_ids: dict[str, dict[str, set]] = {}
     seen_version = False
     seen_any = False
 
@@ -183,6 +188,7 @@ def parse_spec(text: str) -> SpecDocument:
                 block = ("setup", SetupBlock())
             else:
                 err(n, f"unknown directive {head!r}")
+            ids = defaultdict(set)
             continue
 
         kind, b = block
@@ -191,6 +197,7 @@ def parse_spec(text: str) -> SpecDocument:
                 err(n, "end takes no arguments")
             if kind == "category":
                 doc.categories[b.name] = b
+                category_ids[b.name] = ids
             elif kind == "functor":
                 doc.functors[b.name] = b
             elif kind == "carriers":
@@ -205,11 +212,11 @@ def parse_spec(text: str) -> SpecDocument:
             continue
 
         if kind == "category":
-            objs = set(b.objects)
-            mors = {m[0] for m in b.morphisms}
+            objs, mors = ids["object"], ids["morphism"]
             if head == "object" and len(toks) == 2:
                 if toks[1] in objs:
                     err(n, f"duplicate object {toks[1]!r}")
+                objs.add(toks[1])
                 b.objects.append(toks[1])
             elif head == "morphism" and len(toks) == 4:
                 mid, dom, cod = toks[1:]
@@ -218,64 +225,71 @@ def parse_spec(text: str) -> SpecDocument:
                 for o in (dom, cod):
                     if o not in objs:
                         err(n, f"dangling reference: object {o!r} not declared")
+                mors.add(mid)
                 b.morphisms.append((mid, dom, cod))
             elif head == "identity" and len(toks) == 3:
                 if toks[1] not in objs:
                     err(n, f"dangling reference: object {toks[1]!r} not declared")
                 if toks[2] not in mors:
                     err(n, f"dangling reference: morphism {toks[2]!r} not declared")
-                if any(o == toks[1] for o, _ in b.identities):
+                if toks[1] in ids["identity"]:
                     err(n, f"duplicate identity for {toks[1]!r}")
+                ids["identity"].add(toks[1])
                 b.identities.append((toks[1], toks[2]))
             elif head == "compose" and len(toks) == 4:
                 for m in toks[1:]:
                     if m not in mors:
                         err(n, f"dangling reference: morphism {m!r} not declared")
-                if any(c[:2] == (toks[1], toks[2]) for c in b.compositions):
+                if (toks[1], toks[2]) in ids["compose"]:
                     err(n, f"duplicate composition for ({toks[1]}, {toks[2]})")
+                ids["compose"].add((toks[1], toks[2]))
                 b.compositions.append((toks[1], toks[2], toks[3]))
             else:
                 err(n, f"bad category line {head!r}")
         elif kind == "functor":
-            src = doc.categories[b.src]
+            src, tgt = category_ids[b.src], category_ids[b.tgt]
             if head == "obj" and len(toks) == 3:
-                if toks[1] not in src.objects:
+                if toks[1] not in src["object"]:
                     err(n, f"dangling reference: object {toks[1]!r} not in {b.src}")
-                if toks[2] not in doc.categories[b.tgt].objects:
+                if toks[2] not in tgt["object"]:
                     err(n, f"dangling reference: object {toks[2]!r} not in {b.tgt}")
-                if any(x == toks[1] for x, _ in b.obj):
+                if toks[1] in ids["obj"]:
                     err(n, f"duplicate obj line for {toks[1]!r}")
+                ids["obj"].add(toks[1])
                 b.obj.append((toks[1], toks[2]))
             elif head == "mor" and len(toks) == 3:
-                if toks[1] not in {m[0] for m in src.morphisms}:
+                if toks[1] not in src["morphism"]:
                     err(n, f"dangling reference: morphism {toks[1]!r} not in {b.src}")
-                if toks[2] not in {m[0] for m in doc.categories[b.tgt].morphisms}:
+                if toks[2] not in tgt["morphism"]:
                     err(n, f"dangling reference: morphism {toks[2]!r} not in {b.tgt}")
-                if any(m == toks[1] for m, _ in b.mor):
+                if toks[1] in ids["mor"]:
                     err(n, f"duplicate mor line for {toks[1]!r}")
+                ids["mor"].add(toks[1])
                 b.mor.append((toks[1], toks[2]))
             else:
                 err(n, f"bad functor line {head!r}")
         elif kind == "carriers":
-            cat = doc.categories[b.cat]
+            cat = category_ids[b.cat]
             if head == "carrier" and len(toks) >= 2:
-                if toks[1] not in cat.objects:
+                if toks[1] not in cat["object"]:
                     err(n, f"dangling reference: object {toks[1]!r} not in {b.cat}")
-                if any(o == toks[1] for o, _ in b.carriers):
+                if toks[1] in ids["carrier"]:
                     err(n, f"duplicate carrier line for {toks[1]!r}")
                 if len(set(toks[2:])) != len(toks[2:]):
                     err(n, "carrier elements must be distinct")
+                ids["carrier"].add(toks[1])
                 b.carriers.append((toks[1], tuple(toks[2:])))
             elif head == "map" and len(toks) >= 2:
-                if toks[1] not in {m[0] for m in cat.morphisms}:
+                if toks[1] not in cat["morphism"]:
                     err(n, f"dangling reference: morphism {toks[1]!r} not in {b.cat}")
-                if any(m == toks[1] for m, _ in b.maps):
+                if toks[1] in ids["map"]:
                     err(n, f"duplicate map line for {toks[1]!r}")
                 pairs = []
                 for t in toks[2:]:
                     if t.count(">") != 1:
                         err(n, f"bad element pair {t!r} (want a>b)")
                     pairs.append(tuple(t.split(">")))
+                ids["map"].add(toks[1])
                 b.maps.append((toks[1], tuple(pairs)))
             else:
                 err(n, f"bad carriers line {head!r}")
@@ -318,8 +332,9 @@ def parse_spec(text: str) -> SpecDocument:
             elif head == "basenull" and len(toks) == 3:
                 if toks[2] not in doc.nullities:
                     err(n, f"dangling reference: nullity {toks[2]!r} not declared")
-                if any(o == toks[1] for o, _ in b.basenull):
+                if toks[1] in ids["basenull"]:
                     err(n, f"duplicate basenull line for {toks[1]!r}")
+                ids["basenull"].add(toks[1])
                 b.basenull.append((toks[1], toks[2]))
             else:
                 err(n, f"bad setup line {head!r}")

@@ -193,9 +193,10 @@ def test_minimality_on_covered_models():
     assert rep.checked == {"candidates": 5, "admissible": 2}
 
 
-def test_minimality_guard():
+def test_minimality_guard(monkeypatch):
+    monkeypatch.setattr(nullkan.construct, "MINIMALITY_GUARD", 4)
     with pytest.raises(BudgetExceeded):
-        verify_minimality(builtin_model("f2_trivial"), guard=4)
+        verify_minimality(builtin_model("f2_trivial"))
 
 
 def test_minimality_reports_smaller_candidate(idempotent_setup):

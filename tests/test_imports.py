@@ -1,7 +1,8 @@
-"""Every name a module imports is used there or re-exported, every function
-and class the package defines is referenced somewhere, every module imports
-only the standard library and nullkan, and the benchmark tracer's targets
-exist."""
+"""Every name a module imports is used there or re-exported, and no function
+imports it again; every function and class the package defines is
+referenced somewhere; every module imports only the standard library and
+nullkan; budget errors are raised only by the step meter and the
+minimality guard; and the benchmark tracer's targets exist."""
 
 import ast
 import importlib.util
@@ -54,6 +55,76 @@ def test_detector_flags_an_unused_import():
     tree = ast.parse("import os\nfrom json import dumps, loads\nloads('1')\n")
     unused = set(imported_names(tree)) - used_names(tree)
     assert unused == {"os", "dumps"}
+
+
+def reimported_names(tree: ast.Module) -> dict[str, int]:
+    """Name -> line, for every import inside a function of a name that the
+    module already imports at the top."""
+    top = imported_names(
+        ast.Module([n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))], [])
+    )
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out |= {k: v for k, v in imported_names(node).items() if k in top}
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_reimports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    again = reimported_names(tree)
+    assert not again, f"{path.name}: imported again inside a function {again}"
+
+
+def test_reimport_detector_flags_a_local_import():
+    tree = ast.parse(
+        "import os\nfrom json import dumps\n"
+        "def f():\n    import os\n    import sys\n    return os, sys\n"
+        "def g():\n    from json import dumps, loads\n    return dumps, loads\n"
+    )
+    assert reimported_names(tree) == {"os": 4, "dumps": 8}
+
+
+def constructor_sites(tree: ast.Module, cls: str) -> set[str]:
+    """Qualified names of the functions (or "<module>") that call `cls`."""
+    out = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{prefix}{child.name}.")
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == cls:
+                    out.add(prefix.rstrip(".") or "<module>")
+            visit(child, prefix)
+
+    visit(tree, "")
+    return out
+
+
+def test_budget_errors_come_from_the_meter_and_the_guard():
+    # Every exhaustive search counts its steps with fincat's meter; only
+    # the minimality guard refuses on a fixed bound instead.
+    sites = {
+        (path.name, site)
+        for path in sorted(SRC.glob("*.py"))
+        for site in constructor_sites(
+            ast.parse(path.read_text(encoding="utf-8")), "BudgetExceeded"
+        )
+    }
+    assert sites == {("fincat.py", "_Meter.step"), ("construct.py", "verify_minimality")}
+
+
+def test_constructor_detector_finds_each_site():
+    tree = ast.parse(
+        "class M:\n    def step(self):\n        raise E('x', 1)\n"
+        "def g():\n    def inner():\n        return fincat.E('y', 2)\n    return inner\n"
+        "ERR = E('z', 3)\ndef h():\n    return F()\n"
+    )
+    assert constructor_sites(tree, "E") == {"M.step", "g.inner", "<module>"}
 
 
 def defined_names(tree: ast.Module) -> dict[str, int]:

@@ -9,14 +9,15 @@ from nullkan.fincat import (
     discrete_category,
 )
 from nullkan.kan import (
+    KanResult,
     NullityDiagram,
     check_universal,
     fibers,
     left_kan,
     right_kan,
-    slice_comma,
 )
-from nullkan.order import FiniteSet, down_closure
+from nullkan.lemmas import _slice
+from nullkan.order import FiniteSet, SetMap, down_closure, trivial_nullity
 
 
 @pytest.fixture
@@ -75,6 +76,22 @@ def test_universal_property_of_fiber_result(two_points_over_chain):
     assert rep.checked["competitors"] > 0
 
 
+def test_universal_check_right_side_and_transports(two_points_over_chain):
+    K, diag, carriers, c = two_points_over_chain
+    R = right_kan(K, diag, carriers)
+    rep = check_universal(K, diag, R, target_carriers=carriers)
+    assert rep.ok and rep.checked["competitors"] == 25
+    # Too small on the right: the counit exists, but diag's own values are
+    # a competitor that does not factor through it.
+    small = KanResult("right", {d: trivial_nullity(c) for d in carriers}, {}, {}, True)
+    rep = check_universal(K, diag, small, target_carriers=carriers)
+    assert {v.law for v in rep.violations} == {"kan-not-universal"}
+    # Identity transports keep the 14 pairs with H(t0) inside H(t1).
+    ident = {m.name: SetMap(c, c, (0, 1)) for m in K.target.morphisms}
+    rep = check_universal(K, diag, R, target_carriers=carriers, target_transports=ident)
+    assert rep.ok and rep.checked["competitors"] == 14
+
+
 def test_universal_check_reports_budget(two_points_over_chain):
     K, diag, carriers, c = two_points_over_chain
     L = left_kan(K, diag, carriers)
@@ -82,9 +99,18 @@ def test_universal_check_reports_budget(two_points_over_chain):
         check_universal(K, diag, L, target_carriers=carriers, budget=1)
 
 
+def test_universal_check_smallest_finishing_budget(two_points_over_chain):
+    # Each structure tried is a step: 5 on t0, then 5 on t1 under each.
+    K, diag, carriers, c = two_points_over_chain
+    L = left_kan(K, diag, carriers)
+    assert check_universal(K, diag, L, target_carriers=carriers, budget=30).ok
+    with pytest.raises(BudgetExceeded, match="enumerate_assignments"):
+        check_universal(K, diag, L, target_carriers=carriers, budget=29)
+
+
 def test_slice_and_fiber_shapes(two_points_over_chain):
     K, diag, carriers, c = two_points_over_chain
-    sl = slice_comma(K, "t1", "left")
+    sl = _slice(K, "t1", "colim")[0]
     assert len(sl.category.objects) == 2  # d0 via t0<=t1 and d1 via id
     assert fibers(K) == {"t0": ["d0"], "t1": ["d1"]}
     S = chain_preorder("S", ["s0", "s1"])

@@ -15,6 +15,7 @@ from nullkan.lemmas import (
     run_lemma_suite,
     thin_functor,
 )
+from nullkan.report import canonical_json, digest
 
 
 @pytest.fixture
@@ -103,6 +104,30 @@ def test_suite_thresholds_and_counts():
         assert row["failures"] == []
         assert row["verified"] >= 5  # enough real instances per claim
         assert row["vacuous"] >= 1  # and at least one reported skip
+
+
+# digest(canonical_json(run_lemma_suite(seed, budget))) pins every row,
+# reason and note, at budgets that run out at once, midway and never.
+SUITE_DIGESTS = {
+    (0, 1): "49d96cfce44bf8422559cf36394b350d3a821c861d1bea58c9cb750e4a64354c",
+    (0, 13): "31726e93346186ad6cd8860d1773133dc304ba8c2f73ae7ec225b5d6d37a6aae",
+    (0, 200_000): "1c458d94f5fe31768dabb8afcbaa0d97d76a6fba4345aaaf64619587a11c7524",
+    (1, 1): "38515ba9dcfcd1fc7a0325f4f3434a078184d813f98195ff146cbaa20fa6a885",
+    (1, 13): "e09a3a11b1d8004da535b4a63ee985fea76597c50ecc1a4bb32f1f4169ceae5a",
+    (1, 200_000): "d8ffeab7a8b1b609ad9e716ca119d3fc2dd5c6f18283d5c1dcb9e39d4552ec96",
+    (2, 1): "fd8b0bbb4d713d17ff151917cede2a1532c17e8e092e0c0f2e248556aafafded",
+    (2, 13): "397d9b0c4687bb049e4ca6d6066517d30580331d15b71b2024ac67f04d7e9fe2",
+    (2, 200_000): "1b63da01db8932cc43057982d39c94ce974270a67d754348ad1e057189f06468",
+    (3, 1): "ed541e2b945ee0737b31ce11b367bad07ee207f495f40c7543cc1473334da711",
+    (3, 13): "b67f9e67dbef4363104f94b113fde6172bba1406ab45d7654b258b9d32a25779",
+    (3, 200_000): "3a737f4b57c402decb81250593eef451558bbe3e61a0e7dfc296d17214fbbfea",
+}
+
+
+@pytest.mark.parametrize("seed,budget", sorted(SUITE_DIGESTS))
+def test_suite_report_is_pinned(seed, budget):
+    report = canonical_json(run_lemma_suite(seed, budget)).encode()
+    assert digest(report) == "sha256:" + SUITE_DIGESTS[seed, budget]
 
 
 def test_suite_is_seed_deterministic():

@@ -1,5 +1,8 @@
 """Model file parsing, canonical serialization, and setup construction."""
 
+import itertools
+import time
+
 import pytest
 
 from nullkan.construct import BUILTIN_NAMES, builtin_model, main_null
@@ -103,6 +106,9 @@ def test_null_lines_are_closed_downward():
     assert s.base_null["P0"].is_full()
 
 
+CAT = "version: 1\ncategory C\n  object x\n  morphism i x x\n  morphism f x x\n"
+
+
 @pytest.mark.parametrize(
     "text,line,message",
     [
@@ -142,6 +148,23 @@ def test_null_lines_are_closed_downward():
             7,
             "cannot also declare blocks",
         ),
+        (CAT + "  morphism f x x\nend\n", 6, "duplicate morphism 'f'"),
+        (CAT + "  identity x i\n  identity x f\nend\n", 7, "duplicate identity for 'x'"),
+        (CAT + "  compose f f f\n  compose f f i\nend\n", 7, "duplicate composition for (f, f)"),
+        (CAT + "end\nfunctor F C C\n  obj x y\n", 8, "object 'y' not in C"),
+        (CAT + "end\nfunctor F C C\n  obj x x\n  obj x x\n", 9, "duplicate obj line for 'x'"),
+        (CAT + "end\nfunctor F C C\n  mor g f\n", 8, "morphism 'g' not in C"),
+        (CAT + "end\nfunctor F C C\n  mor f f\n  mor f i\n", 9, "duplicate mor line for 'f'"),
+        (CAT + "end\ncarriers g C\n  carrier y u\n", 8, "object 'y' not in C"),
+        (CAT + "end\ncarriers g C\n  carrier x u\n  carrier x v\n", 9, "duplicate carrier line"),
+        (CAT + "end\ncarriers g C\n  map i\n  map i\n", 9, "duplicate map line for 'i'"),
+        (
+            CAT + "end\nnullity n\n  carrier u\nend\nsetup\n  basenull x n\n  basenull x n\n",
+            12,
+            "duplicate basenull line for 'x'",
+        ),
+        # ids are per block: a second category may reuse them
+        (CAT + "end\ncategory D\n  object x\n  morphism f x x\nend\n", 11, "missing setup"),
     ],
 )
 def test_parse_errors_carry_locations(text, line, message):
@@ -149,6 +172,42 @@ def test_parse_errors_carry_locations(text, line, message):
         parse_spec(text)
     assert exc.value.line == line
     assert message in exc.value.reason
+
+
+def transformation_monoid_spec(points: int) -> str:
+    """Canonical spec text: the monoid of all maps on `points` points as a
+    one-object main category, wired by identity."""
+    elems = sorted(itertools.product(range(points), repeat=points))
+    ident = tuple(range(points))
+    name = {f: "id:P0" if f == ident else "m" + "".join(map(str, f)) for f in elems}
+    maps = [f for f in elems if f != ident]
+    carrier = " ".join(f"p{i}" for i in range(points))
+    lines = ["version: 1", "", "category P", "  object P0"]
+    lines += [f"  morphism {name[f]} P0 P0" for f in elems]
+    lines.append("  identity P0 id:P0")
+    lines += [
+        f"  compose {name[g]} {name[f]} {name[tuple(g[i] for i in f)]}"
+        for g in maps
+        for f in maps
+    ]
+    lines += ["end", "", "functor idP P P", "  obj P0 P0"]
+    lines += [f"  mor {name[f]} {name[f]}" for f in maps]
+    lines += ["end", "", "carriers gam P", f"  carrier P0 {carrier}"]
+    lines += [
+        f"  map {name[f]} " + " ".join(f"p{i}>p{j}" for i, j in enumerate(f)) for f in maps
+    ]
+    lines += ["end", "", "nullity n0", f"  carrier {carrier}", "  null", "end", ""]
+    lines += ["setup", "  base P", "  inter P", "  main P", "  j2 idP", "  j1 idP"]
+    lines += ["  pi idP", "  gamma gam", "  basenull P0 n0", "end"]
+    return "\n".join(lines) + "\n"
+
+
+def test_large_spec_parses_in_linear_time():
+    # 65,025 compose lines; every per-line check must be a lookup.
+    text = transformation_monoid_spec(4)
+    t0 = time.perf_counter()
+    assert serialize_spec(parse_spec(text)) == text
+    assert time.perf_counter() - t0 < 10
 
 
 def test_to_setup_requires_complete_functors():
