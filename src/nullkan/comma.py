@@ -39,25 +39,15 @@ def comma_mor(f: str, g: str, dom: str, cod: str) -> str:
 
 @dataclass
 class CommaCategory:
+    """A materialized comma category.  A morphism's components (f, g) are
+    its images under `forget1` and `forget2`."""
+
     category: FinCategory
     left: FunctorData
     right: FunctorData
     obj_data: dict[str, tuple[str, str, str]]
-    mor_data: dict[str, tuple[str, str]]
     forget1: FunctorData
     forget2: FunctorData
-
-    def object_for(self, a: str, phi: str, b: str) -> str:
-        oid = comma_obj(a, phi, b)
-        if oid not in self.obj_data:
-            raise EngineError(f"{self.category.name}: no comma object {oid}")
-        return oid
-
-    def morphism_for(self, f: str, g: str, dom: str, cod: str) -> str:
-        mid = comma_mor(f, g, dom, cod)
-        if mid not in self.mor_data:
-            raise EngineError(f"{self.category.name}: no comma morphism {mid}")
-        return mid
 
 
 def build_comma(
@@ -88,7 +78,8 @@ def build_comma(
         raise EngineError(f"{name}: {len(objects)} objects exceed bound {max_objects}")
 
     morphisms: list[tuple[str, str, str]] = []
-    mor_data: dict[str, tuple[str, str]] = {}
+    fst: dict[str, str] = {}
+    snd: dict[str, str] = {}
     for xid, (a, phi, b) in obj_data.items():
         for yid, (a2, phi2, b2) in obj_data.items():
             for f in A.hom(a, a2):
@@ -100,7 +91,8 @@ def build_comma(
                         raise EngineError(f"{name}: more than {max_morphisms} morphisms")
                     mid = comma_mor(f, g, xid, yid)
                     morphisms.append((mid, xid, yid))
-                    mor_data[mid] = (f, g)
+                    fst[mid] = f
+                    snd[mid] = g
 
     identity = {}
     for xid, (a, phi, b) in obj_data.items():
@@ -113,30 +105,16 @@ def build_comma(
 
     composition = {}
     for m2, (x2, y2) in ends.items():
-        f2, g2 = mor_data[m2]
         for m1 in by_cod[x2]:
-            f1, g1 = mor_data[m1]
             composition[(m2, m1)] = comma_mor(
-                A.compose(f2, f1), B.compose(g2, g1), ends[m1][0], y2
+                A.compose(fst[m2], fst[m1]), B.compose(snd[m2], snd[m1]), ends[m1][0], y2
             )
 
     cat = FinCategory(name, objects, morphisms, identity, composition)
-    forget1 = FunctorData(
-        f"fst[{name}]",
-        cat,
-        A,
-        {x: obj_data[x][0] for x in objects},
-        {m: mor_data[m][0] for m in mor_data},
-    )
-    forget2 = FunctorData(
-        f"snd[{name}]",
-        cat,
-        B,
-        {x: obj_data[x][2] for x in objects},
-        {m: mor_data[m][1] for m in mor_data},
-    )
+    forget1 = FunctorData(f"fst[{name}]", cat, A, {x: obj_data[x][0] for x in objects}, fst)
+    forget2 = FunctorData(f"snd[{name}]", cat, B, {x: obj_data[x][2] for x in objects}, snd)
     cat.faithful = (forget1, forget2)
-    return CommaCategory(cat, alpha, beta, obj_data, mor_data, forget1, forget2)
+    return CommaCategory(cat, alpha, beta, obj_data, forget1, forget2)
 
 
 def terminal_category(name: str = "*") -> FinCategory:
@@ -198,13 +176,19 @@ def induced_comma_functor(
 
     obj_map = {}
     for xid, (a, phi, b) in src.obj_data.items():
-        obj_map[xid] = dst.object_for(I.on_obj(a), J.on_mor(phi), K.on_obj(b))
+        oid = comma_obj(I.on_obj(a), J.on_mor(phi), K.on_obj(b))
+        if oid not in dst.obj_data:
+            raise EngineError(f"{dst.category.name}: no comma object {oid}")
+        obj_map[xid] = oid
     mor_map = {}
-    for mid, (f, g) in src.mor_data.items():
-        m = src.category.mor(mid)
-        mor_map[mid] = dst.morphism_for(
-            I.on_mor(f), K.on_mor(g), obj_map[m.dom], obj_map[m.cod]
+    fst, snd = src.forget1.mor_map, src.forget2.mor_map
+    for m in src.category.morphisms:
+        mid = comma_mor(
+            I.on_mor(fst[m.name]), K.on_mor(snd[m.name]), obj_map[m.dom], obj_map[m.cod]
         )
+        if mid not in dst.forget1.mor_map:
+            raise EngineError(f"{dst.category.name}: no comma morphism {mid}")
+        mor_map[m.name] = mid
     return FunctorData(name, src.category, dst.category, obj_map, mor_map)
 
 

@@ -45,6 +45,7 @@ from .fincat import (
 )
 from .kan import KanResult, NullityDiagram, left_kan, right_kan
 from .nullity import (
+    _maps_category,
     bar_null as _bar_null,
     base_nullity,
     carrier_functor,
@@ -103,16 +104,33 @@ def gamma_on_base(s: Setup) -> FunctorData:
 # The comma web: every comma category and induced functor the construction
 # and its lemmas refer to.
 
+# name -> (J, K, source, target): the functor induced from (Id_B, J, K)
+# between two of the web's comma categories.  J and K are setup functors,
+# their composite j1j2, or the identities Id_I and Id_M.
+INDUCED = {
+    "pi_star": ("pi", "Id_M", "comma_main", "comma_probe"),
+    "pi_star_section": ("j1", "Id_M", "comma_probe", "comma_main"),
+    "iota1": ("j2", "j1j2", "arrow_base", "comma_probe"),
+    "iota2": ("j1j2", "j1j2", "arrow_base", "comma_main"),
+    "iota3": ("j2", "j2", "arrow_base", "comma_inter"),
+    "iota4": ("Id_I", "pi", "comma_probe", "comma_inter"),
+    "iota5": ("Id_I", "j1", "comma_inter", "comma_probe"),
+    "iota6": ("j1", "j1", "comma_inter", "comma_main"),
+    "iota7": ("pi", "pi", "comma_main", "comma_inter"),
+}
+
 
 class CommaWeb:
-    """The comma categories and induced functors of a setup.
+    """The four comma categories of a setup and the functors INDUCED
+    between them.
 
     Each member is built the first time it is read and kept, so a command
-    pays only for the members it uses.
+    pays only for the comma categories it uses.
     """
 
     def __init__(self, s: Setup):
         self.s = s
+        self._induced: dict[str, FunctorData] = {}
 
     @cached_property
     def arrow_base(self) -> CommaCategory:
@@ -134,59 +152,36 @@ class CommaWeb:
         """(j2 | Id_I)."""
         return build_comma(self.s.j2, identity_functor(self.s.inter), "(j2|I)")
 
-    @cached_property
-    def pi_star(self) -> FunctorData:
-        """comma_main -> comma_probe."""
+    def _leg(self, key: str) -> FunctorData:
         s = self.s
-        return induced_comma_functor(
-            "pi_star",
-            identity_functor(s.base),
-            s.pi,
-            identity_functor(s.main),
-            self.comma_main,
-            self.comma_probe,
-        )
+        if key == "j1j2":
+            return j1j2(s)
+        if key in ("Id_I", "Id_M"):
+            return identity_functor(s.inter if key == "Id_I" else s.main)
+        return getattr(s, key)
+
+    def induced(self, name: str) -> FunctorData:
+        """The functor INDUCED[name]; raises EngineError when one of its
+        defining squares fails."""
+        if name not in self._induced:
+            J, K, src, dst = INDUCED[name]
+            self._induced[name] = induced_comma_functor(
+                name,
+                identity_functor(self.s.base),
+                self._leg(J),
+                self._leg(K),
+                getattr(self, src),
+                getattr(self, dst),
+            )
+        return self._induced[name]
 
     @cached_property
-    def iota(self) -> dict[str, FunctorData]:
-        """iota1..iota7 and, when iota3 is invertible, iota3_rstar,
-        iota1_rstar and iota2_rstar."""
-        s = self.s
-        jj = j1j2(s)
-        id_b = identity_functor(s.base)
-        id_i = identity_functor(s.inter)
-        arrow_base, comma_main = self.arrow_base, self.comma_main
-        comma_probe, comma_inter = self.comma_probe, self.comma_inter
-        iota = {
-            "iota1": induced_comma_functor(
-                "iota1", id_b, s.j2, jj, arrow_base, comma_probe
-            ),
-            "iota2": induced_comma_functor(
-                "iota2", id_b, jj, jj, arrow_base, comma_main
-            ),
-            "iota3": induced_comma_functor(
-                "iota3", id_b, s.j2, s.j2, arrow_base, comma_inter
-            ),
-            "iota4": induced_comma_functor(
-                "iota4", id_b, id_i, s.pi, comma_probe, comma_inter
-            ),
-            "iota5": induced_comma_functor(
-                "iota5", id_b, id_i, s.j1, comma_inter, comma_probe
-            ),
-            "iota6": induced_comma_functor(
-                "iota6", id_b, s.j1, s.j1, comma_inter, comma_main
-            ),
-            "iota7": induced_comma_functor(
-                "iota7", id_b, s.pi, s.pi, comma_main, comma_inter
-            ),
-        }
-        rstar = functor_inverse(iota["iota3"])
+    def iota3_rstar(self) -> FunctorData | None:
+        """The inverse of iota3, when iota3 is invertible."""
+        rstar = functor_inverse(self.induced("iota3"))
         if rstar is not None:
             rstar.name = "iota3_rstar"
-            iota["iota3_rstar"] = rstar
-            iota["iota1_rstar"] = compose_functors(rstar, iota["iota4"], "iota1_rstar")
-            iota["iota2_rstar"] = compose_functors(rstar, iota["iota7"], "iota2_rstar")
-        return iota
+        return rstar
 
 
 def build_comma_web(s: Setup) -> CommaWeb:
@@ -235,20 +230,18 @@ def check_assumptions(s: Setup) -> ValidationReport:
                 _violation("A3-triangle", morphism=m.name, image=comp.mor_map[m.name])
             )
 
-    # A:4 iota3 has the declared retraction; report the natural-
-    # transformation comparisons in both directions as well, since models
-    # may satisfy only some of them.
+    # A:4 iota3 is invertible and its inverse rstar retracts it:
+    # rstar . iota3 = Id on Arrow(B).
     if not any(v.law.startswith(("A1", "A3")) for v in violations):
         web = build_comma_web(s)
         checked["A4"] = 1
-        rstar = web.iota.get("iota3_rstar")
+        rstar = web.iota3_rstar
         if rstar is None:
             violations.append(
                 _violation("A4-missing", detail="no iota3_rstar supplied or derivable")
             )
         else:
-            iota3 = web.iota["iota3"]
-            back = compose_functors(rstar, iota3)
+            back = compose_functors(rstar, web.induced("iota3"))
             if not functor_equal(back, identity_functor(web.arrow_base.category)):
                 violations.append(_violation("A4-retraction", detail="rstar.iota3 != Id"))
     return ValidationReport(not violations, checked, violations)
@@ -265,9 +258,7 @@ def comma_nullity(s: Setup) -> NullityDiagram:
     values = {}
     for oid, (b, phi, m) in cm.obj_data.items():
         values[oid] = preimage_nullity(setmap_of(s.gamma, phi), s.base_null[b])
-    transport = {
-        mid: setmap_of(s.gamma, g) for mid, (f, g) in cm.mor_data.items()
-    }
+    transport = {mid: setmap_of(s.gamma, g) for mid, g in cm.forget2.mor_map.items()}
     return NullityDiagram(cm.category, values, transport)
 
 
@@ -314,7 +305,7 @@ def run_pipeline(
     diag = comma_nullity(s)
     comma_violations = diag.preservation_violations()
     probed = right_kan(
-        web.pi_star,
+        web.induced("pi_star"),
         diag,
         probe_carriers(s),
         cross_check=cross_check,
@@ -507,37 +498,22 @@ class ExtensionReport:
         return {"hypothesis_met": self.hypothesis_met, "items": self.items}
 
 
-def _induced_pi_star_section(s: Setup) -> FunctorData | None:
-    """The induced section of pi_star, when its defining square holds.
-
-    The middle-row construction induces along (Id_B, j1, Id_M); its right
-    square needs j1 . pi = Id_M, which fails whenever M has morphisms that
-    the intermediate category forgets.
-    """
-    web = build_comma_web(s)
-    try:
-        return induced_comma_functor(
-            "pi_star_section",
-            identity_functor(s.base),
-            s.j1,
-            identity_functor(s.main),
-            web.comma_probe,
-            web.comma_main,
-        )
-    except EngineError:
-        return None
-
-
 def find_pi_star_section(
     s: Setup, budget: int = DEFAULT_BUDGET
 ) -> tuple[FunctorData | None, str]:
     """(section, how): the induced one, an exhaustively found one, or None."""
     web = build_comma_web(s)
-    cand = _induced_pi_star_section(s)
-    if cand is not None and check_right_inverse(web.pi_star, cand):
+    try:
+        # The section's right square needs j1 . pi = Id_M, which fails
+        # whenever M has morphisms that the intermediate category forgets.
+        cand = web.induced("pi_star_section")
+    except EngineError:
+        cand = None
+    pi_star = web.induced("pi_star")
+    if cand is not None and check_right_inverse(pi_star, cand):
         return cand, "induced"
     try:
-        found = find_section(web.pi_star, budget)
+        found = find_section(pi_star, budget)
     except BudgetExceeded:
         return None, "budget"
     if found is not None:
@@ -605,20 +581,19 @@ def verify_extension(s: Setup, budget: int = DEFAULT_BUDGET) -> ExtensionReport:
             web.arrow_base,
             gamma_comma,
         )
-        via_iota2 = compose_functors(lift_gamma, web.iota["iota2"])
+        via_iota2 = compose_functors(lift_gamma, web.induced("iota2"))
         items["gamma_square"] = {
             "status": "verified" if functor_equal(via_iota2, arrow_to_gamma) else "failed"
         }
 
     # Square 2: pi_star . iota2 = iota1.
-    sq2 = functor_equal(
-        compose_functors(web.pi_star, web.iota["iota2"]), web.iota["iota1"]
-    )
+    iota1, iota2 = web.induced("iota1"), web.induced("iota2")
+    sq2 = functor_equal(compose_functors(web.induced("pi_star"), iota2), iota1)
     items["probe_square"] = {"status": "verified" if sq2 else "failed"}
 
     # Square 3: the marginal of iota1 over the second projections.
     sq3 = functor_equal(
-        compose_functors(web.comma_probe.forget2, web.iota["iota1"]),
+        compose_functors(web.comma_probe.forget2, iota1),
         compose_functors(jj, web.arrow_base.forget2),
     )
     items["marginal_square"] = {"status": "verified" if sq3 else "failed"}
@@ -634,7 +609,7 @@ def verify_extension(s: Setup, budget: int = DEFAULT_BUDGET) -> ExtensionReport:
     yellow_bad = [
         oid
         for oid in web.arrow_base.category.objects
-        if pipe.comma_values.values[web.iota["iota2"].on_obj(oid)].masks
+        if pipe.comma_values.values[iota2.on_obj(oid)].masks
         != arrow_null[oid].masks
     ]
     items["triangle_comma"] = {
@@ -656,7 +631,7 @@ def verify_extension(s: Setup, budget: int = DEFAULT_BUDGET) -> ExtensionReport:
         blue_bad = [
             oid
             for oid in web.arrow_base.category.objects
-            if pipe.probed.extension[web.iota["iota1"].on_obj(oid)].masks
+            if pipe.probed.extension[iota1.on_obj(oid)].masks
             != arrow_null[oid].masks
         ]
         items["triangle_probe"] = {
@@ -810,41 +785,16 @@ def _identity_setup() -> Setup:
 
 
 def _injections_setup(k: int) -> Setup:
-    elements = ("a", "b", "c")
-    carriers = [FiniteSet(elements[:n]) for n in range(4)]
-    objs = [f"S{n}" for n in range(4)]
-
-    mors: list[tuple[str, str, str]] = []
-    maps: dict[str, SetMap] = {}
-    for i, ci in enumerate(carriers):
-        for jx, cj in enumerate(carriers):
-            if ci.size > cj.size:
-                continue
-            for images in itertools.permutations(range(cj.size), ci.size):
-                mid = f"inj:S{i}>S{jx}#{','.join(map(str, images))}"
-                mors.append((mid, objs[i], objs[jx]))
-                maps[mid] = SetMap(ci, cj, tuple(images))
-    by_data = {
-        (m[1], m[2], maps[m[0]].images): m[0] for m in mors
-    }
-    identity = {
-        objs[i]: by_data[(objs[i], objs[i], tuple(range(carriers[i].size)))]
-        for i in range(4)
-    }
-    comp = {}
-    for g, gd, gc in mors:
-        for f, fd, fc in mors:
-            if fc != gd:
-                continue
-            comp[(g, f)] = by_data[(fd, gc, maps[f].then(maps[g]).images)]
-    C = FinCategory("injections", objs, mors, identity, comp)
-    gamma = carrier_functor(
-        "gamma", C, {objs[i]: carriers[i] for i in range(4)}, maps
+    carriers = {f"S{n}": FiniteSet(("a", "b", "c")[:n]) for n in range(4)}
+    C, maps = _maps_category(
+        "injections",
+        carriers,
+        lambda f, a, b: len(set(f.images)) == len(f.images),
+        prefix="inj:",
     )
+    gamma = carrier_functor("gamma", C, carriers, maps)
     ident = identity_functor(C)
-    base = {
-        objs[i]: base_nullity("cardinality", carriers[i], k) for i in range(4)
-    }
+    base = {o: base_nullity("cardinality", c, k) for o, c in carriers.items()}
     return Setup(f"injections_card_{k}", C, C, C, ident, ident, ident, gamma, base)
 
 

@@ -120,7 +120,6 @@ class FinCategory:
                 raise EngineError(f"{name}: composition table references unknown name")
 
         self._obj_index = {x: i for i, x in enumerate(self.objects)}
-        self._mor_index = {m.name: i for i, m in enumerate(self.morphisms)}
         self._hom: dict[tuple[str, str], list[str]] = {}
         self._by_cod: dict[str, list[str]] = {x: [] for x in self.objects}
         for m in self.morphisms:
@@ -509,7 +508,7 @@ def check_functor(F: FunctorData, *, max_violations: int = 20) -> ValidationRepo
     for m in src.morphisms:
         checked["morphisms"] += 1
         fm = F.mor_map.get(m.name)
-        if fm is None or fm not in tgt._mor_index:
+        if fm is None or fm not in tgt._mor:
             violations.append(_violation("functor-morphism", morphism=m.name, image=str(fm)))
             continue
         im = tgt.mor(fm)
@@ -591,7 +590,7 @@ def check_natural(t: NatTransData, *, max_violations: int = 20) -> ValidationRep
     for x in F.source.objects:
         checked["components"] += 1
         c = t.components.get(x)
-        if c is None or c not in tgt._mor_index:
+        if c is None or c not in tgt._mor:
             violations.append(_violation("component-missing", object=x))
             continue
         m = tgt.mor(c)
@@ -780,6 +779,15 @@ def search_half_right_adjoint(
     return None
 
 
+def fibers(K: FunctorData) -> dict[str, list[str]]:
+    """For each target object d, the source objects over d, in the
+    source's declared order."""
+    out: dict[str, list[str]] = {d: [] for d in K.target.objects}
+    for x in K.source.objects:
+        out[K.on_obj(x)].append(x)
+    return out
+
+
 def find_section(F: FunctorData, budget: int = DEFAULT_BUDGET) -> FunctorData | None:
     """First functor S with F.S = Id on the target of F (a right inverse).
 
@@ -787,9 +795,7 @@ def find_section(F: FunctorData, budget: int = DEFAULT_BUDGET) -> FunctorData | 
     its fiber under F, so the search runs only over those: its first hit is
     the first section of the unrestricted enumeration.
     """
-    objs = {
-        y: [x for x in F.source.objects if F.on_obj(x) == y] for y in F.target.objects
-    }
+    objs = fibers(F)
     by_image: dict[str, set[str]] = {}
     for m in F.source.morphisms:
         by_image.setdefault(F.on_mor(m.name), set()).add(m.name)

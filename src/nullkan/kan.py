@@ -30,6 +30,7 @@ from .fincat import (
     _violation,
     colimit,
     discrete_category,
+    fibers,
     limit,
 )
 from .nullity import nullity_fiber_preorder
@@ -81,15 +82,6 @@ class KanResult:
     path: dict[str, str]
     slice_sizes: dict[str, int]
     comparison_ok: bool
-
-
-def fibers(K: FunctorData) -> dict[str, list[str]]:
-    """For each target object d, the source objects over d, in the
-    source's declared order."""
-    out: dict[str, list[str]] = {d: [] for d in K.target.objects}
-    for x in K.source.objects:
-        out[K.on_obj(x)].append(x)
-    return out
 
 
 # ---------------------------------------------------------------------------

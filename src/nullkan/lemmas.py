@@ -513,10 +513,14 @@ def check_setup_adjoints(s, budget: int = DEFAULT_BUDGET) -> dict:
             how = "budget"
         out[name] = {"present": got is not None, "how": how}
 
-    rstar1 = web.iota.get("iota1_rstar")
-    rstar2 = web.iota.get("iota2_rstar")
-    half("iota2_post_right_adjoint", web.iota["iota2"], rstar2, "post")
-    half("iota1_pre_right_adjoint", web.iota["iota1"], rstar1, "pre")
+    iota1, iota2 = web.induced("iota1"), web.induced("iota2")
+    rstar = web.iota3_rstar
+    rstar1 = rstar2 = None
+    if rstar is not None:
+        rstar1 = compose_functors(rstar, web.induced("iota4"), "iota1_rstar")
+        rstar2 = compose_functors(rstar, web.induced("iota7"), "iota2_rstar")
+    half("iota2_post_right_adjoint", iota2, rstar2, "post")
+    half("iota1_pre_right_adjoint", iota1, rstar1, "pre")
     if sec2 is not None:
         # A genuine section is a pre- and post-right adjoint with identity
         # comparison, so only the absent case needs a search.

@@ -52,10 +52,11 @@ def all_set_maps(dom: FiniteSet, cod: FiniteSet):
 
 
 def _maps_category(
-    name: str, carriers: dict[str, FiniteSet], admits
+    name: str, carriers: dict[str, FiniteSet], admits, prefix: str = ""
 ) -> tuple[FinCategory, dict[str, SetMap]]:
     """One object per entry of `carriers` (object id -> carrier) and one
     morphism per set map f: a -> b with `admits(f, a, b)`, composed as maps.
+    Morphism ids are `prefix` followed by `_map_id`.
 
     Returns (category, morphism id -> SetMap).
     """
@@ -67,7 +68,7 @@ def _maps_category(
             for images in all_set_maps(ca, cb):
                 f = SetMap(ca, cb, images)
                 if admits(f, a, b):
-                    mid = _map_id(a, b, images)
+                    mid = prefix + _map_id(a, b, images)
                     mors.append(Mor(mid, a, b))
                     setmap[mid] = f
                     by_data[(a, b, images)] = mid

@@ -468,7 +468,16 @@ def to_setup(doc: SpecDocument, name: str = "spec") -> Setup:
     maps = {}
     for mid, pairs in cb.maps:
         dom, cod = carr[main.dom(mid)], carr[main.cod(mid)]
-        maps[mid] = SetMap.from_dict(dom, cod, dict(pairs))
+        table: dict[str, str] = {}
+        for a, v in pairs:
+            if a not in dom.elements:
+                raise EngineError(
+                    f"gamma map {mid!r} names {a!r}, not in the carrier of {main.dom(mid)!r}"
+                )
+            if a in table:
+                raise EngineError(f"gamma map {mid!r} gives element {a!r} twice")
+            table[a] = v
+        maps[mid] = SetMap.from_dict(dom, cod, table)
     for m in main.morphisms:
         if m.name not in maps:
             if main.is_identity(m.name):

@@ -151,14 +151,20 @@ def test_ac2_points_comma_and_marginal_squares():
             jj = j1j2(s)
             id_b = identity_functor(s.base)
             cases = [
-                (w.pi_star, id_b, identity_functor(s.main), w.comma_main, w.comma_probe),
-                (w.iota["iota1"], id_b, jj, w.arrow_base, w.comma_probe),
-                (w.iota["iota2"], id_b, jj, w.arrow_base, w.comma_main),
-                (w.iota["iota3"], id_b, s.j2, w.arrow_base, w.comma_inter),
-                (w.iota["iota4"], id_b, s.pi, w.comma_probe, w.comma_inter),
-                (w.iota["iota5"], id_b, s.j1, w.comma_inter, w.comma_probe),
-                (w.iota["iota6"], id_b, s.j1, w.comma_inter, w.comma_main),
-                (w.iota["iota7"], id_b, s.pi, w.comma_main, w.comma_inter),
+                (
+                    w.induced("pi_star"),
+                    id_b,
+                    identity_functor(s.main),
+                    w.comma_main,
+                    w.comma_probe,
+                ),
+                (w.induced("iota1"), id_b, jj, w.arrow_base, w.comma_probe),
+                (w.induced("iota2"), id_b, jj, w.arrow_base, w.comma_main),
+                (w.induced("iota3"), id_b, s.j2, w.arrow_base, w.comma_inter),
+                (w.induced("iota4"), id_b, s.pi, w.comma_probe, w.comma_inter),
+                (w.induced("iota5"), id_b, s.j1, w.comma_inter, w.comma_probe),
+                (w.induced("iota6"), id_b, s.j1, w.comma_inter, w.comma_main),
+                (w.induced("iota7"), id_b, s.pi, w.comma_main, w.comma_inter),
             ]
             for F, I, K, src, dst in cases:
                 left = compose_functors(dst.forget1, F)

@@ -1,5 +1,6 @@
 """Command line surface: exit codes, report shapes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -172,3 +173,90 @@ def test_target_is_required(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["validate"])
     assert exc.value.code == 2
+
+
+# sha256 of the --json report and the exit code of each command on each
+# builtin and shipped spec.  materialize on injections_card_1 and _2 is left
+# out: it does the same work as on injections_card_0.
+PINNED = [
+    ("validate", "identity", 0, "18323d7cf4ffbde5ab26c1f664e99d8339d05fc0df75201900a21401a7b6a3ca"),
+    ("validate", "f2_trivial", 0, "666e336ba3a4fa13a00d4f68728f8e08d9de7539a848bca58620d19b844b7539"),
+    ("validate", "f2_proper", 0, "833674554fe212958fb3e4307b1afab2708bb9a6ce7f07326abab6293d3755be"),
+    ("validate", "injections_card_0", 0, "83a9e7aac2dd63d6802c41b293374e3fede9fc6d745de9599a72385bc14244a0"),
+    ("validate", "injections_card_1", 0, "cf404ca0d3fc976b40d1487bd48cd639e79a438fb6c524f0305f46b541c448ff"),
+    ("validate", "injections_card_2", 0, "866839793e7a735902f854e820457dd05687638b9ed60292047ee2410c0b147d"),
+    ("validate", "f2_proper.spec", 0, "d8da283a3fe10ef2b4ff2c77b26777b04de974315e9bacd9e4545802ae9538cb"),
+    ("validate", "f2_proper_model.spec", 0, "833674554fe212958fb3e4307b1afab2708bb9a6ce7f07326abab6293d3755be"),
+    ("validate", "idempotent.spec", 0, "fe5469b6c2bf52300078eeb97e35a1b340b162d2a6d6084ae87c5e6811985350"),
+    ("construct", "identity", 0, "6560084b01844a8dfcbf1a87a80715242a65debcdbfbe151ea42023e3fca6235"),
+    ("construct", "f2_trivial", 0, "898b773813c747d07b9ca7dea92c3dd15207faa4fffea2a1c0c4d38009007275"),
+    ("construct", "f2_proper", 0, "c9d9eb91eaa0a1d24ca870b5c38a207483994a08c17a311f3e5bed1cf1dcada6"),
+    ("construct", "injections_card_0", 0, "37f31c7a0fff91d7368e87ddda036482e1fbcf3627975f1340a9749583aed308"),
+    ("construct", "injections_card_1", 0, "c43566168ca5205215ece687451bcfc0259f2519e22dc998bf54cfe4277f7a69"),
+    ("construct", "injections_card_2", 0, "23bb0aadda589b188d5cf7fb67b11da3806b0865a53119b30d3508302f16e64c"),
+    ("construct", "f2_proper.spec", 0, "08252f259090ff3ee112c782d6dd8b7a29f0a2fc0bf7e4b9726dd9fa11f0ab38"),
+    ("construct", "f2_proper_model.spec", 0, "c9d9eb91eaa0a1d24ca870b5c38a207483994a08c17a311f3e5bed1cf1dcada6"),
+    ("construct", "idempotent.spec", 0, "18e3a35acddd517a9505f2ec8b628ee46febb9e95dbb613d09ea4efb2f9bcae1"),
+    ("check thm1", "identity", 0, "e111f64cafa1c4788946c201683e8092d9d23747ffa93f88e6dbbf39f686860c"),
+    ("check thm1", "f2_trivial", 0, "6f8a2530aed614af21a6a40e03f4ddbfecc45279867a3256f9913a1936242da6"),
+    ("check thm1", "f2_proper", 0, "c9d0b3ef425a915b2544d8ce263c008883ddf1ed680cdee5248595edf0b541e1"),
+    ("check thm1", "injections_card_0", 0, "c6d7a507d549501cd8ade49be78d24248b2742254d680895e3056b9350187091"),
+    ("check thm1", "injections_card_1", 0, "d2a2eb4e81547dd63b7bb0b9e215f74b9ff9900db7dc1383be33183f00fbbb50"),
+    ("check thm1", "injections_card_2", 0, "a42ee69b7ab5f42790a8338c809f0278f6f16d7b0f1c416069fe6db2f237ccc0"),
+    ("check thm1", "f2_proper.spec", 0, "8e2239f3ee766d28e9eee209bcce5d5c1bc33f4eb3aff1bcb0045b3473f9d898"),
+    ("check thm1", "f2_proper_model.spec", 0, "c9d0b3ef425a915b2544d8ce263c008883ddf1ed680cdee5248595edf0b541e1"),
+    ("check thm1", "idempotent.spec", 0, "d0e1de2441bb29e040dd54b933a1a5e1be943bb5a01ca9bc25f5c513ec61d9f6"),
+    ("check thm3", "identity", 0, "6ac385622445a2e4bb6a7a35aefca60c5ebc6f485885ce9d9830a4894fcb52e5"),
+    ("check thm3", "f2_trivial", 0, "f40c248ea1e19457ce2bdb8edbafdc3e49605f8597b4c5bab4d5bb382f6ac1df"),
+    ("check thm3", "f2_proper", 1, "3ca6b902743c275c5e014a4b1e4372d5b61be6e81b12cacb31b2380a082e880b"),
+    ("check thm3", "injections_card_0", 1, "da2e0cdd4646e8d359a554b814508a40cf2265df00ed41000424bed10adf5c01"),
+    ("check thm3", "injections_card_1", 1, "de2ce79f2763ceaabb7201a66bae340bfa1baa574496be399634a70a5259b008"),
+    ("check thm3", "injections_card_2", 1, "dc760b1bd1342709e3939392c2da1aeeb3b691deadab4ef5efb254127f3466e1"),
+    ("check thm3", "f2_proper.spec", 1, "704cbf4db01d056569a1bb24d81f0e1df586fefcd0253a9840a5afeaf5409e8b"),
+    ("check thm3", "f2_proper_model.spec", 1, "3ca6b902743c275c5e014a4b1e4372d5b61be6e81b12cacb31b2380a082e880b"),
+    ("check thm3", "idempotent.spec", 1, "dc9b072d4b60059b446057f25c668170c60cd0d857c161f9350ee6db5ba9bd24"),
+    ("check ext", "identity", 0, "28fedbe5b68614aaa2b1d470c2ebf34be5e2321c341bc049b802a3ca6fb1c326"),
+    ("check ext", "f2_trivial", 1, "ba37a920df393abdae87053d2bd12bc73422204a06fe8cf901becccf2d868d2d"),
+    ("check ext", "f2_proper", 0, "14935ba3af3dd9650d514a64fb70a5dbe6dde44bbf338493ff0d03ef056bcd88"),
+    ("check ext", "injections_card_0", 1, "9289474edf8f11c33b36559b91dc6de7a041bec4c4d1f9b2a3c4076defa317be"),
+    ("check ext", "injections_card_1", 1, "7481c822a7562b4932cc5e1dc75436c7a8024a7927e8722005af934bf890d050"),
+    ("check ext", "injections_card_2", 1, "273d0c8f34e83eb1544a4822f591639b12bac9f030f6416940375790b3e43082"),
+    ("check ext", "f2_proper.spec", 0, "1bf634dd4c2e2b44b60364158b0a8918c1b52bda91c282ba7f92a5ac5f656df1"),
+    ("check ext", "f2_proper_model.spec", 0, "14935ba3af3dd9650d514a64fb70a5dbe6dde44bbf338493ff0d03ef056bcd88"),
+    ("check ext", "idempotent.spec", 1, "7c60f2c005e86df09adc5d0c781d0d81cd3c3646ea5e260953e1836d35d4aa8c"),
+    ("check lemmas", "identity", 0, "9bd04960fcd7707a2468ce62f21983b36d259dcff49ce2418ee50113d10caa62"),
+    ("check lemmas", "f2_trivial", 0, "225b61c4736def1a2bc0e994e67607efc043d4897735fd0be5a5b8d6b6574cab"),
+    ("check lemmas", "f2_proper", 0, "ab039cbb1e64e43c90469ed8700cd21b894b8ebb6ccc6d6ad30d933c82be2373"),
+    ("check lemmas", "injections_card_0", 0, "2a134a47a91ecb077cad06c1845bb56ce81f20a2ef5f5e29e25684c33847c6a0"),
+    ("check lemmas", "injections_card_1", 0, "4b1834b1a2069880d584ad9f2f4d89c43ac1ae695b5a95afab2e4dea0cfbae45"),
+    ("check lemmas", "injections_card_2", 0, "5735fa2d7edb6ee74609e69fa3a8bbec53d9318ef998626fe79e1e28cbe54471"),
+    ("check lemmas", "f2_proper.spec", 0, "c6d7c56ba68dcd3a3d89e02bad9adba25d36e19460d2dd01172b97692e9a3a22"),
+    ("check lemmas", "f2_proper_model.spec", 0, "ab039cbb1e64e43c90469ed8700cd21b894b8ebb6ccc6d6ad30d933c82be2373"),
+    ("check lemmas", "idempotent.spec", 0, "f86e67c192b61a5e4e6ccf75b79c56ebd244ceda5ccd2b51d5b33283e64261ba"),
+    ("oracle-compare", "identity", 0, "9cf1d35aba115b9c70125aad6316380b7fe573638a630c8937f8b31348a6c60d"),
+    ("oracle-compare", "f2_trivial", 0, "b05ec347d6935aad2cd18ca4d829bdc9eec157199641742314bc8736651f34fb"),
+    ("oracle-compare", "f2_proper", 0, "d4fdb41860b0b3544e152793c46f62190a01acb221d1d36f90cb5fd9baa8461b"),
+    ("oracle-compare", "injections_card_0", 0, "c9a964555c6944b279f108b3abd35eeccf3823865044294cd05cfea4517268a5"),
+    ("oracle-compare", "injections_card_1", 0, "2ebeee8cf48324cbe79a6617d498054174a16c0b6f482c7891b62e1e4ec669bc"),
+    ("oracle-compare", "injections_card_2", 0, "d0b64b7fd678e2a104ab36ee0ef594d6a23c903a4a11ba692219bc682e07b65e"),
+    ("oracle-compare", "f2_proper.spec", 0, "b7e71d6aeebed06930eca89475584c4974776ef67a1237e15253f13874eb0b9f"),
+    ("oracle-compare", "f2_proper_model.spec", 0, "d4fdb41860b0b3544e152793c46f62190a01acb221d1d36f90cb5fd9baa8461b"),
+    ("oracle-compare", "idempotent.spec", 0, "e488b19caf7bda4cd07cd7357461a68b8ace92c3fd8af30e523fea9eda3034a1"),
+    ("materialize", "identity", 0, "3e72a389e4df03291438b5c273f3c2882ee5f3068f9a80b239f8a47db742c95a"),
+    ("materialize", "f2_trivial", 0, "7cbd27518ba3791eda208cd27f59a127d641fdc366b7b9fccbc585948298498e"),
+    ("materialize", "f2_proper", 0, "d3737a3b848956fa0d9ffdf7011c14668c21e42f6f883be634d84288af571384"),
+    ("materialize", "injections_card_0", 0, "9cebf3d440e35a9246e06539c4a94d60d6bf172fb84c27c761676de6f4487d98"),
+    ("materialize", "f2_proper.spec", 0, "1e33a701e883f4b074c978c99aa8cd217ecefa1cc95e5a2bf56a5bc618db72db"),
+    ("materialize", "f2_proper_model.spec", 0, "d3737a3b848956fa0d9ffdf7011c14668c21e42f6f883be634d84288af571384"),
+    ("materialize", "idempotent.spec", 0, "0b9e2ae11619f4deacf5efa23d004b50bcbe77decef10450e59d9bc9cf4513c3"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,target,code,sha",
+    [pytest.param(*row, id=f"{row[0].replace(' ', '-')}-{row[1]}") for row in PINNED],
+)
+def test_report_is_pinned(command, target, code, sha, specs_dir, capsys):
+    where = ["--spec", str(specs_dir / target)] if target.endswith(".spec") else ["--model", target]
+    got, out, _ = run(capsys, *command.split(), *where, "--json")
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, sha)

@@ -1,9 +1,12 @@
 """The full lifting pipeline and the three theorem verifiers."""
 
+import json
+
 import pytest
 
 import nullkan.comma
 import nullkan.construct
+from nullkan.cli import main
 from nullkan.construct import (
     BUILTIN_NAMES,
     Setup,
@@ -115,7 +118,7 @@ def test_kan_counit_and_unit_inclusions(name, specs_dir):
     web = build_comma_web(s)
     assert r.comma_values.values and r.probed.extension
     for x, v in r.comma_values.values.items():
-        assert r.probed.extension[web.pi_star.on_obj(x)].masks <= v.masks, x
+        assert r.probed.extension[web.induced("pi_star").on_obj(x)].masks <= v.masks, x
     for p, v in r.probed.extension.items():
         assert v.masks <= r.main_null[web.comma_probe.forget2.on_obj(p)].masks, p
 
@@ -127,7 +130,8 @@ def test_comma_web_shapes_and_memoization():
     assert len(w.comma_main.category.objects) == 5
     assert len(w.comma_probe.category.objects) == 3
     assert build_comma_web(s) is w
-    assert set(w.iota) >= {"iota1", "iota2", "iota3", "iota4", "iota5", "iota6", "iota7"}
+    for name in ("iota1", "iota2", "iota3", "iota4", "iota5", "iota6", "iota7"):
+        assert w.induced(name) is w.induced(name)
 
 
 def test_comma_web_builds_members_on_first_use(monkeypatch):
@@ -148,6 +152,76 @@ def test_comma_web_builds_members_on_first_use(monkeypatch):
     verify_extension(s)
     web = {"(j1j2|M)", "(j2|pi)", "Arr(F2-linear)", "(j2|I)"}
     assert sorted(n for n in built if n in web) == ["(j2|I)", "Arr(F2-linear)"]
+    # A4 reads iota3 alone, so validate and check ext (whose hypothesis
+    # f2_trivial misses) build only its two comma categories.
+    for argv in (["validate"], ["check", "ext"]):
+        built.clear()
+        main([*argv, "--model", "f2_trivial", "--json"])
+        assert sorted(built) == ["(j2|I)", "Arr(F2-linear)"], argv
+
+
+# pi . j1 != Id_I (pi sends e to the identity) while pi . j1 . j2 = j2.
+A3_ONLY = """version: 1
+
+category B
+  object o
+  morphism id:o o o
+  identity o id:o
+end
+
+category P
+  object o
+  morphism id:o o o
+  morphism e o o
+  identity o id:o
+  compose e e e
+end
+
+functor incl B P
+  obj o o
+end
+
+functor idP P P
+  obj o o
+  mor e e
+end
+
+functor crush P P
+  obj o o
+  mor e id:o
+end
+
+carriers gam P
+  carrier o x0 x1
+  map e x0>x0 x1>x0
+end
+
+nullity n0
+  carrier x0 x1
+end
+
+setup
+  base B
+  inter P
+  main P
+  j2 incl
+  j1 idP
+  pi crush
+  gamma gam
+  basenull o n0
+end
+"""
+
+
+def test_broken_retraction_is_reported_not_raised(tmp_path, capsys):
+    spec = tmp_path / "a3.spec"
+    spec.write_text(A3_ONLY)
+    assert main(["validate", "--spec", str(spec), "--json"]) == 1
+    laws = [v["law"] for v in json.loads(capsys.readouterr().out)["assumptions"]["violations"]]
+    assert laws == ["A3-triangle"]
+    # Nothing check lemmas reads needs pi . j1 = Id_I, so it reports.
+    assert main(["check", "lemmas", "--spec", str(spec), "--json"]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["status"] in ("pass", "fail")
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

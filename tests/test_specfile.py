@@ -223,6 +223,26 @@ def test_to_setup_requires_gamma_coverage():
         to_setup(parse_spec(text), "gap")
 
 
+@pytest.mark.parametrize(
+    "pairs,message",
+    [
+        ("x0>x0 x1>x0 zz>x1", "gamma map 'e' names 'zz', not in the carrier of 'P0'"),
+        ("x0>x0 x1>x0 x0>x1", "gamma map 'e' gives element 'x0' twice"),
+    ],
+)
+def test_to_setup_rejects_bad_map_sources(pairs, message):
+    text = MINIMAL.replace(
+        "category P\n  object P0\n  morphism id:P0 P0 P0\n  identity P0 id:P0\nend",
+        "category P\n  object P0\n  morphism id:P0 P0 P0\n  morphism e P0 P0\n"
+        "  identity P0 id:P0\n  compose e e e\nend",
+    ).replace("  obj P0 P0\n", "  obj P0 P0\n  mor e e\n").replace(
+        "carriers gam P\n  carrier P0 u\nend",
+        f"carriers gam P\n  carrier P0 x0 x1\n  map e {pairs}\nend",
+    ).replace("nullity n0\n  carrier u\n", "nullity n0\n  carrier x0 x1\n")
+    with pytest.raises(EngineError, match=message):
+        to_setup(parse_spec(text), "bad_map")
+
+
 def test_to_setup_checks_nullity_carrier_match():
     text = MINIMAL.replace("nullity n0\n  carrier u\nend", "nullity n0\n  carrier w\nend")
     with pytest.raises(EngineError, match="does not match"):
