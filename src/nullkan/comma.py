@@ -16,6 +16,7 @@ from .fincat import (
     EngineError,
     FinCategory,
     FunctorData,
+    Mor,
     compose_functors,
     functor_diff,
     functor_equal,
@@ -66,55 +67,120 @@ def build_comma(
         )
     name = name or f"({alpha.name}|{beta.name})"
 
+    # Objects (a, phi, b) as indices into A, C and B.
     objects: list[str] = []
     obj_data: dict[str, tuple[str, str, str]] = {}
-    for a in A.objects:
-        for b in B.objects:
+    ends: list[tuple[int, int, int]] = []
+    for ai, a in enumerate(A.objects):
+        for bi, b in enumerate(B.objects):
             for phi in C.hom(alpha.on_obj(a), beta.on_obj(b)):
                 oid = comma_obj(a, phi, b)
                 objects.append(oid)
                 obj_data[oid] = (a, phi, b)
+                ends.append((ai, C._index[phi], bi))
     if len(objects) > max_objects:
         raise EngineError(f"{name}: {len(objects)} objects exceed bound {max_objects}")
 
-    morphisms: list[tuple[str, str, str]] = []
+    # The commuting squares x -> y, as (f, g) index pairs, counted in full
+    # before any morphism is named.
+    am, bm = _mor_indices(alpha), _mor_indices(beta)
+    squares: list[list[tuple[int, int]]] = []
+    n_squares = 0
+    a_hom: dict[tuple[int, int], list[int]] = {}
+    for a, phi, b in ends:
+        # after[b2]: the g: b -> b2 grouped by beta(g) after phi.
+        after: dict[int, dict[int, list[int]]] = {}
+        for a2, phi2, b2 in ends:
+            fs = a_hom.get((a, a2))
+            if fs is None:
+                fs = a_hom[a, a2] = [f for f in A._in[a2] if A._dom[f] == a]
+            if fs and b2 not in after:
+                after[b2] = {}
+                for g in B._in[b2]:
+                    if B._dom[g] == b:
+                        after[b2].setdefault(_after(C, bm[g], phi), []).append(g)
+            found = [(f, g) for f in fs for g in after[b2].get(_after(C, phi2, am[f]), ())]
+            n_squares += len(found)
+            if n_squares > max_morphisms:
+                raise EngineError(f"{name}: more than {max_morphisms} morphisms")
+            squares.append(found)
+
+    # at[x sx + y sy + (f + 1) n_b + g + 1]: the index of the square
+    # (f, g): x -> y.  With f + 1 and g + 1 as digits, f or g = -1 (a
+    # missing composite) gives a key that names no square.
+    n_a, n_b = len(A.morphisms) + 1, len(B.morphisms) + 1
+    sy = n_a * n_b
+    sx = len(objects) * sy
+    morphisms: list[Mor] = []
     fst: dict[str, str] = {}
     snd: dict[str, str] = {}
-    for xid, (a, phi, b) in obj_data.items():
-        for yid, (a2, phi2, b2) in obj_data.items():
-            for f in A.hom(a, a2):
-                lhs = C.compose(phi2, alpha.on_mor(f))
-                for g in B.hom(b, b2):
-                    if C.compose(beta.on_mor(g), phi) != lhs:
-                        continue
-                    if len(morphisms) == max_morphisms:
-                        raise EngineError(f"{name}: more than {max_morphisms} morphisms")
-                    mid = comma_mor(f, g, xid, yid)
-                    morphisms.append((mid, xid, yid))
-                    fst[mid] = f
-                    snd[mid] = g
+    at: dict[int, int] = {}
+    mor_ends: list[tuple[int, int, int, int]] = []
+    for xy, found in enumerate(squares):
+        if not found:
+            continue
+        x, y = divmod(xy, len(objects))
+        for f, g in found:
+            mid = comma_mor(A._names[f], B._names[g], objects[x], objects[y])
+            at[x * sx + y * sy + (f + 1) * n_b + g + 1] = len(morphisms)
+            morphisms.append(Mor(mid, objects[x], objects[y]))
+            mor_ends.append((f, g, x, y))
+            fst[mid] = A._names[f]
+            snd[mid] = B._names[g]
 
     identity = {}
     for xid, (a, phi, b) in obj_data.items():
         identity[xid] = comma_mor(A.id_of(a), B.id_of(b), xid, xid)
 
-    by_cod: dict[str, list[str]] = {x: [] for x in objects}
-    for mid, xid, yid in morphisms:
-        by_cod[yid].append(mid)
-    ends = {mid: (xid, yid) for mid, xid, yid in morphisms}
+    # The row of (f2, g2): x2 -> y2 runs over the squares (f1, g1): x1 -> x2,
+    # and its entry is the square (f2 f1, g2 g1): x1 -> y2.  into[x2] holds
+    # each such (f1, g1) as (x1 sx + n_b + 1, place of f1, place of g1).  A
+    # composite that the rows of A or B lack is looked up again by name,
+    # which finds a loose entry or raises.
+    into: list[list[tuple[int, int, int]]] = [[] for _ in objects]
+    for f1, g1, x1, x2 in mor_ends:
+        into[x2].append((x1 * sx + n_b + 1, A._pos[f1], B._pos[g1]))
+    rows = []
+    commutes = True
+    for f2, g2, x2, y2 in mor_ends:
+        ra, rb, y = A._rows[f2], B._rows[g2], y2 * sy
+        row = [at.get(x + y + ra[pa] * n_b + rb[pb], -1) for x, pa, pb in into[x2]]
+        if -1 in row:
+            row = [
+                at.get(x1 * sx + y + (_after(A, f2, f1) + 1) * n_b + _after(B, g2, g1) + 1, -1)
+                for f1, g1, x1, to in mor_ends
+                if to == x2
+            ]
+            commutes = commutes and -1 not in row
+        rows.append(row)
 
-    composition = {}
-    for m2, (x2, y2) in ends.items():
-        for m1 in by_cod[x2]:
-            composition[(m2, m1)] = comma_mor(
-                A.compose(fst[m2], fst[m1]), B.compose(snd[m2], snd[m1]), ends[m1][0], y2
-            )
-
-    cat = FinCategory(name, objects, morphisms, identity, composition)
+    cat = FinCategory.from_rows(name, objects, morphisms, identity, rows)
+    if not commutes:  # some composite square does not commute
+        raise EngineError(f"{name}: composition table references unknown name")
     forget1 = FunctorData(f"fst[{name}]", cat, A, {x: obj_data[x][0] for x in objects}, fst)
     forget2 = FunctorData(f"snd[{name}]", cat, B, {x: obj_data[x][2] for x in objects}, snd)
     cat.faithful = (forget1, forget2)
     return CommaCategory(cat, alpha, beta, obj_data, forget1, forget2)
+
+
+def _mor_indices(F: FunctorData) -> list[int]:
+    """F on morphisms, as indices of F's source and target."""
+    index = F.target._index
+    out = []
+    for m in F.source._names:
+        fm = F.on_mor(m)
+        if fm not in index:
+            raise EngineError(f"functor {F.name}: image {fm!r} of {m!r} is no morphism")
+        out.append(index[fm])
+    return out
+
+
+def _after(C: FinCategory, g: int, f: int) -> int:
+    """Index of g after f in C; raises EngineError where C has no entry."""
+    h = C._composite(g, f)
+    if h < 0:
+        C.compose(C._names[g], C._names[f])
+    return h
 
 
 def terminal_category(name: str = "*") -> FinCategory:

@@ -9,7 +9,10 @@ every law check can produce a concrete witness when it fails.
 from __future__ import annotations
 
 import itertools
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 DEFAULT_BUDGET = 200_000
 MAX_OBJECTS = 64
@@ -29,8 +32,7 @@ class BudgetExceeded(EngineError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class Mor:
+class Mor(NamedTuple):
     """A named morphism with explicit endpoints."""
 
     name: str
@@ -66,16 +68,29 @@ class ValidationReport:
 
 
 class FinCategory:
-    """Explicit finite category.
+    """Explicit finite category, stored as one table of integers.
 
-    `composition[(g, f)]` is the name of g after f, defined exactly when
-    cod(f) == dom(g).  Referential integrity is enforced on construction;
-    the categorical laws are checked separately by `validate_category` so
-    that deliberately broken tables can be built and then rejected.
+    Morphisms are numbered in their declared order.  `_in[x]` lists, by
+    index, the morphisms into the object with index x (its in-list), and
+    `_pos[f]` is f's place in the in-list of cod(f).  Each morphism g has a
+    row `_rows[g]` with one entry per f in the in-list of dom(g): the index
+    of g after f, or -1 where the table has no entry.  A table given as a
+    dict may hold entries that are not composites with the right endpoints
+    (cod(f) != dom(g), or g after f not a morphism dom(f) -> cod(g)); those
+    are kept only in `_loose`, as (g, f, gf) indices in the given order, so
+    that `validate_category` can report them as witnesses in that order.
 
-    The category owns the `identity` and `composition` dicts it is given
-    and keeps them without copying: callers pass fresh dicts, or dicts
-    that nothing writes to again.
+    Names stay the interface: `compose`, `hom`, `mor`, `id_of` and
+    `composable_pairs` take and give names, and `composition` is a
+    read-only mapping (g, f) -> g after f computed from the rows.
+    Referential integrity is enforced on construction; the categorical laws
+    are checked separately by `validate_category`, so that deliberately
+    broken tables can be built and then rejected.
+
+    The constructor converts a composition dict once; builders that compose
+    as integers pass their rows to `from_rows` instead.  The category keeps
+    the `identity` dict it is given without copying: callers pass a fresh
+    dict, or one that nothing writes to again.
 
     `faithful` is a certificate of associativity, set only by builders of
     concrete categories: functors out of this category that should preserve
@@ -91,44 +106,86 @@ class FinCategory:
         objects: tuple[str, ...] | list[str],
         morphisms,
         identity: dict[str, str],
-        composition: dict[tuple[str, str], str],
+        composition: Mapping[tuple[str, str], str],
     ):
+        self._frame(name, objects, morphisms, identity)
+        index, dom, cod, pos = self._index, self._dom, self._cod, self._pos
+        rows = [[-1] * len(self._in[d]) for d in dom]
+        loose = []
+        for (g, f), h in composition.items():
+            try:
+                gi, fi, hi = index[g], index[f], index[h]
+            except KeyError:
+                raise EngineError(f"{name}: composition table references unknown name") from None
+            if dom[gi] == cod[fi] and dom[hi] == dom[fi] and cod[hi] == cod[gi]:
+                rows[gi][pos[fi]] = hi
+            else:
+                loose.append((gi, fi, hi))
+        self._rows = rows
+        self._loose = loose
+
+    @classmethod
+    def from_rows(
+        cls,
+        name: str,
+        objects,
+        morphisms,
+        identity: dict[str, str],
+        rows: list[list[int]],
+    ) -> "FinCategory":
+        """The category whose composition rows (see the class docstring)
+        are `rows`, which it keeps without copying.  Each entry must be -1
+        or the index of a morphism."""
+        cat = cls.__new__(cls)
+        cat._frame(name, objects, morphisms, identity)
+        if list(map(len, rows)) != list(map(len, map(cat._in.__getitem__, cat._dom))):
+            raise EngineError(f"{name}: composition rows do not match the in-lists")
+        cat._rows = rows
+        cat._loose = []
+        return cat
+
+    def _frame(self, name, objects, morphisms, identity) -> None:
+        """Objects, morphisms, identities and the index tables."""
         self.name = name
-        self.objects = tuple(objects)
-        self.morphisms = tuple(
-            m if isinstance(m, Mor) else Mor(*m) for m in morphisms
-        )
+        self.objects = objects = tuple(objects)
+        mors = tuple(morphisms)
+        if set(map(type, mors)) - {Mor}:
+            mors = tuple(m if type(m) is Mor else Mor(*m) for m in mors)
+        self.morphisms = mors
         self.identity = identity
-        self.composition = composition
         self.faithful: tuple[FunctorData, ...] = ()
 
-        objects_set = set(self.objects)
-        if len(objects_set) != len(self.objects):
+        self._obj_index = obj_index = {x: i for i, x in enumerate(objects)}
+        if len(obj_index) != len(objects):
             raise EngineError(f"{name}: duplicate object names")
-        self._mor = {}
-        for m in self.morphisms:
-            if m.name in self._mor:
+        self._index = index = {}
+        self._dom, self._cod, self._pos = dom, cod, pos = [], [], []
+        self._in = ins = [[] for _ in objects]
+        self._hom = hom = {}
+        for i, m in enumerate(mors):
+            if m.name in index:
                 raise EngineError(f"{name}: duplicate morphism name {m.name!r}")
-            if m.dom not in objects_set or m.cod not in objects_set:
+            if m.dom not in obj_index or m.cod not in obj_index:
                 raise EngineError(f"{name}: morphism {m.name!r} has unknown endpoint")
-            self._mor[m.name] = m
-        for x, i in self.identity.items():
-            if x not in objects_set or i not in self._mor:
+            index[m.name] = i
+            c = obj_index[m.cod]
+            dom.append(obj_index[m.dom])
+            cod.append(c)
+            pos.append(len(ins[c]))
+            ins[c].append(i)
+            hom.setdefault((m.dom, m.cod), []).append(m.name)
+        for x, i in identity.items():
+            if x not in obj_index or i not in index:
                 raise EngineError(f"{name}: identity table references unknown name")
-        for (g, f), h in self.composition.items():
-            if g not in self._mor or f not in self._mor or h not in self._mor:
-                raise EngineError(f"{name}: composition table references unknown name")
+        self._names = list(index)
 
-        self._obj_index = {x: i for i, x in enumerate(self.objects)}
-        self._hom: dict[tuple[str, str], list[str]] = {}
-        self._by_cod: dict[str, list[str]] = {x: [] for x in self.objects}
-        for m in self.morphisms:
-            self._hom.setdefault((m.dom, m.cod), []).append(m.name)
-            self._by_cod[m.cod].append(m.name)
+    @property
+    def composition(self) -> "CompositionView":
+        return CompositionView(self)
 
     def mor(self, name: str) -> Mor:
         try:
-            return self._mor[name]
+            return self.morphisms[self._index[name]]
         except KeyError:
             raise EngineError(f"{self.name}: no morphism {name!r}") from None
 
@@ -148,14 +205,36 @@ class FinCategory:
         m = self.mor(name)
         return self.identity.get(m.dom) == name and m.dom == m.cod
 
+    def _composite(self, gi: int, fi: int) -> int:
+        """Index of g after f, or -1 where the table has no entry."""
+        if self._dom[gi] == self._cod[fi]:
+            h = self._rows[gi][self._pos[fi]]
+            if h >= 0:
+                return h
+        for g2, f2, h in self._loose:
+            if g2 == gi and f2 == fi:
+                return h
+        return -1
+
     def compose(self, g: str, f: str) -> str:
         """g after f."""
         try:
-            return self.composition[(g, f)]
+            gi = self._index[g]
+            fi = self._index[f]
         except KeyError:
-            raise EngineError(
-                f"{self.name}: composition table has no entry for ({g!r}, {f!r})"
-            ) from None
+            pass
+        else:
+            if self._dom[gi] == self._cod[fi]:
+                h = self._rows[gi][self._pos[fi]]
+                if h >= 0:
+                    return self._names[h]
+            if self._loose:
+                h = self._composite(gi, fi)
+                if h >= 0:
+                    return self._names[h]
+        raise EngineError(
+            f"{self.name}: composition table has no entry for ({g!r}, {f!r})"
+        )
 
     def hom(self, a: str, b: str) -> tuple[str, ...]:
         return tuple(self._hom.get((a, b), ()))
@@ -165,16 +244,18 @@ class FinCategory:
 
     def composable_pairs(self):
         """Yield (g, f) with cod(f) == dom(g), in deterministic order."""
-        for g in self.morphisms:
-            for f in self._by_cod[g.dom]:
-                yield g.name, f
+        names = self._names
+        for g, d in zip(names, self._dom):
+            for f in self._in[d]:
+                yield g, names[f]
 
     def same_table(self, other: "FinCategory") -> bool:
         return self is other or (
             self.objects == other.objects
             and self.morphisms == other.morphisms
             and self.identity == other.identity
-            and self.composition == other.composition
+            and self._rows == other._rows
+            and sorted(self._loose) == sorted(other._loose)
         )
 
     def __repr__(self):
@@ -182,6 +263,48 @@ class FinCategory:
             f"FinCategory({self.name!r}, {len(self.objects)} objects, "
             f"{len(self.morphisms)} morphisms)"
         )
+
+
+class CompositionView(Mapping):
+    """Read-only (g, f) -> g after f, by name, over a category's rows: the
+    row entries in row order, then the loose ones in their given order."""
+
+    def __init__(self, cat: FinCategory):
+        self._cat = cat
+
+    def __getitem__(self, key: tuple[str, str]) -> str:
+        cat = self._cat
+        g, f = key
+        gi, fi = cat._index.get(g), cat._index.get(f)
+        h = -1 if gi is None or fi is None else cat._composite(gi, fi)
+        if h < 0:
+            raise KeyError(key)
+        return cat._names[h]
+
+    def __len__(self) -> int:
+        cat = self._cat
+        return sum(len(r) - r.count(-1) for r in cat._rows) + len(cat._loose)
+
+    def __iter__(self):
+        return (k for k, _ in self._entries())
+
+    def items(self) -> ItemsView:
+        return _Entries(self)
+
+    def _entries(self):
+        cat = self._cat
+        names, ins = cat._names, cat._in
+        for g, row, d in zip(names, cat._rows, cat._dom):
+            for f, h in zip(ins[d], row):
+                if h >= 0:
+                    yield (g, names[f]), names[h]
+        for g, f, h in cat._loose:
+            yield (names[g], names[f]), names[h]
+
+
+class _Entries(ItemsView):
+    def __iter__(self):
+        return self._mapping._entries()
 
 
 def validate_category(
@@ -229,87 +352,116 @@ def validate_category(
             return ValidationReport(False, checked, violations)
 
     # Totality and endpoint sanity of the composition table, in one pass
-    # that also checks that each certificate functor preserves each entry.
-    # The per-pair witness walk only runs once the entry count proves some
-    # composable pair has no entry.
-    n_out = dict.fromkeys(cat.objects, 0)
-    n_in = dict.fromkeys(cat.objects, 0)
-    for m in cat.morphisms:
-        n_out[m.dom] += 1
-        n_in[m.cod] += 1
-    n_pairs = sum(n_out[x] * n_in[x] for x in cat.objects)
+    # over the rows that also checks that each certificate functor
+    # preserves each entry.  Loose entries are reported first, in their
+    # given order; a row entry can only have wrong endpoints if a builder
+    # put it there.
+    names, dom, cod, ins, rows = cat._names, cat._dom, cat._cod, cat._in, cat._rows
+    n_in = [len(into) for into in ins]
+    n_out = [0] * len(ins)
+    for d in dom:
+        n_out[d] += 1
+    n_pairs = sum(a * b for a, b in zip(n_out, n_in))
     checked["totality"] = n_pairs
-    functors = [(F.mor_map, F.target.composition) for F in cat.faithful]
-    preserved = all(_functor_frame(F, cat) for F in cat.faithful)
-    mor = cat._mor
-    spurious, bad_ends = [], []
-    for (g, f), h in cat.composition.items():
-        mg, mf, mh = mor[g], mor[f], mor[h]
-        if mf.cod != mg.dom:
-            spurious.append((g, f))
-        elif mh.dom != mf.dom or mh.cod != mg.cod:
-            bad_ends.append((g, f))
-        if preserved:
-            for fm, tc in functors:
-                if tc.get((fm[g], fm[f])) != fm[h]:
-                    preserved = False
-                    break
+    spurious = [(g, f) for g, f, _ in cat._loose if dom[g] != cod[f]]
+    bad_ends = [(g, f) for g, f, _ in cat._loose if dom[g] == cod[f]]
+    n_covered = len(bad_ends)  # composable pairs whose entry is loose
+    in_doms = [[dom[f] for f in into] for into in ins]
+    # Loose entries rule the certificate out, whatever the functors do.
+    frames = [] if cat._loose else [_frame(F, cat) for F in cat.faithful]
+    preserved = not cat._loose and None not in frames
+    n_missing = 0
+    bad_rows = set()
+    for g, row in enumerate(rows):
+        d, c = dom[g], cod[g]
+        if -1 in row:
+            n_missing += row.count(-1)
+            preserved = False
+        elif (
+            list(map(dom.__getitem__, row)) == in_doms[d]
+            and list(map(cod.__getitem__, row)).count(c) == len(row)
+        ):
+            if preserved:
+                for fm, trows, tpos_in in frames:
+                    image = map(trows[fm[g]].__getitem__, tpos_in[d])
+                    if list(image) != list(map(fm.__getitem__, row)):
+                        preserved = False
+                        break
+            continue
+        for f, h in zip(ins[d], row):
+            if h >= 0 and (dom[h] != dom[f] or cod[h] != c):
+                bad_ends.append((g, f))
+                bad_rows.add(g)
     for g, f in spurious:
-        if add(_violation("composition-spurious", g=g, f=f)):
+        if add(_violation("composition-spurious", g=names[g], f=names[f])):
             return ValidationReport(False, checked, violations)
     for g, f in bad_ends:
-        v = _violation("composition-endpoints", g=g, f=f, composite=cat.composition[g, f])
-        if add(v):
+        h = names[cat._composite(g, f)]
+        if add(_violation("composition-endpoints", g=names[g], f=names[f], composite=h)):
             return ValidationReport(False, checked, violations)
-    total = len(cat.composition) - len(spurious) == n_pairs
+    total = n_missing == n_covered
     if not total:
-        for g, f in cat.composable_pairs():
-            if (g, f) not in cat.composition:
-                if add(_violation("composition-missing", g=g, f=f)):
-                    return ValidationReport(False, checked, violations)
+        covered = {(g, f) for g, f in bad_ends[:n_covered]}
+        for g, row in enumerate(rows):
+            for f, h in zip(ins[dom[g]], row):
+                if h < 0 and (g, f) not in covered:
+                    if add(_violation("composition-missing", g=names[g], f=names[f])):
+                        return ValidationReport(False, checked, violations)
 
     # Unit laws.
-    for m in cat.morphisms:
+    index = cat._index
+    for i, m in enumerate(cat.morphisms):
         checked["unit"] += 1
         lid = cat.identity.get(m.cod)
         rid = cat.identity.get(m.dom)
-        if lid is not None and cat.composition.get((lid, m.name)) != m.name:
+        if lid is not None and cat._composite(index[lid], i) != i:
             if add(_violation("left-unit", morphism=m.name, identity=lid)):
                 return ValidationReport(False, checked, violations)
-        if rid is not None and cat.composition.get((m.name, rid)) != m.name:
+        if rid is not None and cat._composite(i, index[rid]) != i:
             if add(_violation("right-unit", morphism=m.name, identity=rid)):
                 return ValidationReport(False, checked, violations)
 
     if preserved and total and not bad_ends and _certified(cat):
         # Every triple is composable and every composite is in the table.
-        checked["associativity"] = sum(n_in[m.dom] * n_out[m.cod] for m in cat.morphisms)
+        checked["associativity"] = sum(n_in[d] * n_out[c] for d, c in zip(dom, cod))
         return ValidationReport(not violations, checked, violations)
-    table = cat.composition
-    if spurious or bad_ends:
-        dropped = set(spurious + bad_ends)
-        table = {k: h for k, h in table.items() if k not in dropped}
-    n_assoc, bad = _associativity_sweep(cat, table, max_violations - len(violations))
+    if bad_rows:
+        rows = list(rows)
+        for g in bad_rows:
+            d, c = dom[g], cod[g]
+            rows[g] = [
+                h if h < 0 or (dom[h] == dom[f] and cod[h] == c) else -1
+                for f, h in zip(ins[d], rows[g])
+            ]
+    n_assoc, bad = _associativity_sweep(cat, rows, max_violations - len(violations))
     checked["associativity"] = n_assoc
     for h, g, f in bad:
         violations.append(_violation("associativity", h=h, g=g, f=f))
     return ValidationReport(not violations, checked, violations)
 
 
-def _functor_frame(F: FunctorData, cat: FinCategory) -> bool:
-    """Does F send cat's objects, morphisms and identities to the right
-    places in its target?  (Composition is checked on cat's table.)"""
+def _frame(F: FunctorData, cat: FinCategory):
+    """If F sends cat's objects, morphisms and identities to the right
+    places in its target, the tables that check F against cat's rows:
+    (F on morphism indices, the target's rows, and for each object x the
+    places of the images of x's in-list in the target's in-lists).
+    Otherwise None.  (Composition is checked on cat's rows.)"""
     tgt = F.target
     for x in cat.objects:
         y = F.obj_map.get(x)
         if y not in tgt._obj_index:
-            return False
+            return None
         if x not in cat.identity or F.mor_map.get(cat.identity[x]) != tgt.identity.get(y):
-            return False
+            return None
+    fm = []
     for m in cat.morphisms:
-        im = tgt._mor.get(F.mor_map.get(m.name))
+        i = tgt._index.get(F.mor_map.get(m.name))
+        im = None if i is None else tgt.morphisms[i]
         if im is None or (im.dom, im.cod) != (F.obj_map[m.dom], F.obj_map[m.cod]):
-            return False
-    return True
+            return None
+        fm.append(i)
+    tpos = tgt._pos
+    return fm, tgt._rows, [[tpos[fm[f]] for f in into] for into in cat._in]
 
 
 def _certified(cat: FinCategory) -> bool:
@@ -338,38 +490,59 @@ def _certified(cat: FinCategory) -> bool:
 
 
 def _associativity_sweep(
-    cat: FinCategory, table: dict[tuple[str, str], str], limit: int
+    cat: FinCategory, rows: list[list[int]], limit: int
 ) -> tuple[int, list[tuple[str, str, str]]]:
     """Count the composable triples (h, g, f) and find those with h(gf) != (hg)f.
 
-    `table` holds the composition entries that are composable and have the
-    right endpoints.  Every triple with both gf and hg in it is counted.
-    The first `limit` failing triples are returned as (h, g, f), ordered by
-    the index of c = cod(g), then of h, g and f.
+    `rows` are cat's composition rows, holding only entries with the right
+    endpoints.  Every triple with both gf and hg in them is counted.  The
+    first `limit` failing triples are returned as (h, g, f) names, ordered
+    by the index of c = cod(g), then of h, g and f.
+
+    For each g, `gf_at[g]` reads a row at the places of g's composites gf
+    in the in-list of cod(g), which is the in-list that the row of h runs
+    over, and (hg)f sits at the same place in the row of hg as gf in the
+    row of g.  Where g's row has gaps, `live[g]` reads a row at the places
+    where it has entries.
     """
-    # row[g] maps f to gf, in the order of f.
-    row = {
-        g.name: {f: table[g.name, f] for f in cat._by_cod[g.dom] if (g.name, f) in table}
-        for g in cat.morphisms
-    }
+    pos, ins, dom = cat._pos, cat._in, cat._dom
+    full = [tuple(row) for row in rows]
+    live, gf_at, n_live = [], [], []
+    for row in rows:
+        if -1 in row:
+            places = [i for i, x in enumerate(row) if x >= 0]
+            live.append(_picker(places))
+        else:
+            places = range(len(row))
+            live.append(None)
+        gf_at.append(_picker([pos[row[i]] for i in places]))
+        n_live.append(len(places))
     total = 0
-    found: list[tuple[str, str, str]] = []
-    for h in sorted(cat.morphisms, key=lambda m: cat._obj_index[m.dom]):
-        rh = row[h.name]
-        for g in cat._by_cod[h.dom]:
-            hg = rh.get(g)
-            if hg is None:
+    found: list[tuple[int, int, int]] = []
+    for h in sorted(range(len(rows)), key=dom.__getitem__):
+        rh = rows[h]
+        for g, hg in zip(ins[dom[h]], rh):
+            if hg < 0:
                 continue
-            rg = row[g]
-            total += len(rg)
+            total += n_live[g]
             if len(found) == limit:
                 continue
-            lhs = list(map(rh.get, rg.values()))
-            rhs = list(map(row[hg].get, rg))
+            lhs = gf_at[g](rh)
+            rhs = full[hg] if live[g] is None else live[g](rows[hg])
             if lhs != rhs:
-                bad = [f for f, x, y in zip(rg, lhs, rhs) if x != y]
-                found.extend((h.name, g, f) for f in bad[: limit - len(found)])
-    return total, found
+                fs = ins[dom[g]] if live[g] is None else live[g](ins[dom[g]])
+                bad = [f for f, x, y in zip(fs, lhs, rhs) if x != y]
+                found.extend((h, g, f) for f in bad[: limit - len(found)])
+    names = cat._names
+    return total, [(names[h], names[g], names[f]) for h, g, f in found]
+
+
+def _picker(places):
+    """A function reading a list at `places` into a tuple."""
+    if len(places) == 1:
+        p = places[0]
+        return lambda r: (r[p],)
+    return itemgetter(*places) if places else lambda r: ()
 
 
 # ---------------------------------------------------------------------------
@@ -406,18 +579,14 @@ def build_preorder(name: str, elements, leq) -> FinCategory:
                     f"{name}: relation not transitive: ({x!r},{y!r}) and ({y!r},{z!r})"
                 )
 
-    def mname(x, y):
-        return f"le:{x}>{y}"
-
     pairs = [(x, y) for x in elements for y in elements if (x, y) in rel]
-    mors = [Mor(mname(x, y), x, y) for x, y in pairs]
-    ids = {x: mname(x, x) for x in elements}
-    comp = {}
-    for x, y in pairs:
-        for y2, z in pairs:
-            if y2 == y:
-                comp[(mname(y, z), mname(x, y))] = mname(x, z)
-    return FinCategory(name, elements, mors, ids, comp)
+    at = {p: i for i, p in enumerate(pairs)}
+    into = {y: [p for p in pairs if p[1] == y] for y in elements}
+    # The row of y <= z runs over the x <= y; its entries are the x <= z.
+    rows = [[at[x, z] for x, _ in into[y]] for y, z in pairs]
+    mors = [Mor(f"le:{x}>{y}", x, y) for x, y in pairs]
+    ids = {x: f"le:{x}>{x}" for x in elements}
+    return FinCategory.from_rows(name, elements, mors, ids, rows)
 
 
 def chain_preorder(name: str, labels) -> FinCategory:
@@ -451,14 +620,23 @@ def power_set_preorder(name: str, elements, bound: int = 5) -> FinCategory:
 
 def opposite(C: FinCategory) -> FinCategory:
     """C^op: the same names with every morphism reversed, so that g after f
-    in C^op is f after g in C."""
-    return FinCategory(
+    in C^op is f after g in C.
+
+    The in-list of x in C^op is the list of morphisms out of x in C, so
+    the row of g in C^op reads the place of g in the rows of C."""
+    outs: list[list[int]] = [[] for _ in C.objects]
+    for m, d in enumerate(C._dom):
+        outs[d].append(m)
+    rows, pos = C._rows, C._pos
+    op = FinCategory.from_rows(
         f"{C.name}^op",
         C.objects,
         [Mor(m.name, m.cod, m.dom) for m in C.morphisms],
         C.identity,
-        {(f, g): h for (g, f), h in C.composition.items()},
+        [[rows[f][pos[g]] for f in outs[c]] for g, c in enumerate(C._cod)],
     )
+    op._loose = [(f, g, h) for g, f, h in C._loose]
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +686,7 @@ def check_functor(F: FunctorData, *, max_violations: int = 20) -> ValidationRepo
     for m in src.morphisms:
         checked["morphisms"] += 1
         fm = F.mor_map.get(m.name)
-        if fm is None or fm not in tgt._mor:
+        if fm is None or fm not in tgt._index:
             violations.append(_violation("functor-morphism", morphism=m.name, image=str(fm)))
             continue
         im = tgt.mor(fm)
@@ -590,7 +768,7 @@ def check_natural(t: NatTransData, *, max_violations: int = 20) -> ValidationRep
     for x in F.source.objects:
         checked["components"] += 1
         c = t.components.get(x)
-        if c is None or c not in tgt._mor:
+        if c is None or c not in tgt._index:
             violations.append(_violation("component-missing", object=x))
             continue
         m = tgt.mor(c)

@@ -7,6 +7,7 @@ sets.  The `materialize` command builds it and checks its category laws.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ from .fincat import (
     Mor,
     ValidationReport,
     Violation,
+    _picker,
     _violation,
     build_preorder,
 )
@@ -51,6 +53,25 @@ def all_set_maps(dom: FiniteSet, cod: FiniteSet):
     return itertools.product(range(cod.size), repeat=dom.size)
 
 
+def _code(images, q: int) -> int:
+    """A map's place in `all_set_maps` order, given its images in q points."""
+    code = 0
+    for i in images:
+        code = code * q + i
+    return code
+
+
+@functools.cache
+def _code_table(p: int, q: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """table[g][f] is the code of g after f, for maps f: p -> q and
+    g: q -> r (carrier sizes) given by their codes."""
+    fs = list(itertools.product(range(q), repeat=p))
+    return tuple(
+        tuple(_code([g[j] for j in f], r) for f in fs)
+        for g in itertools.product(range(r), repeat=q)
+    )
+
+
 def _maps_category(
     name: str, carriers: dict[str, FiniteSet], admits, prefix: str = ""
 ) -> tuple[FinCategory, dict[str, SetMap]]:
@@ -58,39 +79,59 @@ def _maps_category(
     morphism per set map f: a -> b with `admits(f, a, b)`, composed as maps.
     Morphism ids are `prefix` followed by `_map_id`.
 
+    Maps are composed by their codes (see `_code`), through one code table
+    per triple of carrier sizes, straight into the category's rows.
+    `admits` must be closed under composition and hold for identities.
+
     Returns (category, morphism id -> SetMap).
     """
+    objs = list(carriers)
+    size = [carriers[o].size for o in objs]
     mors: list[Mor] = []
     setmap: dict[str, SetMap] = {}
-    by_data: dict[tuple[str, str, tuple[int, ...]], str] = {}
-    for a, ca in carriers.items():
-        for b, cb in carriers.items():
-            for images in all_set_maps(ca, cb):
+    # by_code[a][b][k]: index of the morphism a -> b with code k, or -1;
+    # codes[a][b]: the codes admitted a -> b, in order.
+    by_code = [[[] for _ in objs] for _ in objs]
+    codes = [[[] for _ in objs] for _ in objs]
+    for a, oa in enumerate(objs):
+        ca = carriers[oa]
+        for b, ob in enumerate(objs):
+            cb = carriers[ob]
+            for k, images in enumerate(all_set_maps(ca, cb)):
                 f = SetMap(ca, cb, images)
-                if admits(f, a, b):
-                    mid = prefix + _map_id(a, b, images)
-                    mors.append(Mor(mid, a, b))
+                if admits(f, oa, ob):
+                    mid = prefix + _map_id(oa, ob, images)
+                    by_code[a][b].append(len(mors))
+                    codes[a][b].append(k)
+                    mors.append(Mor(mid, oa, ob))
                     setmap[mid] = f
-                    by_data[(a, b, images)] = mid
+                else:
+                    by_code[a][b].append(-1)
 
-    identity = {o: by_data[(o, o, tuple(range(c.size)))] for o, c in carriers.items()}
+    identity = {}
+    for a, oa in enumerate(objs):
+        i = by_code[a][a][_code(range(size[a]), size[a])]
+        if i < 0:
+            raise EngineError(f"{name}: the identity of {oa} is not admitted")
+        identity[oa] = mors[i].name
 
-    by_cod: dict[str, list[Mor]] = {o: [] for o in carriers}
-    for f in mors:
-        by_cod[f.cod].append(f)
-    compose_images: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
-    comp = {}
-    for g in mors:
-        gi = setmap[g.name].images
-        for f in by_cod[g.dom]:
-            fi = setmap[f.name].images
-            key = (gi, fi)
-            gf = compose_images.get(key)
-            if gf is None:
-                gf = tuple(gi[j] for j in fi)
-                compose_images[key] = gf
-            comp[(g.name, f.name)] = by_data[(f.dom, g.cod, gf)]
-    return FinCategory(name, list(carriers), mors, identity, comp), setmap
+    # Morphisms run by domain, then codomain, then code, and so do rows.
+    rows = []
+    for b in range(len(objs)):
+        # For each a with maps a -> b: a reader of the codes admitted a -> b.
+        into_b = [(a, _picker(codes[a][b])) for a in range(len(objs)) if codes[a][b]]
+        for c in range(len(objs)):
+            # Where a code goes a -> c, and the code table for the sizes.
+            parts = [
+                (by_code[a][c].__getitem__, pick, _code_table(size[a], size[b], size[c]))
+                for a, pick in into_b
+            ]
+            for k in codes[b][c]:
+                row: list[int] = []
+                for into, pick, table in parts:
+                    row += map(into, pick(table[k]))
+                rows.append(row)
+    return FinCategory.from_rows(name, objs, mors, identity, rows), setmap
 
 
 def set_category(name: str, carriers) -> tuple[FinCategory, dict, dict]:

@@ -476,6 +476,11 @@ def to_setup(doc: SpecDocument, name: str = "spec") -> Setup:
                 )
             if a in table:
                 raise EngineError(f"gamma map {mid!r} gives element {a!r} twice")
+            if v not in cod.elements:
+                raise EngineError(
+                    f"gamma map {mid!r} sends {a!r} to {v!r}, "
+                    f"not in the carrier of {main.cod(mid)!r}"
+                )
             table[a] = v
         maps[mid] = SetMap.from_dict(dom, cod, table)
     for m in main.morphisms:

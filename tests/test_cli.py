@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nullkan
 from nullkan.cli import main
 
 BIG = """version: 1
@@ -260,3 +265,18 @@ def test_report_is_pinned(command, target, code, sha, specs_dir, capsys):
     where = ["--spec", str(specs_dir / target)] if target.endswith(".spec") else ["--model", target]
     got, out, _ = run(capsys, *command.split(), *where, "--json")
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, sha)
+
+
+def test_materialize_stays_under_150_mb():
+    """The largest category any command builds (27 objects, 6,249
+    morphisms, 1,420,123 composites) fits in integer rows: the whole
+    command peaks under 150 MB, where a composition dict keyed by name
+    pairs took 284 MB."""
+    src = str(Path(nullkan.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "nullkan", "materialize", "--model", "injections_card_0"]
+    child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0
+    assert usage.ru_maxrss / 1024 < 150  # ru_maxrss is in KiB on Linux

@@ -91,12 +91,27 @@ def test_build_comma_respects_bounds(c3):
         build_comma(
             identity_functor(c3), identity_functor(c3), "tiny", max_objects=2
         )
-    # the morphism bound is exact and refuses inside the morphism loop
+    # the morphism bound is exact
     n_mor = len(arrow_category(c3).category.morphisms)
     ident = identity_functor(c3)
     assert len(build_comma(ident, ident, max_morphisms=n_mor).category.morphisms) == n_mor
     with pytest.raises(EngineError, match=f"more than {n_mor - 1} morphisms"):
         build_comma(ident, ident, "tiny", max_morphisms=n_mor - 1)
+
+
+def test_build_comma_refuses_before_naming_a_morphism(monkeypatch):
+    # Arr of a 5-chain has 15 objects and 105 morphisms: the squares are
+    # counted in full on indices, and no morphism is named on refusal.
+    c5 = chain_preorder("C5", ["a", "b", "c", "d", "e"])
+    ident = identity_functor(c5)
+    n_mor = len(arrow_category(c5).category.morphisms)
+    assert n_mor == 105
+    named = []
+    monkeypatch.setattr("nullkan.comma.comma_mor", lambda *a: named.append(a) or "m")
+    for bound in (0, 1, 17, n_mor - 1):
+        with pytest.raises(EngineError, match=f"more than {bound} morphisms"):
+            build_comma(ident, ident, "small", max_morphisms=bound)
+    assert named == []
 
 
 def test_induced_functor_between_slices(c2, c3):

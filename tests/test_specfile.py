@@ -228,6 +228,7 @@ def test_to_setup_requires_gamma_coverage():
     [
         ("x0>x0 x1>x0 zz>x1", "gamma map 'e' names 'zz', not in the carrier of 'P0'"),
         ("x0>x0 x1>x0 x0>x1", "gamma map 'e' gives element 'x0' twice"),
+        ("x0>x0 x1>zz", "gamma map 'e' sends 'x1' to 'zz', not in the carrier of 'P0'"),
     ],
 )
 def test_to_setup_rejects_bad_map_sources(pairs, message):
