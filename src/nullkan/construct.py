@@ -17,6 +17,7 @@ exhaustive searches over the same finite data.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -54,14 +55,16 @@ from .nullity import (
     check_nullity_assignment,
     is_saturated as _is_saturated,
     setmap_of,
+    transports_of,
 )
 from .order import (
     FiniteSet,
     NullityStructure,
     SetMap,
     all_down_sets,
-    image_violation,
+    failed_transports,
     intersect_all,
+    masks_on,
     preimage_nullity,
     proper_nullity,
     pushforward_closure,
@@ -379,25 +382,20 @@ def is_saturated_base(s: Setup) -> bool:
     return _is_saturated(gamma_on_base(s), s.base_null)
 
 
-def testability_witness(
-    s: Setup, n: dict[str, NullityStructure], V: str
-) -> str | None:
-    """A probe whose pushed-forward base structure sits inside n(V)."""
+def probe_pushforwards(s: Setup, V: str) -> list[frozenset[int]]:
+    """The base family of each probe at V, pushed forward along its lift."""
     web = build_comma_web(s)
-    for oid, (b, A, m) in web.comma_probe.obj_data.items():
-        if m != V:
-            continue
+    out = []
+    for b, A, m in web.comma_probe.obj_data.values():
         lift = s.j1.on_mor(A)
-        if s.main.cod(lift) != V:
-            continue
-        pushed = pushforward_closure(setmap_of(s.gamma, lift), s.base_null[b])
-        if pushed.masks <= n[V].masks:
-            return oid
-    return None
+        if m == V and s.main.cod(lift) == V:
+            out.append(pushforward_closure(setmap_of(s.gamma, lift), s.base_null[b]).masks)
+    return out
 
 
-def is_testable(n: dict[str, NullityStructure], s: Setup, V: str) -> bool:
-    return testability_witness(s, n, V) is not None
+def is_testable(pushed: list[frozenset[int]], null: frozenset[int]) -> bool:
+    """Some family of `probe_pushforwards` sits inside `null`."""
+    return any(p <= null for p in pushed)
 
 
 # ---------------------------------------------------------------------------
@@ -410,71 +408,64 @@ def verify_invariance(
     """Every endomorphism of every main object maps null sets to null sets."""
     if assignment is None:
         assignment = main_null(s)
-    violations: list[Violation] = []
-    checked = {"endomorphisms": 0}
-    for V in s.main.objects:
-        for e in s.main.endos(V):
-            checked["endomorphisms"] += 1
-            bad = image_violation(setmap_of(s.gamma, e), assignment[V], assignment[V])
-            if bad is not None:
-                violations.append(
-                    _violation(
-                        "invariance",
-                        object=V,
-                        endomorphism=e,
-                        null_set=assignment[V].carrier.label(bad),
-                        image=assignment[V].carrier.label(
-                            setmap_of(s.gamma, e).image_mask(bad)
-                        ),
-                    )
-                )
-    return ValidationReport(not violations, checked, violations)
+    carriers = {V: carrier_of(s.gamma, V) for V in s.main.objects}
+    masks = masks_on(carriers, assignment)
+    endos = transports_of(s.gamma, [e for V in s.main.objects for e in s.main.endos(V)])
+    violations = []
+    for e, bad in failed_transports(masks, endos):
+        V = s.main.dom(e)
+        violations.append(
+            _violation(
+                "invariance",
+                object=V,
+                endomorphism=e,
+                null_set=carriers[V].label(bad),
+                image=carriers[V].label(setmap_of(s.gamma, e).image_mask(bad)),
+            )
+        )
+    return ValidationReport(not violations, {"endomorphisms": len(endos)}, violations)
 
 
 def verify_minimality(s: Setup) -> ValidationReport:
-    """main_null is contained in every functorial, testable assignment.
+    """main_null is contained in every testable assignment that preserves
+    each endomorphism; other morphisms are not checked (ROADMAP item 2).
 
     Enumerates the full candidate space (product of all null families per
     main object), so it refuses models where that space exceeds
     MINIMALITY_GUARD.
     """
-    carriers = {V: carrier_of(s.gamma, V) for V in s.main.objects}
-    per_obj = {V: all_down_sets(carriers[V]) for V in s.main.objects}
-    total = 1
-    for fams in per_obj.values():
-        total *= len(fams)
+    objs = list(s.main.objects)
+    carriers = {V: carrier_of(s.gamma, V) for V in objs}
+    per_obj = {V: all_down_sets(carriers[V]) for V in objs}
+    total = math.prod(map(len, per_obj.values()))
     if total > MINIMALITY_GUARD:
         raise BudgetExceeded(
             f"verify_minimality candidate space ({total}; a reduced model is required)",
             MINIMALITY_GUARD,
         )
     computed = main_null(s)
+    endos = transports_of(s.gamma, [e for V in objs for e in s.main.endos(V)])
+    pushed = {V: probe_pushforwards(s, V) for V in objs}
 
-    objs = list(s.main.objects)
     violations: list[Violation] = []
     checked = {"candidates": 0, "admissible": 0}
     for combo in itertools.product(*(per_obj[V] for V in objs)):
         checked["candidates"] += 1
-        cand = {V: NullityStructure(carriers[V], masks) for V, masks in zip(objs, combo)}
-        functorial = all(
-            image_violation(setmap_of(s.gamma, e), cand[V], cand[V]) is None
-            for V in objs
-            for e in s.main.endos(V)
-        )
-        if not functorial:
+        cand = dict(zip(objs, combo))
+        if any(failed_transports(cand, endos)):
             continue
-        if not all(is_testable(cand, s, V) for V in objs):
+        if not all(is_testable(pushed[V], cand[V]) for V in objs):
             continue
         checked["admissible"] += 1
         for V in objs:
-            if not computed[V].masks <= cand[V].masks:
-                extra = min(computed[V].masks - cand[V].masks)
+            if not computed[V].masks <= cand[V]:
+                extra = min(computed[V].masks - cand[V])
                 violations.append(
                     _violation(
                         "minimality",
                         object=V,
                         null_set=carriers[V].label(extra),
-                        candidate=str(cand[V].sorted_labels()),
+                        candidate=str([carriers[V].label(m) for m in sorted(cand[V])]),
                     )
                 )
                 break

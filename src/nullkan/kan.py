@@ -10,6 +10,7 @@ inside that lattice.  Empty fibers follow the lattice units: left
 extensions give the trivial structure, right extensions the full power
 set, on the target object's carrier.
 
+`check_universal` tries a candidate against `order.enumerate_assignments`.
 The Kan-identity lemmas (restrict-source and after-composite, both
 checked as the Kan square) build their textbook slices in `lemmas`.
 """
@@ -25,8 +26,6 @@ from .fincat import (
     FunctorData,
     ValidationReport,
     Violation,
-    _Backtrack,
-    _Meter,
     _violation,
     colimit,
     discrete_category,
@@ -38,13 +37,19 @@ from .order import (
     FiniteSet,
     NullityStructure,
     SetMap,
-    all_down_sets,
+    enumerate_assignments,
+    failed_transports,
     full_nullity,
-    image_violation,
     intersect_all,
+    masks_on,
     trivial_nullity,
     union_all,
 )
+
+
+def _transports(cat: FinCategory, setmaps: dict[str, SetMap] | None) -> list:
+    """(name, set map, dom, cod) for each morphism of `cat`; none without maps."""
+    return [] if setmaps is None else [(m.name, setmaps[m.name], m.dom, m.cod) for m in cat.morphisms]
 
 
 @dataclass
@@ -57,22 +62,15 @@ class NullityDiagram:
 
     def preservation_violations(self) -> list[Violation]:
         """Morphisms whose transport fails to send null sets to null sets."""
-        if self.transport is None:
-            return []
-        out = []
-        for m in self.source.morphisms:
-            bad = image_violation(
-                self.transport[m.name], self.values[m.dom], self.values[m.cod]
+        masks = {x: v.masks for x, v in self.values.items()}
+        return [
+            _violation(
+                "nullity-not-preserved",
+                morphism=m,
+                null_set=self.values[self.source.dom(m)].carrier.label(bad),
             )
-            if bad is not None:
-                out.append(
-                    _violation(
-                        "nullity-not-preserved",
-                        morphism=m.name,
-                        null_set=self.values[m.dom].carrier.label(bad),
-                    )
-                )
-        return out
+            for m, bad in failed_transports(masks, _transports(self.source, self.transport))
+        ]
 
 
 @dataclass
@@ -129,15 +127,8 @@ def _kan_fiber(
 
     for d, objs in fibers(K).items():
         carrier = target_carriers[d]
-        pieces = []
-        for x in objs:
-            v = diag.values[x]
-            if v.carrier != carrier:
-                raise EngineError(
-                    f"kan: value at {x} lives on {v.carrier.elements}, "
-                    f"expected the carrier of {d}"
-                )
-            pieces.append(v)
+        # union_all and intersect_all refuse a piece on another carrier.
+        pieces = [diag.values[x] for x in objs]
         if side == "left":
             ext = union_all(carrier, pieces) if pieces else trivial_nullity(carrier)
         else:
@@ -178,34 +169,6 @@ def right_kan(
 # Universality against competitors.
 
 
-def enumerate_assignments(
-    target: FinCategory,
-    target_carriers: dict[str, FiniteSet],
-    target_transports: dict[str, SetMap] | None,
-    budget: int,
-):
-    """All per-object structures, filtered to functorial ones if transports
-    are given; deterministic order.
-
-    Depth-first over target objects; each structure tried is a step
-    against `budget`, and each transport is checked once both its ends
-    have a structure.
-    """
-    objs = target.objects
-    per_obj = []
-    for d in objs:
-        c = target_carriers[d]
-        per_obj.append([NullityStructure(c, masks) for masks in all_down_sets(c)])
-
-    def preserved(cand, m):
-        return image_violation(target_transports[m.name], cand[m.dom], cand[m.cod]) is None
-
-    morphisms = [] if target_transports is None else target.morphisms
-    search = _Backtrack(objs, (((m.dom, m.cod), m) for m in morphisms), preserved)
-    for cand in search.run(per_obj.__getitem__, _Meter("enumerate_assignments", budget), {}):
-        yield dict(cand)
-
-
 def check_universal(
     K: FunctorData,
     diag: NullityDiagram,
@@ -216,26 +179,36 @@ def check_universal(
     budget: int = DEFAULT_BUDGET,
     max_violations: int = 20,
 ) -> ValidationReport:
-    """Check the candidate extension against every competitor, that is,
-    every assignment `enumerate_assignments` yields.
+    """Check the candidate extension against every competitor: each
+    assignment on the target carriers, kept only if it preserves the
+    transports when those are given.
 
     Read with the order `below` (inclusion on the left side, reverse
-    inclusion on the right): the unit F(x) below cand(Kx) must exist, and
-    every competitor H admitting a comparison F(x) below H(Kx) must factor
-    through the candidate (cand(d) below H(d) for all d).
+    inclusion on the right): with transports the candidate must preserve
+    them, the unit F(x) below cand(Kx) must exist, and every competitor H
+    admitting a comparison F(x) below H(Kx) must factor through the
+    candidate (cand(d) below H(d) for all d).
     """
     side = candidate.side
-    ext = candidate.extension
+    carriers = {d: target_carriers[d] for d in K.target.objects}
+    ext = masks_on(carriers, candidate.extension)
 
-    def below(p: NullityStructure, q: NullityStructure) -> bool:
-        return p.masks <= q.masks if side == "left" else q.masks <= p.masks
+    def below(p: frozenset[int], q: frozenset[int]) -> bool:
+        return p <= q if side == "left" else q <= p
 
-    violations: list[Violation] = []
-    checked = {"unit_components": 0, "competitors": 0}
+    checked = {"unit_components": len(K.source.objects), "competitors": 0}
+    transports = _transports(K.target, target_transports)
+    violations: list[Violation] = [
+        _violation(
+            "kan-candidate-not-functorial",
+            morphism=m,
+            null_set=carriers[K.target.dom(m)].label(bad),
+        )
+        for m, bad in failed_transports(ext, transports)
+    ]
 
     for x in K.source.objects:
-        checked["unit_components"] += 1
-        if not below(diag.values[x], ext[K.on_obj(x)]):
+        if not below(diag.values[x].masks, ext[K.on_obj(x)]):
             violations.append(
                 _violation(
                     "kan-unit-missing" if side == "left" else "kan-counit-missing",
@@ -243,18 +216,16 @@ def check_universal(
                 )
             )
 
-    for H in enumerate_assignments(K.target, target_carriers, target_transports, budget):
+    for H in enumerate_assignments(carriers, transports, budget):
         checked["competitors"] += 1
-        admits = all(below(diag.values[x], H[K.on_obj(x)]) for x in K.source.objects)
+        admits = all(below(diag.values[x].masks, H[K.on_obj(x)]) for x in K.source.objects)
         bad = next((d for d in K.target.objects if not below(ext[d], H[d])), None)
         if admits and bad is not None:
             violations.append(
                 _violation(
                     "kan-not-universal",
                     object=bad,
-                    competitor=H[bad].carrier.label(
-                        min(H[bad].masks ^ ext[bad].masks, default=0)
-                    ),
+                    competitor=carriers[bad].label(min(H[bad] ^ ext[bad], default=0)),
                 )
             )
         if len(violations) >= max_violations:

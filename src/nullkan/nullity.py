@@ -28,8 +28,9 @@ from .order import (
     SetMap,
     all_down_sets,
     cardinality_nullity,
-    image_violation,
+    failed_transports,
     preimage_nullity,
+    preservation_witness,
     proper_nullity,
     trivial_nullity,
     union_all,
@@ -184,7 +185,7 @@ def materialize_nullity_category(
     cat, setmap = _maps_category(
         name,
         obj_carrier,
-        lambda f, a, b: image_violation(f, structure[a], structure[b]) is None,
+        lambda f, a, b: preservation_witness(f, structure[a].masks, structure[b].masks) is None,
     )
     # Forgetting the null families is faithful: it certifies associativity.
     cat.faithful = (carrier_functor(f"forget[{name}]", cat, obj_carrier, setmap),)
@@ -270,6 +271,15 @@ def carrier_functor(name: str, src: FinCategory, obj: dict, mor: dict) -> Functo
 # Nullity assignments along a carrier action.
 
 
+def transports_of(gamma: FunctorData, morphisms=None) -> list[tuple[str, SetMap, str, str]]:
+    """(name, set map, dom, cod) of the given morphisms (default: all, in
+    declared order), as `order.failed_transports` reads them."""
+    src = gamma.source
+    if morphisms is None:
+        morphisms = [m.name for m in src.morphisms]
+    return [(m, setmap_of(gamma, m), src.dom(m), src.cod(m)) for m in morphisms]
+
+
 def check_nullity_assignment(
     gamma: FunctorData,
     assignment: dict[str, NullityStructure],
@@ -293,19 +303,21 @@ def check_nullity_assignment(
             violations.append(_violation("assignment-carrier", object=x))
     if violations:
         return ValidationReport(False, checked, violations[:max_violations])
-    for m in src.morphisms:
-        checked["morphisms"] += 1
-        bad = image_violation(setmap_of(gamma, m.name), assignment[m.dom], assignment[m.cod])
-        if bad is not None:
-            violations.append(
-                _violation(
-                    "null-not-preserved",
-                    morphism=m.name,
-                    null_set=assignment[m.dom].carrier.label(bad),
-                )
-            )
-            if len(violations) >= max_violations:
-                break
+    moves = transports_of(gamma)
+    masks = {x: assignment[x].masks for x in src.objects}
+    failures = list(itertools.islice(failed_transports(masks, moves), max_violations))
+    # Morphisms are counted up to the last violation kept.
+    checked["morphisms"] = len(moves)
+    if len(failures) == max_violations:
+        checked["morphisms"] = [t[0] for t in moves].index(failures[-1][0]) + 1
+    violations = [
+        _violation(
+            "null-not-preserved",
+            morphism=m,
+            null_set=assignment[src.dom(m)].carrier.label(bad),
+        )
+        for m, bad in failures
+    ]
     return ValidationReport(not violations, checked, violations)
 
 
@@ -332,13 +344,6 @@ def bar_null(
 def is_saturated(gamma: FunctorData, assignment: dict[str, NullityStructure]) -> bool:
     bar = bar_null(gamma, assignment)
     return all(bar[x].masks == assignment[x].masks for x in gamma.source.objects)
-
-
-def check_nullity_morphism(
-    phi: SetMap, a: NullityStructure, b: NullityStructure
-) -> bool:
-    """The category's morphism rule: images of null sets are null."""
-    return image_violation(phi, a, b) is None
 
 
 def base_nullity(kind: str, carrier: FiniteSet, k: int | None = None) -> NullityStructure:

@@ -4,7 +4,8 @@ A subset of a carrier is a bitmask over the carrier's declared element
 order.  Families of subsets are frozensets of masks, and the family-level
 operations (preimage tests, unions, intersections, downward closure) are
 integer arithmetic, which keeps the exhaustive searches cheap and makes
-serialization order-stable.
+serialization order-stable.  The last section is the one place that
+checks and enumerates assignments of null families to objects.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fincat import EngineError
+from .fincat import EngineError, _Backtrack, _Meter
 
 
 @dataclass(frozen=True)
@@ -236,18 +237,6 @@ def pushforward_closure(f: SetMap, n: NullityStructure) -> NullityStructure:
     return down_closure(f.cod, (f.image_mask(m) for m in n.masks))
 
 
-def image_violation(
-    f: SetMap, n_dom: NullityStructure, n_cod: NullityStructure
-) -> int | None:
-    """None if f maps every null set to a null set, else a witness mask."""
-    if n_dom.carrier != f.dom or n_cod.carrier != f.cod:
-        raise EngineError("image_violation: carrier mismatch")
-    for m in sorted(n_dom.masks):
-        if f.image_mask(m) not in n_cod.masks:
-            return m
-    return None
-
-
 def all_down_sets(carrier: FiniteSet, bound: int = 4) -> list[frozenset[int]]:
     """Every legal null family on the carrier, in deterministic order.
 
@@ -267,3 +256,45 @@ def all_down_sets(carrier: FiniteSet, bound: int = 4) -> list[frozenset[int]]:
             out.append(masks)
     return sorted(out, key=lambda ms: (len(ms), sorted(ms)))
 
+
+# ---------------------------------------------------------------------------
+# Assignments: null masks per object, checked along transports (name,
+# SetMap, dom, cod); preserving them all makes an assignment a functor.
+
+
+def masks_on(carriers: dict[str, FiniteSet], assignment) -> dict[str, frozenset[int]]:
+    """The assignment's masks per object, each checked to be on its carrier."""
+    for x, c in carriers.items():
+        if assignment[x].carrier != c:
+            raise EngineError(f"assignment at {x} does not live on carrier {c.elements}")
+    return {x: assignment[x].masks for x in carriers}
+
+
+def preservation_witness(f: SetMap, dom: frozenset[int], cod: frozenset[int]) -> int | None:
+    """The least null mask of `dom` that f sends outside `cod`, or None."""
+    for m in sorted(dom):
+        if f.image_mask(m) not in cod:
+            return m
+    return None
+
+
+def failed_transports(assignment: dict[str, frozenset[int]], transports):
+    """(name, witness mask) of each transport the assignment breaks, in order."""
+    for name, f, dom, cod in transports:
+        bad = preservation_witness(f, assignment[dom], assignment[cod])
+        if bad is not None:
+            yield name, bad
+
+
+def enumerate_assignments(carriers: dict[str, FiniteSet], transports, budget: int):
+    """Each assignment of `all_down_sets` families to the objects of
+    `carriers` that preserves every transport, in product order; each
+    family tried is a step against `budget`."""
+    per_obj = [all_down_sets(c) for c in carriers.values()]
+
+    def preserved(assign, t):
+        return preservation_witness(t[1], assign[t[2]], assign[t[3]]) is None
+
+    search = _Backtrack(list(carriers), (((t[2], t[3]), t) for t in transports), preserved)
+    for assign in search.run(per_obj.__getitem__, _Meter("enumerate_assignments", budget), {}):
+        yield dict(assign)

@@ -1,6 +1,7 @@
 """Command line surface: exit codes, report shapes, determinism."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,6 +12,8 @@ import pytest
 
 import nullkan
 from nullkan.cli import main
+
+SPECGEN = Path(__file__).resolve().parent.parent / "perfbench" / "specgen.py"
 
 BIG = """version: 1
 
@@ -257,6 +260,82 @@ PINNED = [
 ]
 
 
+# sha256 of the --text report of each pair in PINNED; the exit code is the
+# same in both formats.
+TEXT_PINNED = {
+    ("validate", "identity"): "248741838301a2f38251972b05d5f43f18ed5a01bd7225753e7b3da5e8700308",
+    ("validate", "f2_trivial"): "a1f9327a6d78261d25b3ed1fd716c7cafe808317e61c1ee5bcb8f023df6083df",
+    ("validate", "f2_proper"): "619325cb5845353b706a6078bc0e34b2125be3b0712fcfbc4d3453ef4a9edd71",
+    ("validate", "injections_card_0"): "0b6e4456ad931a561df4e783e7c74d02f42a9016e783290e89b85a67904b526f",
+    ("validate", "injections_card_1"): "67ec2d608b9027ec5de445af639c6e38c50e15555608ae33ced5b92ade5faa3a",
+    ("validate", "injections_card_2"): "f14d3d262983ed8908147aeccd28e342b12c82bc742406c3feed3a9a95559f81",
+    ("validate", "f2_proper.spec"): "619325cb5845353b706a6078bc0e34b2125be3b0712fcfbc4d3453ef4a9edd71",
+    ("validate", "f2_proper_model.spec"): "619325cb5845353b706a6078bc0e34b2125be3b0712fcfbc4d3453ef4a9edd71",
+    ("validate", "idempotent.spec"): "0b9532e79835db921779a25f3f96dda5fc78681ec86f19d51bb96e651598d6c2",
+    ("construct", "identity"): "9754e72ffdf69b73461488b74403e7d0efab7934cb0d4fd700451ce6c463b2ca",
+    ("construct", "f2_trivial"): "d402004e734d50052a22089168297743ff7fbdc1643f64a00a211adb344fb340",
+    ("construct", "f2_proper"): "d929a965db1e22fafcb63506fd57d0a8ae41f74dac9b4e87d3c3419cb53a1acf",
+    ("construct", "injections_card_0"): "5e0437a1dd2320a803878184cf523f28dda1d1c07563c2fe7e018fd40d1871e2",
+    ("construct", "injections_card_1"): "38cc4a45a32c4680461dad0a9a0159032a0d9e146ff83f59c97b94a31c756dbf",
+    ("construct", "injections_card_2"): "5429649b11f78198444d6873417766d30627bb69fa6912a75a2038d5130cf222",
+    ("construct", "f2_proper.spec"): "d929a965db1e22fafcb63506fd57d0a8ae41f74dac9b4e87d3c3419cb53a1acf",
+    ("construct", "f2_proper_model.spec"): "d929a965db1e22fafcb63506fd57d0a8ae41f74dac9b4e87d3c3419cb53a1acf",
+    ("construct", "idempotent.spec"): "138e81c5b82c981378e1ec51a08aa3999bdc44f94f59f84e3ca05dbf43368f98",
+    ("check thm1", "identity"): "1565237e682b55e8e5fcded0a5728e926fc1bba69b1e63a808e86470512acfb4",
+    ("check thm1", "f2_trivial"): "2f351f4a00c6e4800956df91fed048f5b689b5cd9a0786c3f3335c3fda1ebbef",
+    ("check thm1", "f2_proper"): "7e128e7b6637711d8fdc355bc7e7c0d6dcb0de977ed41b89b7b16847862b0dfe",
+    ("check thm1", "injections_card_0"): "3b6fa5cb5498611aec70fb142aaf676eb491f63e753e9524a7b8dfa6a161fa75",
+    ("check thm1", "injections_card_1"): "34697212a2f4a11b13ae7249bce2d20fcc28dfa128d4d84ad27c7fef836721ea",
+    ("check thm1", "injections_card_2"): "89173d319f22c90ea1ea4205e5977dc19cc8724fecb75e067e9bd0947ea312a3",
+    ("check thm1", "f2_proper.spec"): "7e128e7b6637711d8fdc355bc7e7c0d6dcb0de977ed41b89b7b16847862b0dfe",
+    ("check thm1", "f2_proper_model.spec"): "7e128e7b6637711d8fdc355bc7e7c0d6dcb0de977ed41b89b7b16847862b0dfe",
+    ("check thm1", "idempotent.spec"): "a178c6170f1d24ef362c0c39b13299f06fd1abc27a5e41f02361beb1e9cb171c",
+    ("check thm3", "identity"): "40673a0ecd152741c7e0c662f25b2f5bb0f9fdf963b90a71d00c6146f84e632a",
+    ("check thm3", "f2_trivial"): "ea7b2a566a6159850c75fd0ce5e86e3b77bad330560abdef83362e964c08f8ad",
+    ("check thm3", "f2_proper"): "3b67e43c4e3e1af521171c17ce2558f746babc97b5907c25d3bd7d5fc3b4a8cc",
+    ("check thm3", "injections_card_0"): "fd27323fb8f74745d2606811acba1e2a19fa1710e6ea38cd7658d59cad852965",
+    ("check thm3", "injections_card_1"): "c6d2a6806cf3bfedf5bbd0765570367784d0ef77bd4132df7a27008e6fa48cd5",
+    ("check thm3", "injections_card_2"): "99e205c66f5bdbcebda7f196b10b0637a7dbe853dc0afae3120b918ef6a667bc",
+    ("check thm3", "f2_proper.spec"): "3b67e43c4e3e1af521171c17ce2558f746babc97b5907c25d3bd7d5fc3b4a8cc",
+    ("check thm3", "f2_proper_model.spec"): "3b67e43c4e3e1af521171c17ce2558f746babc97b5907c25d3bd7d5fc3b4a8cc",
+    ("check thm3", "idempotent.spec"): "9da1f68b1e2ad4c1c2c7aa46ffba99c5d7a661a35a18a9d1b04cec5fb060df40",
+    ("check ext", "identity"): "da2c8ac2907a06e4d4ae9ded6f48ab76735f63d224e73b47c4e5eeb8e725dfd0",
+    ("check ext", "f2_trivial"): "afef40565834783fafa291c47f26e79ee16c6813cf6fdff53e1e5498ab898920",
+    ("check ext", "f2_proper"): "dcd7ab2ba04032bb193b02cbf3189cb8b9e697fc51d21bee1b415abba08edcc7",
+    ("check ext", "injections_card_0"): "d6a4fad13f80d8f5b022f3d9bb24970d6a959608d1fbc2434e1b366edd419fcd",
+    ("check ext", "injections_card_1"): "1870921f12c51e729a4c274a3bc2d60f5ee09f6d6eb5d98abb28955ae052e453",
+    ("check ext", "injections_card_2"): "3aab41e110bf4ea1f9bff3c404581b5b6ea0f4c1c6e47b05f938b0a2f74446e4",
+    ("check ext", "f2_proper.spec"): "dcd7ab2ba04032bb193b02cbf3189cb8b9e697fc51d21bee1b415abba08edcc7",
+    ("check ext", "f2_proper_model.spec"): "dcd7ab2ba04032bb193b02cbf3189cb8b9e697fc51d21bee1b415abba08edcc7",
+    ("check ext", "idempotent.spec"): "686077ec7a490424ef2a1100a04ff3a0ac6f8dbf61f19d6027bf6b754039edda",
+    ("check lemmas", "identity"): "b51ede3d385e0f3a882cc749e85d35f2e4fd7a83ebe108fb0db27157fe7eee7e",
+    ("check lemmas", "f2_trivial"): "b6893ea6fe0f0bb7091825afbc3d2346adf3cd7127b1deab9a5248567232d6df",
+    ("check lemmas", "f2_proper"): "1f4eb298cc3f9f1119c3f29be67e41e2d930cf1f6d7b3accef0529e9fcb3c859",
+    ("check lemmas", "injections_card_0"): "1012e52910733e5db00a0d4d9706435e0f6b37e787d6cc02a7ec45f7a9366135",
+    ("check lemmas", "injections_card_1"): "a1712ea81433dfc26a950ac850c5583aa34ee16c7b24aabe4a112b85e00c9f13",
+    ("check lemmas", "injections_card_2"): "cd75792ea6cbcf195c8654ad941f49b3bd323305dc055a856a800355371b7e0a",
+    ("check lemmas", "f2_proper.spec"): "1f4eb298cc3f9f1119c3f29be67e41e2d930cf1f6d7b3accef0529e9fcb3c859",
+    ("check lemmas", "f2_proper_model.spec"): "1f4eb298cc3f9f1119c3f29be67e41e2d930cf1f6d7b3accef0529e9fcb3c859",
+    ("check lemmas", "idempotent.spec"): "421ef21190c7c8bb296eec6506bc2e1eb9dec21180aeff6e3a0952042149718b",
+    ("oracle-compare", "identity"): "14e655ce6f59ce5c45a1f648d23d872094828cc0b361579ca9f8cbead8595bd9",
+    ("oracle-compare", "f2_trivial"): "dbd15e1c0daaa7698fc8daa635111382e4ee120c07da1a974750f101db6b9b86",
+    ("oracle-compare", "f2_proper"): "851d3b5e48267fe6d6aafbf7f8afabee7fa332978bed614d2a38c69e2782d889",
+    ("oracle-compare", "injections_card_0"): "143a9c6a341a62ca5470f70bdd56e2f24793cee6c980e54ef8d038fbfc569206",
+    ("oracle-compare", "injections_card_1"): "84c28013b82ebd6a6647fd63a5724201ce08427b735b54bcd7c6aa910e2cd7b7",
+    ("oracle-compare", "injections_card_2"): "86539967e23575e02c70f89319a560f5ef116ca8a6066736b7932c026b395bb4",
+    ("oracle-compare", "f2_proper.spec"): "851d3b5e48267fe6d6aafbf7f8afabee7fa332978bed614d2a38c69e2782d889",
+    ("oracle-compare", "f2_proper_model.spec"): "851d3b5e48267fe6d6aafbf7f8afabee7fa332978bed614d2a38c69e2782d889",
+    ("oracle-compare", "idempotent.spec"): "ed6f3a5ae956b25f4c04d11790890f1ae4480f5e0414284025df08123d0b520f",
+    ("materialize", "identity"): "dbbe560c1eec1681cc9ff369737f8bcbaf02c37be1e1ec394d0d14ea95fd190c",
+    ("materialize", "f2_trivial"): "4a06428accdad48a9f1bf9eff821b92905b7f11d529d5172bbe9beedf8620f18",
+    ("materialize", "f2_proper"): "320b95145e98c2f3a4c0f200bb6e8778d52a2e691ab32efc4d443ea3eb298c8e",
+    ("materialize", "injections_card_0"): "b56cea5f2fa6da287d0f0db3237fa80d784572f303ee86e37808404b8bd0e7de",
+    ("materialize", "f2_proper.spec"): "320b95145e98c2f3a4c0f200bb6e8778d52a2e691ab32efc4d443ea3eb298c8e",
+    ("materialize", "f2_proper_model.spec"): "320b95145e98c2f3a4c0f200bb6e8778d52a2e691ab32efc4d443ea3eb298c8e",
+    ("materialize", "idempotent.spec"): "14b65eb18cf8824a5cd6546df8b81e905325d258fc65b18a2964445b895f5fe1",
+}
+
+
 @pytest.mark.parametrize(
     "command,target,code,sha",
     [pytest.param(*row, id=f"{row[0].replace(' ', '-')}-{row[1]}") for row in PINNED],
@@ -265,6 +344,61 @@ def test_report_is_pinned(command, target, code, sha, specs_dir, capsys):
     where = ["--spec", str(specs_dir / target)] if target.endswith(".spec") else ["--model", target]
     got, out, _ = run(capsys, *command.split(), *where, "--json")
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, sha)
+
+
+@pytest.mark.parametrize(
+    "command,target,code",
+    [pytest.param(*row[:3], id=f"{row[0].replace(' ', '-')}-{row[1]}") for row in PINNED],
+)
+def test_text_report_is_pinned(command, target, code, specs_dir, capsys):
+    where = ["--spec", str(specs_dir / target)] if target.endswith(".spec") else ["--model", target]
+    got, out, _ = run(capsys, *command.split(), *where, "--text")
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, TEXT_PINNED[command, target])
+
+
+# (seed, index) of each `perfbench/specgen.py` spec of seeds 1-10 on which
+# `construct` refuses a non-functorial lift (exit 2), with its stderr line.
+CONSTRUCT_REFUSALS = {
+    (1, 0): (
+        "error: pipeline produced a non-functorial main nullity: ["
+        "{'law': 'null-not-preserved', 'witness': {'morphism': 'm020', 'null_set': '{u,v}'}}, "
+        "{'law': 'null-not-preserved', 'witness': {'morphism': 'm022', 'null_set': '{u,v}'}}, "
+        "{'law': 'null-not-preserved', 'witness': {'morphism': 'm200', 'null_set': '{u,v}'}}]"
+    ),
+    (2, 1): (
+        "error: pipeline produced a non-functorial main nullity: ["
+        "{'law': 'null-not-preserved', 'witness': {'morphism': 'm001', 'null_set': '{u,w}'}}, "
+        "{'law': 'null-not-preserved', 'witness': {'morphism': 'm011', 'null_set': '{u,w}'}}, "
+        "{'law': 'null-not-preserved', 'witness': {'morphism': 'm100', 'null_set': '{u,w}'}}]"
+    ),
+    (8, 0): (
+        "error: pipeline produced a non-functorial main nullity: ["
+        "{'law': 'null-not-preserved', 'witness': {'morphism': 'm022', 'null_set': '{u,v}'}}, "
+        "{'law': 'null-not-preserved', 'witness': {'morphism': 'm122', 'null_set': '{u,v}'}}, "
+        "{'law': 'null-not-preserved', 'witness': {'morphism': 'm202', 'null_set': '{u,v}'}}]"
+    ),
+    (10, 1): (
+        "error: pipeline produced a non-functorial main nullity: ["
+        "{'law': 'null-not-preserved', 'witness': {'morphism': 'm011', 'null_set': '{u,w}'}}, "
+        "{'law': 'null-not-preserved', 'witness': {'morphism': 'm110', 'null_set': '{u,w}'}}, "
+        "{'law': 'null-not-preserved', 'witness': {'morphism': 'm112', 'null_set': '{u,w}'}}]"
+    ),
+}
+
+
+def test_construct_refusals_are_pinned(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("perfbench_specgen", SPECGEN)
+    specgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(specgen)
+    refused = {}
+    for seed in range(1, 11):
+        for i, text in enumerate(specgen.generate(seed, 2)):
+            path = tmp_path / f"s{seed}_{i}.spec"
+            path.write_text(text)
+            code, _, err = run(capsys, "construct", "--spec", str(path))
+            if code == 2:
+                refused[seed, i] = err.rstrip("\n")
+    assert refused == CONSTRUCT_REFUSALS
 
 
 def test_materialize_stays_under_150_mb():

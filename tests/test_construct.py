@@ -19,6 +19,7 @@ from nullkan.construct import (
     is_saturated_base,
     is_testable,
     main_null,
+    probe_pushforwards,
     run_pipeline,
     verify_extension,
     verify_invariance,
@@ -26,7 +27,13 @@ from nullkan.construct import (
 )
 from nullkan.fincat import BudgetExceeded, EngineError
 from nullkan.nullity import carrier_of
-from nullkan.order import down_closure, full_nullity, proper_nullity, trivial_nullity
+from nullkan.order import (
+    FiniteSet,
+    down_closure,
+    full_nullity,
+    proper_nullity,
+    trivial_nullity,
+)
 from nullkan.specfile import parse_spec, to_setup
 
 
@@ -244,6 +251,14 @@ def test_invariance_catches_broken_assignment():
     assert w["image"] == "{1}"
 
 
+def test_invariance_refuses_an_assignment_on_the_wrong_carrier():
+    s = builtin_model("f2_trivial")
+    wrong = dict(main_null(s))
+    wrong["F2^1"] = proper_nullity(FiniteSet(("0", "1", "2")))
+    with pytest.raises(EngineError, match="carrier"):
+        verify_invariance(s, wrong)
+
+
 def test_saturation_of_builtins():
     assert is_saturated_base(builtin_model("identity"))
     assert is_saturated_base(builtin_model("f2_proper"))
@@ -284,15 +299,11 @@ def test_minimality_reports_smaller_candidate(idempotent_setup):
 def test_testability():
     s = builtin_model("f2_proper")
     n = main_null(s)
-    assert is_testable(n, s, "F2^0")
-    assert is_testable(n, s, "F2^1")
-    c = carrier_of(s.gamma, "F2^1")
-    inflated = dict(n)
-    inflated["F2^1"] = full_nullity(c)
-    assert is_testable(inflated, s, "F2^1")
-    deflated = dict(n)
-    deflated["F2^0"] = trivial_nullity(carrier_of(s.gamma, "F2^0"))
-    assert is_testable(deflated, s, "F2^0")
+    pushed = {V: probe_pushforwards(s, V) for V in s.main.objects}
+    assert is_testable(pushed["F2^0"], n["F2^0"].masks)
+    assert is_testable(pushed["F2^1"], n["F2^1"].masks)
+    assert is_testable(pushed["F2^1"], full_nullity(carrier_of(s.gamma, "F2^1")).masks)
+    assert is_testable(pushed["F2^0"], trivial_nullity(carrier_of(s.gamma, "F2^0")).masks)
 
 
 def test_extension_on_identity_model():

@@ -1,8 +1,12 @@
 """Pointwise extensions of nullity diagrams along a functor."""
 
+import itertools
+
 import pytest
 
+from nullkan.construct import builtin_model
 from nullkan.fincat import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     FunctorData,
     chain_preorder,
@@ -17,7 +21,16 @@ from nullkan.kan import (
     right_kan,
 )
 from nullkan.lemmas import _slice
-from nullkan.order import FiniteSet, SetMap, down_closure, trivial_nullity
+from nullkan.nullity import carrier_of, transports_of
+from nullkan.order import (
+    FiniteSet,
+    SetMap,
+    all_down_sets,
+    down_closure,
+    enumerate_assignments,
+    failed_transports,
+    trivial_nullity,
+)
 
 
 @pytest.fixture
@@ -86,10 +99,60 @@ def test_universal_check_right_side_and_transports(two_points_over_chain):
     small = KanResult("right", {d: trivial_nullity(c) for d in carriers}, {}, {}, True)
     rep = check_universal(K, diag, small, target_carriers=carriers)
     assert {v.law for v in rep.violations} == {"kan-not-universal"}
-    # Identity transports keep the 14 pairs with H(t0) inside H(t1).
+    # Identity transports keep the 14 pairs with H(t0) inside H(t1).  The
+    # fiber meet is not one of them: {a} is null at t0 but not at t1.
     ident = {m.name: SetMap(c, c, (0, 1)) for m in K.target.morphisms}
     rep = check_universal(K, diag, R, target_carriers=carriers, target_transports=ident)
-    assert rep.ok and rep.checked["competitors"] == 14
+    assert rep.checked["competitors"] == 14
+    assert [(v.law, v.as_dict()["witness"]) for v in rep.violations] == [
+        ("kan-candidate-not-functorial", {"morphism": "le:t0>t1", "null_set": "{a}"})
+    ]
+
+
+def test_universal_check_rejects_a_non_functorial_candidate(two_points_over_chain):
+    K, diag, carriers, c = two_points_over_chain
+    ident = {m.name: SetMap(c, c, (0, 1)) for m in K.target.morphisms}
+    L = left_kan(K, diag, carriers)
+    rep = check_universal(K, diag, L, target_carriers=carriers, target_transports=ident)
+    assert not rep.ok and rep.checked["competitors"] == 14
+    assert [(v.law, v.as_dict()["witness"]) for v in rep.violations] == [
+        ("kan-candidate-not-functorial", {"morphism": "le:t0>t1", "null_set": "{a}"})
+    ]
+    # The largest functorial assignment below the fiber meet is the right
+    # extension among functorial assignments, and passes.
+    fixed = {"t0": trivial_nullity(c), "t1": diag.values["d1"]}
+    R = KanResult("right", fixed, {}, {}, True)
+    assert check_universal(K, diag, R, target_carriers=carriers, target_transports=ident).ok
+
+
+def _brute_assignments(carriers, transports):
+    """The product of all families per object, in order, filtered by the
+    transports: the reference for `enumerate_assignments`."""
+    objs = list(carriers)
+    out = []
+    for combo in itertools.product(*(all_down_sets(carriers[x]) for x in objs)):
+        cand = dict(zip(objs, combo))
+        if not any(failed_transports(cand, transports)):
+            out.append(cand)
+    return out
+
+
+@pytest.mark.parametrize(
+    "case,count", [("fixture", 14), ("f2_proper", 5), ("injections_card_0", 14)]
+)
+def test_enumerator_matches_brute_force(case, count, two_points_over_chain):
+    if case == "fixture":
+        K, diag, carriers, c = two_points_over_chain
+        transports = [
+            (m.name, SetMap.identity(c), m.dom, m.cod) for m in K.target.morphisms
+        ]
+    else:
+        s = builtin_model(case)
+        carriers = {V: carrier_of(s.gamma, V) for V in s.main.objects}
+        transports = transports_of(s.gamma)
+    got = list(enumerate_assignments(carriers, transports, DEFAULT_BUDGET))
+    assert got == _brute_assignments(carriers, transports)
+    assert len(got) == count
 
 
 def test_universal_check_reports_budget(two_points_over_chain):

@@ -10,7 +10,6 @@ from nullkan.nullity import (
     carrier_of,
     check_carrier_action,
     check_nullity_assignment,
-    check_nullity_morphism,
     is_saturated,
     materialize_nullity_category,
     nullity_fiber_preorder,
@@ -22,6 +21,7 @@ from nullkan.order import (
     SetMap,
     down_closure,
     full_nullity,
+    preservation_witness,
     proper_nullity,
     trivial_nullity,
 )
@@ -157,7 +157,8 @@ def test_base_nullity_kinds():
 def test_nullity_morphism_predicates():
     c = FiniteSet(("a", "b"))
     swap = SetMap.from_dict(c, c, {"a": "b", "b": "a"})
-    assert check_nullity_morphism(swap, proper_nullity(c), proper_nullity(c))
-    only_a = down_closure(c, [c.mask_of(["a"])])
-    assert not check_nullity_morphism(swap, only_a, only_a)
-    assert check_nullity_morphism(swap, only_a, full_nullity(c))
+    proper = proper_nullity(c).masks
+    assert preservation_witness(swap, proper, proper) is None
+    only_a = down_closure(c, [c.mask_of(["a"])]).masks
+    assert preservation_witness(swap, only_a, only_a) == c.mask_of(["a"])
+    assert preservation_witness(swap, only_a, full_nullity(c).masks) is None

@@ -13,10 +13,10 @@ from nullkan.order import (
     cardinality_nullity,
     down_closure,
     full_nullity,
-    image_violation,
     intersect_all,
     is_down_closed,
     preimage_nullity,
+    preservation_witness,
     proper_nullity,
     pushforward_closure,
     trivial_nullity,
@@ -172,9 +172,9 @@ def test_image_violation_witness():
     a = FiniteSet(("x", "y"))
     swap = SetMap.from_dict(a, a, {"x": "y", "y": "x"})
     n = down_closure(a, [a.mask_of(["x"])])
-    bad = image_violation(swap, n, n)
+    bad = preservation_witness(swap, n.masks, n.masks)
     assert bad == a.mask_of(["x"])
-    assert image_violation(swap, trivial_nullity(a), trivial_nullity(a)) is None
+    assert preservation_witness(swap, trivial_nullity(a).masks, trivial_nullity(a).masks) is None
 
 
 def test_all_down_sets_counts():
