@@ -34,6 +34,14 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
+def budget(text: str) -> int:
+    """A step budget: an integer, 0 or more."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nullkan",
@@ -47,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         g.add_argument("--spec", metavar="FILE", help="model file")
         g.add_argument("--model", metavar="NAME", help="builtin model name")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        sp.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
         fmt = sp.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true", help="canonical JSON report")
         fmt.add_argument("--text", action="store_true", help="summary lines (default)")
@@ -266,7 +274,11 @@ def main(argv=None) -> int:
     else:
         text = "\n".join([f"{command} {setup.name}"] + lines + [f"status: {status}"]) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8", newline="\n")
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(text)
     return code

@@ -10,7 +10,7 @@ after exhaustively checking the two defining squares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fincat import (
     EngineError,
@@ -38,8 +38,7 @@ def comma_mor(f: str, g: str, dom: str, cod: str) -> str:
     return f"[{f};{g}]{dom}>{cod}"
 
 
-@dataclass
-class CommaCategory:
+class CommaCategory(NamedTuple):
     """A materialized comma category.  A morphism's components (f, g) are
     its images under `forget1` and `forget2`."""
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .comma import (
     CommaCategory,
@@ -74,18 +74,27 @@ from .order import (
 MINIMALITY_GUARD = 1 << 12
 
 
-@dataclass
 class Setup:
-    name: str
-    base: FinCategory
-    inter: FinCategory
-    main: FinCategory
-    j2: FunctorData
-    j1: FunctorData
-    pi: FunctorData
-    gamma: FunctorData
-    base_null: dict[str, NullityStructure]
-    _web: "CommaWeb | None" = field(default=None, repr=False, compare=False)
+    """A base, intermediate and main category, the functors j2: B -> I,
+    j1: I -> M and pi: M -> I, the carriers gamma on M and the null
+    families on B; `_web` keeps the comma web once built."""
+
+    def __init__(
+        self,
+        name: str,
+        base: FinCategory,
+        inter: FinCategory,
+        main: FinCategory,
+        j2: FunctorData,
+        j1: FunctorData,
+        pi: FunctorData,
+        gamma: FunctorData,
+        base_null: dict[str, NullityStructure],
+    ):
+        self.name, self.base, self.inter, self.main = name, base, inter, main
+        self.j2, self.j1, self.pi, self.gamma = j2, j1, pi, gamma
+        self.base_null = base_null
+        self._web: CommaWeb | None = None
 
 
 def j1j2(s: Setup) -> FunctorData:
@@ -182,9 +191,7 @@ class CommaWeb:
     def iota3_rstar(self) -> FunctorData | None:
         """The inverse of iota3, when iota3 is invertible."""
         rstar = functor_inverse(self.induced("iota3"))
-        if rstar is not None:
-            rstar.name = "iota3_rstar"
-        return rstar
+        return None if rstar is None else rstar._replace(name="iota3_rstar")
 
 
 def build_comma_web(s: Setup) -> CommaWeb:
@@ -273,8 +280,7 @@ def probe_carriers(s: Setup) -> dict[str, FiniteSet]:
     }
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     setup: Setup
     comma_values: NullityDiagram
     comma_violations: list[Violation]
@@ -474,8 +480,7 @@ def verify_minimality(s: Setup) -> ValidationReport:
     return ValidationReport(not violations, checked, violations)
 
 
-@dataclass
-class ExtensionReport:
+class ExtensionReport(NamedTuple):
     hypothesis_met: bool
     items: dict[str, dict]
 

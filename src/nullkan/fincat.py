@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -40,10 +39,36 @@ class Mor(NamedTuple):
     cod: str
 
 
-@dataclass(frozen=True)
-class Violation:
-    law: str
-    witness: tuple[tuple[str, str], ...]
+class _Frozen:
+    """A value record over `__slots__`: instances of one class with equal
+    fields are equal and hash alike, and a field cannot be assigned to."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self):
+        return f"{self.__class__.__name__}{self._values()!r}"
+
+
+class Violation(_Frozen):
+    """A broken law and its witness, as sorted (role, name) pairs."""
+
+    __slots__ = ("law", "witness")
 
     def as_dict(self) -> dict:
         return {"law": self.law, "witness": dict(self.witness)}
@@ -53,8 +78,7 @@ def _violation(law: str, **witness: str) -> Violation:
     return Violation(law, tuple(sorted(witness.items())))
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     checked: dict[str, int]
     violations: list[Violation]
@@ -643,8 +667,7 @@ def opposite(C: FinCategory) -> FinCategory:
 # Functors and natural transformations.
 
 
-@dataclass
-class FunctorData:
+class FunctorData(NamedTuple):
     """A functor given by explicit object and morphism tables.
 
     `carrier_obj` / `carrier_mor` are optional payloads used when the
@@ -752,8 +775,7 @@ def functor_equal(F: FunctorData, G: FunctorData) -> bool:
     )
 
 
-@dataclass
-class NatTransData:
+class NatTransData(NamedTuple):
     name: str
     source: FunctorData
     target: FunctorData
@@ -952,8 +974,7 @@ def search_half_right_adjoint(
     for cand in enumerate_functors(T.target, T.source, budget):
         nt = check_half_right_adjoint(T, cand, kind, budget)
         if nt is not None:
-            cand.name = f"{kind}-radj[{T.name}]"
-            return cand, nt
+            return cand._replace(name=f"{kind}-radj[{T.name}]"), nt
     return None
 
 
@@ -979,8 +1000,7 @@ def find_section(F: FunctorData, budget: int = DEFAULT_BUDGET) -> FunctorData | 
         by_image.setdefault(F.on_mor(m.name), set()).add(m.name)
     mors = {m.name: by_image.get(m.name, set()) for m in F.target.morphisms}
     for cand in enumerate_functors(F.target, F.source, budget, fibers=(objs, mors)):
-        cand.name = f"section[{F.name}]"
-        return cand
+        return cand._replace(name=f"section[{F.name}]")
     return None
 
 
@@ -989,14 +1009,12 @@ def find_section(F: FunctorData, budget: int = DEFAULT_BUDGET) -> FunctorData | 
 # colimit in the opposite category.
 
 
-@dataclass
-class Cone:
+class Cone(NamedTuple):
     tip: str
     legs: dict[str, str]  # index object -> ambient morphism
 
 
-@dataclass
-class UniversalResult:
+class UniversalResult(NamedTuple):
     kind: str  # "limit" | "colimit"
     cone: Cone | None
     cones_seen: int

@@ -17,7 +17,7 @@ checked as the Kan square) build their textbook slices in `lemmas`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fincat import (
     DEFAULT_BUDGET,
@@ -52,8 +52,7 @@ def _transports(cat: FinCategory, setmaps: dict[str, SetMap] | None) -> list:
     return [] if setmaps is None else [(m.name, setmaps[m.name], m.dom, m.cod) for m in cat.morphisms]
 
 
-@dataclass
-class NullityDiagram:
+class NullityDiagram(NamedTuple):
     """Per-object structures and per-morphism carrier transports."""
 
     source: FinCategory
@@ -73,8 +72,7 @@ class NullityDiagram:
         ]
 
 
-@dataclass
-class KanResult:
+class KanResult(NamedTuple):
     side: str
     extension: dict[str, NullityStructure]
     path: dict[str, str]

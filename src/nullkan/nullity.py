@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fincat import (
     EngineError,
@@ -152,8 +152,7 @@ def set_category(name: str, carriers) -> tuple[FinCategory, dict, dict]:
     return cat, obj_carrier, mor_map
 
 
-@dataclass
-class MaterializedNullity:
+class MaterializedNullity(NamedTuple):
     category: FinCategory
     structure: dict[str, NullityStructure]  # object id -> structure
     setmap: dict[str, SetMap]  # morphism id -> underlying map

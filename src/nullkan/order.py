@@ -11,20 +11,19 @@ checks and enumerates assignments of null families to objects.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .fincat import EngineError, _Backtrack, _Meter
+from .fincat import EngineError, _Backtrack, _Frozen, _Meter
 
 
-@dataclass(frozen=True)
-class FiniteSet:
+class FiniteSet(_Frozen):
     """Ordered carrier of distinct element ids."""
 
-    elements: tuple[str, ...]
+    __slots__ = ("elements",)
 
-    def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
-            raise EngineError(f"carrier has duplicate elements: {self.elements}")
+    def __init__(self, elements: tuple[str, ...]):
+        super().__init__(elements)
+        if len(set(elements)) != len(elements):
+            raise EngineError(f"carrier has duplicate elements: {elements}")
 
     @property
     def size(self) -> int:
@@ -56,18 +55,16 @@ class FiniteSet:
         return range(1 << len(self.elements))
 
 
-@dataclass(frozen=True)
-class SetMap:
+class SetMap(_Frozen):
     """Map between carriers, stored as a codomain index per domain element."""
 
-    dom: FiniteSet
-    cod: FiniteSet
-    images: tuple[int, ...]
+    __slots__ = ("dom", "cod", "images")
 
-    def __post_init__(self):
-        if len(self.images) != self.dom.size:
+    def __init__(self, dom: FiniteSet, cod: FiniteSet, images: tuple[int, ...]):
+        super().__init__(dom, cod, images)
+        if len(images) != dom.size:
             raise EngineError("set map images do not cover the domain")
-        if any(i < 0 or i >= self.cod.size for i in self.images):
+        if any(i < 0 or i >= cod.size for i in images):
             raise EngineError("set map image index out of range")
 
     @staticmethod
@@ -120,14 +117,13 @@ def is_down_closed(masks: frozenset[int], n_bits: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class NullityStructure:
+class NullityStructure(_Frozen):
     """A down-closed family of null subsets of a carrier, containing the empty set."""
 
-    carrier: FiniteSet
-    masks: frozenset[int]
+    __slots__ = ("carrier", "masks")
 
-    def __post_init__(self):
+    def __init__(self, carrier: FiniteSet, masks: frozenset[int]):
+        super().__init__(carrier, masks)
         full = self.carrier.full_mask
         for m in self.masks:
             if m & ~full:

@@ -43,7 +43,7 @@ round-trip byte-for-byte.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .construct import BUILTIN_NAMES, Setup, builtin_model
 from .fincat import EngineError, FinCategory, FunctorData
@@ -60,54 +60,55 @@ class SpecError(EngineError):
         self.reason = message
 
 
-@dataclass
-class CategoryBlock:
+# The blocks a file declares.  The parser opens each with empty lists and
+# appends a line at a time.
+
+
+class CategoryBlock(NamedTuple):
     name: str
-    objects: list[str] = field(default_factory=list)
-    morphisms: list[tuple[str, str, str]] = field(default_factory=list)
-    identities: list[tuple[str, str]] = field(default_factory=list)
-    compositions: list[tuple[str, str, str]] = field(default_factory=list)
+    objects: list[str]
+    morphisms: list[tuple[str, str, str]]
+    identities: list[tuple[str, str]]
+    compositions: list[tuple[str, str, str]]
 
 
-@dataclass
-class FunctorBlock:
+class FunctorBlock(NamedTuple):
     name: str
     src: str
     tgt: str
-    obj: list[tuple[str, str]] = field(default_factory=list)
-    mor: list[tuple[str, str]] = field(default_factory=list)
+    obj: list[tuple[str, str]]
+    mor: list[tuple[str, str]]
 
 
-@dataclass
-class CarrierBlock:
+class CarrierBlock(NamedTuple):
     name: str
     cat: str
-    carriers: list[tuple[str, tuple[str, ...]]] = field(default_factory=list)
-    maps: list[tuple[str, tuple[tuple[str, str], ...]]] = field(default_factory=list)
+    carriers: list[tuple[str, tuple[str, ...]]]
+    maps: list[tuple[str, tuple[tuple[str, str], ...]]]
 
 
-@dataclass
-class NullityBlock:
+class NullityBlock(NamedTuple):
     name: str
-    carrier: tuple[str, ...] | None = None
-    nulls: list[tuple[str, ...]] = field(default_factory=list)
+    carrier: tuple[str, ...] | None
+    nulls: list[tuple[str, ...]]
 
 
-@dataclass
-class SetupBlock:
-    names: dict[str, str] = field(default_factory=dict)  # base/inter/main/j1/j2/pi/gamma
-    basenull: list[tuple[str, str]] = field(default_factory=list)
+class SetupBlock(NamedTuple):
+    names: dict[str, str]  # base/inter/main/j1/j2/pi/gamma
+    basenull: list[tuple[str, str]]
 
 
-@dataclass
 class SpecDocument:
-    version: int = FORMAT_VERSION
-    model: str | None = None
-    categories: dict[str, CategoryBlock] = field(default_factory=dict)
-    functors: dict[str, FunctorBlock] = field(default_factory=dict)
-    carriers: dict[str, CarrierBlock] = field(default_factory=dict)
-    nullities: dict[str, NullityBlock] = field(default_factory=dict)
-    setup: SetupBlock | None = None
+    """A model shortcut line, or the blocks of a file in declared order."""
+
+    def __init__(self, model: str | None = None):
+        self.version = FORMAT_VERSION
+        self.model = model
+        self.categories: dict[str, CategoryBlock] = {}
+        self.functors: dict[str, FunctorBlock] = {}
+        self.carriers: dict[str, CarrierBlock] = {}
+        self.nullities: dict[str, NullityBlock] = {}
+        self.setup: SetupBlock | None = None
 
 
 def parse_spec(text: str) -> SpecDocument:
@@ -154,7 +155,7 @@ def parse_spec(text: str) -> SpecDocument:
                     err(n, "category takes a single name")
                 if toks[1] in doc.categories:
                     err(n, f"duplicate category {toks[1]!r}")
-                block = ("category", CategoryBlock(toks[1]))
+                block = ("category", CategoryBlock(toks[1], [], [], [], []))
             elif head == "functor":
                 if len(toks) != 4:
                     err(n, "functor takes name, source, target")
@@ -164,7 +165,7 @@ def parse_spec(text: str) -> SpecDocument:
                 for c in (src, tgt):
                     if c not in doc.categories:
                         err(n, f"dangling reference: category {c!r} not declared")
-                block = ("functor", FunctorBlock(name, src, tgt))
+                block = ("functor", FunctorBlock(name, src, tgt, [], []))
             elif head == "carriers":
                 if len(toks) != 3:
                     err(n, "carriers takes name and category")
@@ -173,19 +174,19 @@ def parse_spec(text: str) -> SpecDocument:
                     err(n, f"duplicate carriers block {name!r}")
                 if cat not in doc.categories:
                     err(n, f"dangling reference: category {cat!r} not declared")
-                block = ("carriers", CarrierBlock(name, cat))
+                block = ("carriers", CarrierBlock(name, cat, [], []))
             elif head == "nullity":
                 if len(toks) != 2:
                     err(n, "nullity takes a single name")
                 if toks[1] in doc.nullities:
                     err(n, f"duplicate nullity {toks[1]!r}")
-                block = ("nullity", NullityBlock(toks[1]))
+                block = ("nullity", NullityBlock(toks[1], None, []))
             elif head == "setup":
                 if len(toks) != 1:
                     err(n, "setup takes no arguments")
                 if doc.setup is not None:
                     err(n, "duplicate setup block")
-                block = ("setup", SetupBlock())
+                block = ("setup", SetupBlock({}, []))
             else:
                 err(n, f"unknown directive {head!r}")
             ids = defaultdict(set)
@@ -299,7 +300,7 @@ def parse_spec(text: str) -> SpecDocument:
                     err(n, "duplicate carrier line")
                 if len(set(toks[1:])) != len(toks[1:]):
                     err(n, "carrier elements must be distinct")
-                b.carrier = tuple(toks[1:])
+                block = (kind, b._replace(carrier=tuple(toks[1:])))
             elif head == "null":
                 if b.carrier is None:
                     err(n, "null line before the carrier line")
@@ -551,7 +552,7 @@ def from_setup(s: Setup) -> SpecDocument:
     doc.functors["j1"] = fun_block(s.j1, "j1")
     doc.functors["pi"] = fun_block(s.pi, "pi")
 
-    cb = CarrierBlock("gamma", s.main.name)
+    cb = CarrierBlock("gamma", s.main.name, [], [])
     for o in s.main.objects:
         cb.carriers.append((o, carrier_of(s.gamma, o).elements))
     for m in s.main.morphisms:

@@ -97,6 +97,24 @@ def test_out_file_keeps_stdout_quiet(tmp_path, capsys):
     assert json.loads(out_file.read_text())["status"] == "pass"
 
 
+def test_unwritable_out_is_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, "construct", "--model", "identity", "--json", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(target) in err
+    assert not target.parent.exists()
+
+
+def test_negative_budget_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "ext", "--model", "f2_proper", "--budget", "-1"])
+    assert exc.value.code == 2
+    assert "--budget: must be 0 or more, not -1" in capsys.readouterr().err
+    code, out, _ = run(capsys, "check", "ext", "--model", "f2_proper", "--budget", "0", "--json")
+    assert code == 0 and json.loads(out)["budget"] == 0
+
+
 def test_check_commands_pass_on_covered_models(capsys):
     assert run(capsys, "check", "thm1", "--model", "f2_proper")[0] == 0
     assert run(capsys, "check", "thm3", "--model", "f2_trivial")[0] == 0

@@ -13,6 +13,7 @@ from nullkan.fincat import (
     FinCategory,
     FunctorData,
     NatTransData,
+    Violation,
     build_preorder,
     chain_preorder,
     check_functor,
@@ -224,6 +225,17 @@ def test_associativity_count_matches_hom_sizes():
         rep = validate_category(cat)
         assert rep.ok, cat.name
         assert rep.checked["associativity"] == composable_triples(cat), cat.name
+
+
+def test_violations_are_frozen_values():
+    v, w = Violation("law", (("object", "x"),)), Violation("law", (("object", "x"),))
+    assert v is not w and v == w and not v != w and hash(v) == hash(w)
+    assert {v: 1}[w] == 1 and w in [v]
+    assert v != Violation("law", (("object", "y"),)) and v != Violation("other", v.witness)
+    assert v != ("law", (("object", "x"),)) and v != FiniteSet(("law",))
+    with pytest.raises(AttributeError):
+        v.law = "other"
+    assert v.as_dict() == {"law": "law", "witness": {"object": "x"}}
 
 
 def test_duplicate_morphism_name_rejected():

@@ -2,11 +2,14 @@
 imports it again; every function and class the package defines is
 referenced somewhere; every module imports only the standard library and
 nullkan; budget errors are raised only by the step meter and the
-minimality guard; and the benchmark tracer's targets exist."""
+minimality guard; the benchmark tracer's targets exist; and importing the
+CLI loads every traced module but not `dataclasses` or `inspect`."""
 
 import ast
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -213,14 +216,37 @@ def test_imports_only_stdlib(path):
     assert not outside, f"{path.name}: non-stdlib imports {sorted(outside)}"
 
 
-def test_tracer_targets_exist():
-    # The traced benchmark run patches these by name, so a rename would
-    # otherwise surface only when someone runs it with --trace 1.
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_exist():
+    # The traced benchmark run patches these by name, so a rename would
+    # otherwise surface only when someone runs it with --trace 1.
+    tracer = load_tracer()
     for module, function in tracer.TIMED:
         target = getattr(importlib.import_module(f"nullkan.{module}"), function, None)
         assert inspect.isfunction(target), f"nullkan.{module}.{function}"
     fincat = importlib.import_module("nullkan.fincat")
     assert inspect.isgeneratorfunction(fincat.enumerate_functors)
+
+
+def test_cli_import_loads_traced_modules_but_no_dataclasses():
+    # Every verdict is a fresh process that pays for what `import
+    # nullkan.cli` loads, and the traced benchmark run wraps the modules
+    # that import has loaded.
+    probe = (
+        "import sys; before = set(sys.modules); import nullkan.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    loaded = set(
+        subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout.split()
+    )
+    assert not loaded & {"dataclasses", "inspect"}
+    assert {f"nullkan.{home}" for home, _ in load_tracer().TIMED} <= loaded

@@ -81,6 +81,57 @@ def test_setmap_basics():
         g.then(f)
 
 
+def test_setmap_rejects_bad_images():
+    a, b = FiniteSet(("x", "y")), FiniteSet(("u", "v"))
+    with pytest.raises(EngineError, match="set map images do not cover the domain"):
+        SetMap(a, b, (0,))
+    for bad in ((0, 2), (-1, 0)):
+        with pytest.raises(EngineError, match="set map image index out of range"):
+            SetMap(a, b, bad)
+
+
+AB = ("a", "b")
+RECORDS = {
+    # name -> (a maker of one value, a field, the value's fields as a tuple)
+    "FiniteSet": (lambda: FiniteSet(AB), "elements", (AB,)),
+    "SetMap": (
+        lambda: SetMap(FiniteSet(AB), FiniteSet(("u",)), (0, 0)),
+        "images",
+        (FiniteSet(AB), FiniteSet(("u",)), (0, 0)),
+    ),
+    "NullityStructure": (
+        lambda: NullityStructure(FiniteSet(AB), frozenset({0, 1})),
+        "masks",
+        (FiniteSet(AB), frozenset({0, 1})),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_frozen_values(name):
+    make, field, fields = RECORDS[name]
+    x, y = make(), make()
+    assert x is not y and x == y and not x != y and hash(x) == hash(y)
+    assert {x: name}[y] == name and y in [x]
+    assert x != fields and fields != x
+    for other, (make_other, _, _) in RECORDS.items():
+        if other != name:
+            assert x != make_other()
+    with pytest.raises(AttributeError):
+        setattr(x, field, getattr(y, field))
+    assert x == y
+
+
+def test_unequal_fields_make_unequal_records():
+    assert FiniteSet(AB) != FiniteSet(("b", "a"))
+    c = FiniteSet(AB)
+    assert SetMap(c, c, (0, 1)) != SetMap(c, c, (1, 0))
+    assert trivial_nullity(c) != full_nullity(c)
+    assert {trivial_nullity(c), trivial_nullity(FiniteSet(AB)), full_nullity(c)} == {
+        full_nullity(c), trivial_nullity(c)
+    }
+
+
 @given(set_maps())
 def test_image_preimage_galois(f):
     for s in f.dom.all_masks():
