@@ -84,7 +84,7 @@ def _cmd_validate(s, args):
     cats = {}
     lines = []
     for C in {c.name: c for c in (s.base, s.inter, s.main)}.values():
-        rep = validate_category(C, max_morphisms=8192)
+        rep = validate_category(C)
         cats[C.name] = rep.as_dict()
         lines.append(f"  category {C.name}: {'ok' if rep.ok else 'FAIL'}")
     assum = check_assumptions(s)
@@ -96,9 +96,7 @@ def _cmd_validate(s, args):
 
 
 def _cmd_construct(s, args):
-    r = run_pipeline(s, budget=args.budget)
-    d = r.as_dict()
-    d.pop("main_null")
+    r = run_pipeline(s)
     lines = [
         f"  {x}: " + (" ".join(r.main_null[x].sorted_labels()))
         for x in s.main.objects
@@ -107,7 +105,7 @@ def _cmd_construct(s, args):
     lines.append(f"  invariance: {'ok' if r.invariance.ok else 'FAIL'}")
     body = {
         "assignment": assignment_payload(r.main_null),
-        "diagnostics": d,
+        "diagnostics": r.as_dict(),
         "invariance": r.invariance.as_dict(),
     }
     return body, r.invariance.ok, lines
@@ -158,7 +156,7 @@ def _cmd_check_lemmas(s, args):
 
 
 def _cmd_oracle_compare(s, args):
-    fast = main_null(s, budget=args.budget)
+    fast = main_null(s)
     slow = direct_prevalence(s)
     diffs = []
     for x in s.main.objects:
@@ -186,7 +184,7 @@ def _cmd_materialize(s, args):
         ("comma_probe", web.comma_probe),
         ("comma_inter", web.comma_inter),
     ):
-        rep = validate_category(cc.category, max_morphisms=16384)
+        rep = validate_category(cc.category)
         ok = ok and rep.ok
         comma[label] = {
             "name": cc.category.name,
@@ -205,7 +203,7 @@ def _cmd_materialize(s, args):
     mat = materialize_nullity_category(
         f"Null[{s.name}]", [distinct[k] for k in sorted(distinct)]
     )
-    rep = validate_category(mat.category, max_morphisms=8192)
+    rep = validate_category(mat.category)
     ok = ok and rep.ok
     lines.append(
         f"  materialized: {len(mat.category.objects)} objects, "

@@ -51,14 +51,11 @@ class CommaCategory(NamedTuple):
 
 
 def build_comma(
-    alpha: FunctorData,
-    beta: FunctorData,
-    name: str | None = None,
-    *,
-    max_objects: int = MAX_COMMA_OBJECTS,
-    max_morphisms: int = MAX_COMMA_MORPHISMS,
+    alpha: FunctorData, beta: FunctorData, name: str | None = None
 ) -> CommaCategory:
-    """Materialize the comma category of the cospan (alpha, beta)."""
+    """Materialize the comma category of the cospan (alpha, beta); refuses
+    one of more than MAX_COMMA_OBJECTS objects or MAX_COMMA_MORPHISMS
+    morphisms before it names a morphism."""
     A, B, C = alpha.source, beta.source, alpha.target
     if not C.same_table(beta.target):
         raise EngineError(
@@ -77,8 +74,8 @@ def build_comma(
                 objects.append(oid)
                 obj_data[oid] = (a, phi, b)
                 ends.append((ai, C._index[phi], bi))
-    if len(objects) > max_objects:
-        raise EngineError(f"{name}: {len(objects)} objects exceed bound {max_objects}")
+    if len(objects) > MAX_COMMA_OBJECTS:
+        raise EngineError(f"{name}: {len(objects)} objects exceed bound {MAX_COMMA_OBJECTS}")
 
     # The commuting squares x -> y, as (f, g) index pairs, counted in full
     # before any morphism is named.
@@ -100,8 +97,8 @@ def build_comma(
                         after[b2].setdefault(_after(C, bm[g], phi), []).append(g)
             found = [(f, g) for f in fs for g in after[b2].get(_after(C, phi2, am[f]), ())]
             n_squares += len(found)
-            if n_squares > max_morphisms:
-                raise EngineError(f"{name}: more than {max_morphisms} morphisms")
+            if n_squares > MAX_COMMA_MORPHISMS:
+                raise EngineError(f"{name}: more than {MAX_COMMA_MORPHISMS} morphisms")
             squares.append(found)
 
     # at[x sx + y sy + (f + 1) n_b + g + 1]: the index of the square
@@ -182,9 +179,9 @@ def _after(C: FinCategory, g: int, f: int) -> int:
     return h
 
 
-def terminal_category(name: str = "*") -> FinCategory:
-    i = f"id:{name}"
-    return FinCategory(name, (name,), ((i, name, name),), {name: i}, {(i, i): i})
+def terminal_category() -> FinCategory:
+    i = "id:*"
+    return FinCategory("*", ("*",), ((i, "*", "*"),), {"*": i}, {(i, i): i})
 
 
 def const_functor(
@@ -200,14 +197,13 @@ def const_functor(
     )
 
 
-def bang_functor(C: FinCategory, star: FinCategory | None = None) -> FunctorData:
-    star = star or terminal_category()
-    return const_functor(C, star, star.objects[0], name=f"!{C.name}")
+def bang_functor(C: FinCategory) -> FunctorData:
+    return const_functor(C, terminal_category(), "*", name=f"!{C.name}")
 
 
-def arrow_category(C: FinCategory, name: str | None = None) -> CommaCategory:
+def arrow_category(C: FinCategory) -> CommaCategory:
     i = identity_functor(C)
-    return build_comma(i, i, name or f"Arr({C.name})")
+    return build_comma(i, i, f"Arr({C.name})")
 
 
 def induced_comma_functor(

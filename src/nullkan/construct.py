@@ -31,6 +31,7 @@ from .comma import (
 )
 from .fincat import (
     DEFAULT_BUDGET,
+    MAX_VIOLATIONS,
     BudgetExceeded,
     EngineError,
     FinCategory,
@@ -281,7 +282,6 @@ def probe_carriers(s: Setup) -> dict[str, FiniteSet]:
 
 
 class PipelineResult(NamedTuple):
-    setup: Setup
     comma_values: NullityDiagram
     comma_violations: list[Violation]
     probed: KanResult
@@ -298,8 +298,10 @@ class PipelineResult(NamedTuple):
             "probed_null": {
                 o: v.sorted_labels() for o, v in self.probed.extension.items()
             },
-            "main_null": {o: v.sorted_labels() for o, v in self.main_null.items()},
-            "paths": {"probed": self.probed.path, "main": self.main.path},
+            "paths": {
+                "probed": dict.fromkeys(self.probed.extension, "fast"),
+                "main": dict.fromkeys(self.main.extension, "fast"),
+            },
             "slice_sizes": {
                 "probed": self.probed.slice_sizes,
                 "main": self.main.slice_sizes,
@@ -307,28 +309,14 @@ class PipelineResult(NamedTuple):
         }
 
 
-def run_pipeline(
-    s: Setup, *, cross_check: bool = False, budget: int = DEFAULT_BUDGET
-) -> PipelineResult:
+def run_pipeline(s: Setup) -> PipelineResult:
     web = build_comma_web(s)
     diag = comma_nullity(s)
     comma_violations = diag.preservation_violations()
-    probed = right_kan(
-        web.induced("pi_star"),
-        diag,
-        probe_carriers(s),
-        cross_check=cross_check,
-        budget=budget,
-    )
+    probed = right_kan(web.induced("pi_star"), diag, probe_carriers(s))
     pdiag = NullityDiagram(web.comma_probe.category, dict(probed.extension))
     main_carriers = {V: carrier_of(s.gamma, V) for V in s.main.objects}
-    main = left_kan(
-        web.comma_probe.forget2,
-        pdiag,
-        main_carriers,
-        cross_check=cross_check,
-        budget=budget,
-    )
+    main = left_kan(web.comma_probe.forget2, pdiag, main_carriers)
     invariance = check_nullity_assignment(s.gamma, main.extension)
     if not invariance.ok:
         # The fiber formula is functorial only when the comma nullity is a
@@ -339,11 +327,11 @@ def run_pipeline(
             f"pipeline produced a non-functorial main nullity: "
             f"{[v.as_dict() for v in invariance.violations][:3]}"
         )
-    return PipelineResult(s, diag, comma_violations, probed, main, main.extension, invariance)
+    return PipelineResult(diag, comma_violations, probed, main, main.extension, invariance)
 
 
-def main_null(s: Setup, **kw) -> dict[str, NullityStructure]:
-    return run_pipeline(s, **kw).main_null
+def main_null(s: Setup) -> dict[str, NullityStructure]:
+    return run_pipeline(s).main_null
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +463,7 @@ def verify_minimality(s: Setup) -> ValidationReport:
                     )
                 )
                 break
-        if len(violations) >= 20:
+        if len(violations) >= MAX_VIOLATIONS:
             break
     return ValidationReport(not violations, checked, violations)
 
@@ -811,8 +799,6 @@ def builtin_model(name: str) -> Setup:
         return _f2_setup("trivial")
     if name == "f2_proper":
         return _f2_setup("proper")
-    if name.startswith("injections_card_"):
-        k = name.removeprefix("injections_card_")
-        if k.isdigit() and int(k) <= 2:
-            return _injections_setup(int(k))
+    if name in BUILTIN_NAMES and name.startswith("injections_card_"):
+        return _injections_setup(int(name[-1]))
     raise EngineError(f"unknown builtin model {name!r} (have {', '.join(BUILTIN_NAMES)})")

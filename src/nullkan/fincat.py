@@ -14,8 +14,10 @@ from operator import itemgetter
 from typing import NamedTuple
 
 DEFAULT_BUDGET = 200_000
-MAX_OBJECTS = 64
-MAX_MORPHISMS = 4096
+# Witnesses kept by each law checker before it stops looking.
+MAX_VIOLATIONS = 20
+# The most elements `power_set_preorder` takes: 2^5 subsets.
+MAX_POWER_SET = 5
 
 
 class EngineError(Exception):
@@ -331,13 +333,7 @@ class _Entries(ItemsView):
         return self._mapping._entries()
 
 
-def validate_category(
-    cat: FinCategory,
-    *,
-    max_objects: int = MAX_OBJECTS,
-    max_morphisms: int = MAX_MORPHISMS,
-    max_violations: int = 20,
-) -> ValidationReport:
+def validate_category(cat: FinCategory) -> ValidationReport:
     """Check the full category laws, collecting witnesses for failures.
 
     Identities, units, totality and endpoints are checked by direct table
@@ -345,22 +341,15 @@ def validate_category(
     certificate holds (see `_certified`); otherwise every composable triple
     is swept by brute force (see `_associativity_sweep`).  Entries already
     reported as spurious or with wrong endpoints are left out of the sweep.
+    It checks no size: sizes are bounded where inputs are read and where
+    the comma, set and nullity categories are built.
     """
-    if len(cat.objects) > max_objects:
-        raise EngineError(
-            f"{cat.name}: {len(cat.objects)} objects exceeds bound {max_objects}"
-        )
-    if len(cat.morphisms) > max_morphisms:
-        raise EngineError(
-            f"{cat.name}: {len(cat.morphisms)} morphisms exceeds bound {max_morphisms}"
-        )
-
     violations: list[Violation] = []
     checked = {"identity": 0, "unit": 0, "totality": 0, "associativity": 0}
 
     def add(v: Violation) -> bool:
         violations.append(v)
-        return len(violations) >= max_violations
+        return len(violations) >= MAX_VIOLATIONS
 
     full = False
     for x in cat.objects:
@@ -457,7 +446,7 @@ def validate_category(
                 h if h < 0 or (dom[h] == dom[f] and cod[h] == c) else -1
                 for f, h in zip(ins[d], rows[g])
             ]
-    n_assoc, bad = _associativity_sweep(cat, rows, max_violations - len(violations))
+    n_assoc, bad = _associativity_sweep(cat, rows, MAX_VIOLATIONS - len(violations))
     checked["associativity"] = n_assoc
     for h, g, f in bad:
         violations.append(_violation("associativity", h=h, g=g, f=f))
@@ -503,9 +492,7 @@ def _certified(cat: FinCategory) -> bool:
     if not cat.faithful:
         return False
     for F in cat.faithful:
-        tgt = F.target
-        small = len(tgt.objects) <= MAX_OBJECTS and len(tgt.morphisms) <= MAX_MORPHISMS
-        if tgt.faithful or not small or not validate_category(tgt).ok:
+        if F.target.faithful or not validate_category(F.target).ok:
             return False
     images = {
         (m.dom, m.cod, *(F.mor_map[m.name] for F in cat.faithful)) for m in cat.morphisms
@@ -629,11 +616,11 @@ def subset_label(elements: tuple[str, ...], mask: int) -> str:
     return "{" + inner + "}"
 
 
-def power_set_preorder(name: str, elements, bound: int = 5) -> FinCategory:
+def power_set_preorder(name: str, elements) -> FinCategory:
     """All subsets of `elements` ordered by inclusion."""
     elements = tuple(elements)
-    if len(elements) > bound:
-        raise EngineError(f"{name}: {len(elements)} elements exceeds bound {bound}")
+    if len(elements) > MAX_POWER_SET:
+        raise EngineError(f"{name}: {len(elements)} elements exceeds bound {MAX_POWER_SET}")
     masks = list(range(1 << len(elements)))
     labels = {m: subset_label(elements, m) for m in masks}
     leq = [
@@ -696,7 +683,7 @@ class FunctorData(NamedTuple):
             raise EngineError(f"functor {self.name}: no image for morphism {m!r}") from None
 
 
-def check_functor(F: FunctorData, *, max_violations: int = 20) -> ValidationReport:
+def check_functor(F: FunctorData) -> ValidationReport:
     violations: list[Violation] = []
     checked = {"objects": 0, "morphisms": 0, "identities": 0, "composition": 0}
     src, tgt = F.source, F.target
@@ -716,7 +703,7 @@ def check_functor(F: FunctorData, *, max_violations: int = 20) -> ValidationRepo
         if im.dom != F.obj_map.get(m.dom) or im.cod != F.obj_map.get(m.cod):
             violations.append(_violation("functor-endpoints", morphism=m.name, image=fm))
     if violations:
-        return ValidationReport(False, checked, violations[:max_violations])
+        return ValidationReport(False, checked, violations[:MAX_VIOLATIONS])
 
     for x in src.objects:
         checked["identities"] += 1
@@ -728,7 +715,7 @@ def check_functor(F: FunctorData, *, max_violations: int = 20) -> ValidationRepo
         rhs = tgt.compose(F.mor_map[g], F.mor_map[f])
         if lhs != rhs:
             violations.append(_violation("functor-composition", g=g, f=f))
-        if len(violations) >= max_violations:
+        if len(violations) >= MAX_VIOLATIONS:
             break
     return ValidationReport(not violations, checked, violations)
 
@@ -782,7 +769,7 @@ class NatTransData(NamedTuple):
     components: dict[str, str]  # source-category object -> target-category morphism
 
 
-def check_natural(t: NatTransData, *, max_violations: int = 20) -> ValidationReport:
+def check_natural(t: NatTransData) -> ValidationReport:
     F, G = t.source, t.target
     tgt = F.target
     violations: list[Violation] = []
@@ -797,14 +784,14 @@ def check_natural(t: NatTransData, *, max_violations: int = 20) -> ValidationRep
         if m.dom != F.obj_map[x] or m.cod != G.obj_map[x]:
             violations.append(_violation("component-endpoints", object=x, component=c))
     if violations:
-        return ValidationReport(False, checked, violations[:max_violations])
+        return ValidationReport(False, checked, violations[:MAX_VIOLATIONS])
     for m in F.source.morphisms:
         checked["naturality"] += 1
         lhs = tgt.compose(t.components[m.cod], F.mor_map[m.name])
         rhs = tgt.compose(G.mor_map[m.name], t.components[m.dom])
         if lhs != rhs:
             violations.append(_violation("naturality", morphism=m.name))
-            if len(violations) >= max_violations:
+            if len(violations) >= MAX_VIOLATIONS:
                 break
     return ValidationReport(not violations, checked, violations)
 

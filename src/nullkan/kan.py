@@ -4,15 +4,16 @@ Both extensions are computed per target object over the FIBER of that
 object (the source objects that K sends onto it), as the join (left) or
 meet (right) of the value families in the down-set lattice of the
 object's carrier.  That is exactly the union / intersection optimization
-the construction is built around.  With `cross_check=True` each join or
-meet is replayed through the generic universal-cocone search of fincat
-inside that lattice.  Empty fibers follow the lattice units: left
-extensions give the trivial structure, right extensions the full power
-set, on the target object's carrier.
+the construction is built around.  Empty fibers follow the lattice
+units: left extensions give the trivial structure, right extensions the
+full power set, on the target object's carrier.
 
-`check_universal` tries a candidate against `order.enumerate_assignments`.
-The Kan-identity lemmas (restrict-source and after-composite, both
-checked as the Kan square) build their textbook slices in `lemmas`.
+Two references check that path in the tests: `lattice_check` replays
+each join or meet through the generic universal-cocone search of fincat
+inside that lattice, and `check_universal` tries a candidate against
+`order.enumerate_assignments`.  The Kan-identity lemmas (restrict-source
+and after-composite, both checked as the Kan square) build their
+textbook slices in `lemmas`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import NamedTuple
 
 from .fincat import (
     DEFAULT_BUDGET,
+    MAX_VIOLATIONS,
     EngineError,
     FinCategory,
     FunctorData,
@@ -75,37 +77,7 @@ class NullityDiagram(NamedTuple):
 class KanResult(NamedTuple):
     side: str
     extension: dict[str, NullityStructure]
-    path: dict[str, str]
     slice_sizes: dict[str, int]
-    comparison_ok: bool
-
-
-# ---------------------------------------------------------------------------
-# The fiber path.
-
-
-def _lattice_check(
-    carrier: FiniteSet,
-    pieces: list[NullityStructure],
-    expected: NullityStructure,
-    side: str,
-    budget: int,
-) -> bool:
-    """Replay the join/meet through the generic universal search."""
-    lattice, fams = nullity_fiber_preorder(carrier)
-    node_of = {masks: node for node, masks in fams.items()}
-    idx = discrete_category(f"disc{len(pieces)}", [f"i{k}" for k in range(len(pieces))])
-    diag = FunctorData(
-        "fiber-values",
-        idx,
-        lattice,
-        {f"i{k}": node_of[p.masks] for k, p in enumerate(pieces)},
-        {idx.id_of(f"i{k}"): lattice.id_of(node_of[p.masks]) for k, p in enumerate(pieces)},
-    )
-    res = colimit(diag, budget) if side == "left" else limit(diag, budget)
-    if res.cone is None:
-        return False
-    return fams[res.cone.tip] == expected.masks
 
 
 def _kan_fiber(
@@ -113,16 +85,11 @@ def _kan_fiber(
     diag: NullityDiagram,
     target_carriers: dict[str, FiniteSet],
     side: str,
-    cross_check: bool,
-    budget: int,
 ) -> KanResult:
     if not diag.source.same_table(K.source):
         raise EngineError("kan: diagram and K have different sources")
     extension: dict[str, NullityStructure] = {}
-    path: dict[str, str] = {}
     sizes: dict[str, int] = {}
-    comparison_ok = True
-
     for d, objs in fibers(K).items():
         carrier = target_carriers[d]
         # union_all and intersect_all refuse a piece on another carrier.
@@ -133,34 +100,51 @@ def _kan_fiber(
             ext = intersect_all(carrier, pieces) if pieces else full_nullity(carrier)
         extension[d] = ext
         sizes[d] = len(pieces)
-        path[d] = "fast"
-        if cross_check:
-            if not _lattice_check(carrier, pieces, ext, side, budget):
-                comparison_ok = False
-            path[d] = "fast+brute"
-    return KanResult(side, extension, path, sizes, comparison_ok)
+    return KanResult(side, extension, sizes)
 
 
 def left_kan(
-    K: FunctorData,
-    diag: NullityDiagram,
-    target_carriers: dict[str, FiniteSet],
-    *,
-    cross_check: bool = False,
-    budget: int = DEFAULT_BUDGET,
+    K: FunctorData, diag: NullityDiagram, target_carriers: dict[str, FiniteSet]
 ) -> KanResult:
-    return _kan_fiber(K, diag, target_carriers, "left", cross_check, budget)
+    return _kan_fiber(K, diag, target_carriers, "left")
 
 
 def right_kan(
+    K: FunctorData, diag: NullityDiagram, target_carriers: dict[str, FiniteSet]
+) -> KanResult:
+    return _kan_fiber(K, diag, target_carriers, "right")
+
+
+# ---------------------------------------------------------------------------
+# The lattice replay.
+
+
+def lattice_check(
     K: FunctorData,
     diag: NullityDiagram,
     target_carriers: dict[str, FiniteSet],
-    *,
-    cross_check: bool = False,
-    budget: int = DEFAULT_BUDGET,
-) -> KanResult:
-    return _kan_fiber(K, diag, target_carriers, "right", cross_check, budget)
+    candidate: KanResult,
+    budget: int,
+) -> dict[str, bool]:
+    """Replay the candidate's join (left) or meet (right) over each fiber
+    of K as a colimit (limit) search in the lattice of all null families
+    on the target object's carrier; per target object, do they agree?"""
+    agrees = {}
+    for d, objs in fibers(K).items():
+        lattice, fams = nullity_fiber_preorder(target_carriers[d])
+        node_of = {masks: node for node, masks in fams.items()}
+        nodes = {f"i{k}": node_of[diag.values[x].masks] for k, x in enumerate(objs)}
+        idx = discrete_category(f"disc{len(objs)}", list(nodes))
+        values = FunctorData(
+            "fiber-values",
+            idx,
+            lattice,
+            nodes,
+            {idx.id_of(i): lattice.id_of(node) for i, node in nodes.items()},
+        )
+        res = colimit(values, budget) if candidate.side == "left" else limit(values, budget)
+        agrees[d] = res.cone is not None and fams[res.cone.tip] == candidate.extension[d].masks
+    return agrees
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +159,6 @@ def check_universal(
     target_carriers: dict[str, FiniteSet],
     target_transports: dict[str, SetMap] | None = None,
     budget: int = DEFAULT_BUDGET,
-    max_violations: int = 20,
 ) -> ValidationReport:
     """Check the candidate extension against every competitor: each
     assignment on the target carriers, kept only if it preserves the
@@ -226,6 +209,6 @@ def check_universal(
                     competitor=carriers[bad].label(min(H[bad] ^ ext[bad], default=0)),
                 )
             )
-        if len(violations) >= max_violations:
+        if len(violations) >= MAX_VIOLATIONS:
             break
-    return ValidationReport(not violations, checked, violations[:max_violations])
+    return ValidationReport(not violations, checked, violations[:MAX_VIOLATIONS])

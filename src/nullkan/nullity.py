@@ -12,6 +12,7 @@ import itertools
 from typing import NamedTuple
 
 from .fincat import (
+    MAX_VIOLATIONS,
     EngineError,
     FinCategory,
     FunctorData,
@@ -35,6 +36,14 @@ from .order import (
     trivial_nullity,
     union_all,
 )
+
+# The most composition entries `set_category` builds: one carrier of 4
+# elements holds 2^16 of them, one of 5 elements 5^10.
+MAX_SET_ENTRIES = 1 << 20
+# The largest carrier `materialize_nullity_category` takes, and the most
+# morphisms its category may have.
+MAX_MATERIALIZED_CARRIER = 3
+MAX_MATERIALIZED_MORPHISMS = 8192
 
 
 def carrier_id(s: FiniteSet) -> str:
@@ -138,12 +147,22 @@ def _maps_category(
 def set_category(name: str, carriers) -> tuple[FinCategory, dict, dict]:
     """The full category of the given carriers and all maps between them.
 
+    Refuses, before it enumerates a map, carriers whose composition rows
+    would hold more than MAX_SET_ENTRIES entries: the row of each map
+    b -> c has one entry per map into b, and there are q^p maps p -> q.
+
     Returns (category, object id -> FiniteSet, morphism id -> SetMap).
     """
     distinct: list[FiniteSet] = []
     for c in carriers:
         if c not in distinct:
             distinct.append(c)
+    sizes = [c.size for c in distinct]
+    entries = sum(sum(q**b for q in sizes) * sum(b**p for p in sizes) for b in sizes)
+    if entries > MAX_SET_ENTRIES:
+        raise EngineError(
+            f"{name}: {entries} composition entries exceed bound {MAX_SET_ENTRIES}"
+        )
     obj_ids = [carrier_id(c) for c in distinct]
     if len(set(obj_ids)) != len(obj_ids):
         raise EngineError("set_category: carrier label collision")
@@ -158,15 +177,13 @@ class MaterializedNullity(NamedTuple):
     setmap: dict[str, SetMap]  # morphism id -> underlying map
 
 
-def materialize_nullity_category(
-    name: str, carriers, max_carrier: int = 3
-) -> MaterializedNullity:
+def materialize_nullity_category(name: str, carriers) -> MaterializedNullity:
     """All null families on the given carriers and all null-preserving maps."""
     distinct: list[FiniteSet] = []
     for c in carriers:
-        if c.size > max_carrier:
+        if c.size > MAX_MATERIALIZED_CARRIER:
             raise EngineError(
-                f"materialize: carrier size {c.size} exceeds bound {max_carrier}"
+                f"materialize: carrier size {c.size} exceeds bound {MAX_MATERIALIZED_CARRIER}"
             )
         if c not in distinct:
             distinct.append(c)
@@ -186,6 +203,10 @@ def materialize_nullity_category(
         obj_carrier,
         lambda f, a, b: preservation_witness(f, structure[a].masks, structure[b].masks) is None,
     )
+    if len(cat.morphisms) > MAX_MATERIALIZED_MORPHISMS:
+        raise EngineError(
+            f"{name}: {len(cat.morphisms)} morphisms exceeds bound {MAX_MATERIALIZED_MORPHISMS}"
+        )
     # Forgetting the null families is faithful: it certifies associativity.
     cat.faithful = (carrier_functor(f"forget[{name}]", cat, obj_carrier, setmap),)
     return MaterializedNullity(cat, structure, setmap)
@@ -226,7 +247,7 @@ def setmap_of(gamma: FunctorData, m: str) -> SetMap:
     return gamma.carrier_mor[m]
 
 
-def check_carrier_action(gamma: FunctorData, *, max_violations: int = 20) -> ValidationReport:
+def check_carrier_action(gamma: FunctorData) -> ValidationReport:
     """Check that the carrier payload is itself functorial.
 
     Endpoints must match the object carriers, identities must be identity
@@ -249,7 +270,7 @@ def check_carrier_action(gamma: FunctorData, *, max_violations: int = 20) -> Val
         lhs = setmap_of(gamma, f).then(setmap_of(gamma, g))
         if lhs != setmap_of(gamma, src.compose(g, f)):
             violations.append(_violation("carrier-composition", g=g, f=f))
-        if len(violations) >= max_violations:
+        if len(violations) >= MAX_VIOLATIONS:
             break
     return ValidationReport(not violations, checked, violations)
 
@@ -280,10 +301,7 @@ def transports_of(gamma: FunctorData, morphisms=None) -> list[tuple[str, SetMap,
 
 
 def check_nullity_assignment(
-    gamma: FunctorData,
-    assignment: dict[str, NullityStructure],
-    *,
-    max_violations: int = 20,
+    gamma: FunctorData, assignment: dict[str, NullityStructure]
 ) -> ValidationReport:
     """Does every morphism send null sets to null sets?
 
@@ -301,13 +319,13 @@ def check_nullity_assignment(
         elif n.carrier != carrier_of(gamma, x):
             violations.append(_violation("assignment-carrier", object=x))
     if violations:
-        return ValidationReport(False, checked, violations[:max_violations])
+        return ValidationReport(False, checked, violations[:MAX_VIOLATIONS])
     moves = transports_of(gamma)
     masks = {x: assignment[x].masks for x in src.objects}
-    failures = list(itertools.islice(failed_transports(masks, moves), max_violations))
+    failures = list(itertools.islice(failed_transports(masks, moves), MAX_VIOLATIONS))
     # Morphisms are counted up to the last violation kept.
     checked["morphisms"] = len(moves)
-    if len(failures) == max_violations:
+    if len(failures) == MAX_VIOLATIONS:
         checked["morphisms"] = [t[0] for t in moves].index(failures[-1][0]) + 1
     violations = [
         _violation(

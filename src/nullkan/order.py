@@ -14,6 +14,10 @@ import itertools
 
 from .fincat import EngineError, _Backtrack, _Frozen, _Meter
 
+# The largest carrier `all_down_sets` enumerates: 2^2^4 = 65536 candidate
+# families is still fine, 2^2^5 is not.
+MAX_DOWN_SET_CARRIER = 4
+
 
 class FiniteSet(_Frozen):
     """Ordered carrier of distinct element ids."""
@@ -233,15 +237,17 @@ def pushforward_closure(f: SetMap, n: NullityStructure) -> NullityStructure:
     return down_closure(f.cod, (f.image_mask(m) for m in n.masks))
 
 
-def all_down_sets(carrier: FiniteSet, bound: int = 4) -> list[frozenset[int]]:
+def all_down_sets(carrier: FiniteSet) -> list[frozenset[int]]:
     """Every legal null family on the carrier, in deterministic order.
 
-    Exhaustive over the power set of the power set, so the carrier is
-    capped (2^2^4 = 65536 candidates is still fine, 2^2^5 is not).
+    Exhaustive over the power set of the power set, so the carrier has at
+    most MAX_DOWN_SET_CARRIER elements.
     """
     n = carrier.size
-    if n > bound:
-        raise EngineError(f"all_down_sets: carrier size {n} exceeds bound {bound}")
+    if n > MAX_DOWN_SET_CARRIER:
+        raise EngineError(
+            f"all_down_sets: carrier size {n} exceeds bound {MAX_DOWN_SET_CARRIER}"
+        )
     nonempty = [m for m in carrier.all_masks() if m != 0]
     out = []
     for extra in itertools.chain.from_iterable(

@@ -34,10 +34,11 @@ A file either names a builtin (`model: f2_proper`) or declares blocks:
 Tokens are whitespace-separated; ids never contain whitespace.  Lines
 whose first non-blank character is `#` are comments (ids may contain
 `#`, so there are no trailing comments).  Every referenced id must be
-declared on an earlier line.  `parse_spec` reports the first error with
-its line number, and `serialize_spec` emits the canonical form
-(two-space indent, single spaces, no comments), so canonical files
-round-trip byte-for-byte.
+declared on an earlier line, and a category declares at most
+MAX_OBJECTS objects and MAX_MORPHISMS morphisms.  `parse_spec` reports
+the first error with its line number, and `serialize_spec` emits the
+canonical form (two-space indent, single spaces, no comments), so
+canonical files round-trip byte-for-byte.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ from .nullity import carrier_functor, carrier_of, setmap_of
 from .order import FiniteSet, SetMap, down_closure
 
 FORMAT_VERSION = 1
+# The most objects and morphisms a category block may declare.
+MAX_OBJECTS = 64
+MAX_MORPHISMS = 8192
 
 
 class SpecError(EngineError):
@@ -217,12 +221,16 @@ def parse_spec(text: str) -> SpecDocument:
             if head == "object" and len(toks) == 2:
                 if toks[1] in objs:
                     err(n, f"duplicate object {toks[1]!r}")
+                if len(objs) == MAX_OBJECTS:
+                    err(n, f"category {b.name!r} has more than {MAX_OBJECTS} objects")
                 objs.add(toks[1])
                 b.objects.append(toks[1])
             elif head == "morphism" and len(toks) == 4:
                 mid, dom, cod = toks[1:]
                 if mid in mors:
                     err(n, f"duplicate morphism {mid!r}")
+                if len(mors) == MAX_MORPHISMS:
+                    err(n, f"category {b.name!r} has more than {MAX_MORPHISMS} morphisms")
                 for o in (dom, cod):
                     if o not in objs:
                         err(n, f"dangling reference: object {o!r} not declared")

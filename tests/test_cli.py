@@ -64,6 +64,42 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def run_child(*argv, stderr=subprocess.DEVNULL):
+    """Exit code and resource usage of `python -m nullkan *argv`."""
+    src = str(Path(nullkan.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "nullkan", *argv], env=env, stdout=subprocess.DEVNULL, stderr=stderr
+    )
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return child.returncode, usage
+
+
+def identity_wired_spec(objects, arrows=(), compositions=(), elements=("p",)):
+    """A spec wired by identity (base = inter = main) on one category: the
+    `objects` with their identities, the `arrows` (name, dom, cod), the
+    `compositions` (g, f, gf) among them, `elements` as every object's
+    carrier with identity maps, and the trivial base family."""
+    lines = ["version: 1", "", "category D"]
+    lines += [f"  object {x}" for x in objects]
+    lines += [f"  morphism id:{x} {x} {x}" for x in objects]
+    lines += [f"  morphism {a} {d} {c}" for a, d, c in arrows]
+    lines += [f"  identity {x} id:{x}" for x in objects]
+    lines += [f"  compose {g} {f} {gf}" for g, f, gf in compositions]
+    lines += ["end", "", "functor idD D D"]
+    lines += [f"  obj {x} {x}" for x in objects]
+    lines += [f"  mor {a} {a}" for a, _, _ in arrows]
+    lines += ["end", "", "carriers g D"]
+    lines += [f"  carrier {x} " + " ".join(elements) for x in objects]
+    lines += [f"  map {a} " + " ".join(f"{e}>{e}" for e in elements) for a, _, _ in arrows]
+    lines += ["end", "", "nullity n0", "  carrier " + " ".join(elements), "end", "", "setup"]
+    lines += [f"  {key} D" for key in ("base", "inter", "main")]
+    lines += [f"  {key} idD" for key in ("j2", "j1", "pi")]
+    lines += ["  gamma g", *(f"  basenull {x} n0" for x in objects), "end"]
+    return "\n".join(lines) + "\n"
+
+
 def test_validate_pass(capsys):
     code, out, err = run(capsys, "validate", "--model", "f2_proper")
     assert code == 0
@@ -179,6 +215,78 @@ def test_unknown_model_is_input_error(capsys):
     code, out, err = run(capsys, "validate", "--model", "nope")
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("name", ["injections_card_00", "injections_card_\u0660"])
+def test_builtin_names_are_exact(name, tmp_path, capsys):
+    # An extra zero, or an Arabic-Indic zero, does not name injections_card_0.
+    code, _, err = run(capsys, "construct", "--model", name)
+    assert code == 2
+    assert err.startswith(f"error: unknown builtin model {name!r}")
+    spec = tmp_path / "m.spec"
+    spec.write_text(f"version: 1\nmodel: {name}\n", encoding="utf-8")
+    code, _, err = run(capsys, "construct", "--spec", str(spec))
+    assert code == 2
+    assert err == f"error: line 2: unknown builtin model {name!r}\n"
+
+
+def test_materialize_validates_the_comma_categories_it_builds(tmp_path, capsys):
+    # Arr of an 11-chain has 66 objects: within the comma bounds, though
+    # above the 64 objects a spec category may declare.
+    objs = [f"c{i}" for i in range(11)]
+    le = {(i, j): f"le{i}_{j}" for i in range(11) for j in range(i + 1, 11)}
+    spec = tmp_path / "chain11.spec"
+    spec.write_text(
+        identity_wired_spec(
+            objs,
+            [(a, objs[i], objs[j]) for (i, j), a in le.items()],
+            [(le[j, k], le[i, j], le[i, k]) for i, j in le for k in range(j + 1, 11)],
+        )
+    )
+    code, out, _ = run(capsys, "materialize", "--spec", str(spec), "--json")
+    assert code == 0
+    comma = json.loads(out)["comma"]
+    assert sorted(comma) == ["arrow_base", "comma_inter", "comma_main", "comma_probe"]
+    for label, row in comma.items():
+        assert (row["objects"], row["morphisms"], row["ok"]) == (66, 1716, True), label
+
+
+def over_bounds():
+    """Case -> (spec text, its refusal) for a 5-element carrier, a category
+    of 65 objects and one of 8,193 morphisms."""
+    five = identity_wired_spec(["X"], elements=tuple("abcde"))
+    many_objects = identity_wired_spec([f"x{i}" for i in range(65)])
+    # Two identities and 8,191 parallel arrows, none composable.
+    many_arrows = identity_wired_spec(["X", "Y"], [(f"a{i}", "X", "Y") for i in range(8191)])
+    return {
+        "carrier5": (five, "Set[g]: 9765625 composition entries exceed bound 1048576"),
+        "objects65": (
+            many_objects,
+            f"line {many_objects.splitlines().index('  object x64') + 1}: "
+            "category 'D' has more than 64 objects",
+        ),
+        "morphisms8193": (
+            many_arrows,
+            f"line {many_arrows.splitlines().index('  morphism a8190 X Y') + 1}: "
+            "category 'D' has more than 8192 morphisms",
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", ["carrier5", "objects65", "morphisms8193"])
+@pytest.mark.parametrize("command", ["validate", "construct"])
+def test_inputs_over_the_bounds_are_refused_at_once(case, command, tmp_path):
+    # A 5-element carrier took 10.7 s of CPU and 519 MB to validate, and a
+    # 6-element one went past 7 GB; each is now refused as it is built.
+    text, message = over_bounds()[case]
+    spec = tmp_path / "over.spec"
+    spec.write_text(text)
+    err = tmp_path / "err.txt"
+    with err.open("w") as fh:
+        code, usage = run_child(command, "--spec", str(spec), stderr=fh)
+    assert code == 2
+    assert err.read_text() == f"error: {message}\n"
+    assert usage.ru_utime + usage.ru_stime < 1.0
 
 
 def test_parse_error_location_reaches_stderr(tmp_path, capsys):
@@ -424,11 +532,6 @@ def test_materialize_stays_under_150_mb():
     morphisms, 1,420,123 composites) fits in integer rows: the whole
     command peaks under 150 MB, where a composition dict keyed by name
     pairs took 284 MB."""
-    src = str(Path(nullkan.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    argv = [sys.executable, "-m", "nullkan", "materialize", "--model", "injections_card_0"]
-    child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)
-    assert child.returncode == 0
+    code, usage = run_child("materialize", "--model", "injections_card_0")
+    assert code == 0
     assert usage.ru_maxrss / 1024 < 150  # ru_maxrss is in KiB on Linux

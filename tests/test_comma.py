@@ -2,6 +2,7 @@
 
 import pytest
 
+import nullkan.comma
 from nullkan.comma import (
     arrow_category,
     bang_functor,
@@ -86,17 +87,19 @@ def test_comma_morphism_marginals(c3):
         assert m.name == comma_mor(f, g, m.dom, m.cod)
 
 
-def test_build_comma_respects_bounds(c3):
-    with pytest.raises(EngineError):
-        build_comma(
-            identity_functor(c3), identity_functor(c3), "tiny", max_objects=2
-        )
+def test_build_comma_respects_bounds(c3, monkeypatch):
+    ident = identity_functor(c3)
+    with monkeypatch.context() as m:
+        m.setattr(nullkan.comma, "MAX_COMMA_OBJECTS", 2)
+        with pytest.raises(EngineError, match="6 objects exceed bound 2"):
+            build_comma(ident, ident, "tiny")
     # the morphism bound is exact
     n_mor = len(arrow_category(c3).category.morphisms)
-    ident = identity_functor(c3)
-    assert len(build_comma(ident, ident, max_morphisms=n_mor).category.morphisms) == n_mor
+    monkeypatch.setattr(nullkan.comma, "MAX_COMMA_MORPHISMS", n_mor)
+    assert len(build_comma(ident, ident).category.morphisms) == n_mor
+    monkeypatch.setattr(nullkan.comma, "MAX_COMMA_MORPHISMS", n_mor - 1)
     with pytest.raises(EngineError, match=f"more than {n_mor - 1} morphisms"):
-        build_comma(ident, ident, "tiny", max_morphisms=n_mor - 1)
+        build_comma(ident, ident, "tiny")
 
 
 def test_build_comma_refuses_before_naming_a_morphism(monkeypatch):
@@ -109,8 +112,9 @@ def test_build_comma_refuses_before_naming_a_morphism(monkeypatch):
     named = []
     monkeypatch.setattr("nullkan.comma.comma_mor", lambda *a: named.append(a) or "m")
     for bound in (0, 1, 17, n_mor - 1):
+        monkeypatch.setattr(nullkan.comma, "MAX_COMMA_MORPHISMS", bound)
         with pytest.raises(EngineError, match=f"more than {bound} morphisms"):
-            build_comma(ident, ident, "small", max_morphisms=bound)
+            build_comma(ident, ident, "small")
     assert named == []
 
 

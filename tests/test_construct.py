@@ -104,10 +104,11 @@ def test_comma_transport_violation_counts(name, violations):
     assert r.invariance.ok
 
 
-def test_pipeline_cross_check():
-    r = run_pipeline(builtin_model("f2_proper"), cross_check=True)
-    assert r.main.comparison_ok
-    assert r.probed.comparison_ok
+def test_pipeline_cross_check(kan_replay):
+    s = builtin_model("f2_proper")
+    replay = kan_replay(s)
+    assert replay["probed"] == dict.fromkeys(build_comma_web(s).comma_probe.obj_data, True)
+    assert replay["main"] == dict.fromkeys(s.main.objects, True)
 
 
 @pytest.mark.parametrize(

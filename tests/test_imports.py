@@ -2,8 +2,10 @@
 imports it again; every function and class the package defines is
 referenced somewhere; every module imports only the standard library and
 nullkan; budget errors are raised only by the step meter and the
-minimality guard; the benchmark tracer's targets exist; and importing the
-CLI loads every traced module but not `dataclasses` or `inspect`."""
+minimality guard; every parameter default is overridden by some call in
+the package, bar a listed few; the benchmark tracer's targets exist; and
+importing the CLI loads every traced module but not `dataclasses` or
+`inspect`."""
 
 import ast
 import importlib.util
@@ -197,6 +199,96 @@ def test_definition_detector_flags_an_unused_function():
     referenced = referenced_names(tree)
     unused = {q for q in defined_names(tree) if q.rsplit(".", 1)[-1] not in referenced}
     assert unused == {"A.idle", "g"}
+
+
+def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(qualified function name, parameter, place) for every parameter with
+    a default; place is the index of the positional argument that fills it
+    in a call (after `self` or `cls` in a method), None if keyword-only."""
+    out = []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                pos = a.posonlyargs + a.args
+                skip = int(in_class and bool(pos) and pos[0].arg in ("self", "cls"))
+                for i in range(len(pos) - len(a.defaults), len(pos)):
+                    out.append((prefix + child.name, pos[i].arg, i - skip))
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        out.append((prefix + child.name, arg.arg, None))
+                visit(child, f"{prefix}{child.name}.", False)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", True)
+            else:
+                visit(child, prefix, in_class)
+
+    visit(tree, "", False)
+    return out
+
+
+def passes(call: ast.Call, param: str, place: int | None) -> bool:
+    """Does the call pass `param` by keyword or `**`, or by position or `*`?"""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return place is not None and (
+        len(call.args) > place or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+def unpassed_defaults(trees: dict[str, ast.Module]) -> set[str]:
+    """"module.function.parameter" for each parameter with a default that no
+    call to a function of that name, in any of the trees, passes."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return {
+        f"{module}.{qualname}.{param}"
+        for module, tree in trees.items()
+        for qualname, param, place in defaulted_parameters(tree)
+        if not any(passes(c, param, place) for c in calls.get(qualname.rsplit(".", 1)[-1], ()))
+    }
+
+
+# Defaults that only tests override: the seams and references they use.
+UNPASSED_DEFAULTS = {
+    # The argument list; the console script passes none.
+    "cli.main.argv",
+    # The seam for broken assignments.
+    "construct.verify_invariance.assignment",
+    # check_universal is a reference for the Kan steps.
+    "kan.check_universal.target_transports",
+    "kan.check_universal.budget",
+    # run_lemma_suite passes these budgets by position, through the
+    # checker it takes from LEMMA_CHECKS.
+    "lemmas.check_precompose_invariance.budget",
+    "lemmas.check_comma_inherits_adjoint.budget",
+    "lemmas.check_kan_restrict_source.budget",
+    "lemmas.check_kan_after_composite.budget",
+}
+
+
+def test_every_default_is_passed_inside_the_package():
+    # A default that no call in the package overrides is an option that
+    # only tests set, and a second code path to keep working.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    assert unpassed_defaults(trees) == UNPASSED_DEFAULTS
+
+
+def test_default_detector_flags_an_unpassed_parameter():
+    tree = ast.parse(
+        "def f(a, b=1, *, c=2, d=3): pass\n"
+        "class K:\n    def m(self, x=0, y=0): pass\n"
+        "def g(p=0, q=0): pass\n"
+        "def h(r=0): pass\n"
+        "f(0, 1, d=4)\nK().m(5)\ng(**opts)\nh(*args)\n"
+    )
+    assert unpassed_defaults({"mod": tree}) == {"mod.f.c", "mod.K.m.y"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -17,6 +17,7 @@ from nullkan.kan import (
     NullityDiagram,
     check_universal,
     fibers,
+    lattice_check,
     left_kan,
     right_kan,
 )
@@ -55,7 +56,7 @@ def test_fiber_mode_singleton_fibers(two_points_over_chain):
     L = left_kan(K, diag, carriers)
     assert L.extension["t0"].masks == diag.values["d0"].masks
     assert L.extension["t1"].masks == diag.values["d1"].masks
-    assert L.path == {"t0": "fast", "t1": "fast"}
+    assert L.slice_sizes == {"t0": 1, "t1": 1}
     R = right_kan(K, diag, carriers)
     assert R.extension["t0"].masks == diag.values["d0"].masks
 
@@ -76,9 +77,13 @@ def test_fiber_mode_union_and_conventions(two_points_over_chain):
 
 def test_cross_check_agrees(two_points_over_chain):
     K, diag, carriers, c = two_points_over_chain
-    L = left_kan(K, diag, carriers, cross_check=True)
-    assert L.comparison_ok
-    assert set(L.path.values()) == {"fast+brute"}
+    for step in (left_kan, right_kan):
+        got = lattice_check(K, diag, carriers, step(K, diag, carriers), DEFAULT_BUDGET)
+        assert got == {"t0": True, "t1": True}
+    # A candidate off by one family disagrees at that object only.
+    L = left_kan(K, diag, carriers)
+    wrong = L._replace(extension={**L.extension, "t1": trivial_nullity(c)})
+    assert lattice_check(K, diag, carriers, wrong, DEFAULT_BUDGET) == {"t0": True, "t1": False}
 
 
 def test_universal_property_of_fiber_result(two_points_over_chain):
@@ -96,7 +101,7 @@ def test_universal_check_right_side_and_transports(two_points_over_chain):
     assert rep.ok and rep.checked["competitors"] == 25
     # Too small on the right: the counit exists, but diag's own values are
     # a competitor that does not factor through it.
-    small = KanResult("right", {d: trivial_nullity(c) for d in carriers}, {}, {}, True)
+    small = KanResult("right", {d: trivial_nullity(c) for d in carriers}, {})
     rep = check_universal(K, diag, small, target_carriers=carriers)
     assert {v.law for v in rep.violations} == {"kan-not-universal"}
     # Identity transports keep the 14 pairs with H(t0) inside H(t1).  The
@@ -121,7 +126,7 @@ def test_universal_check_rejects_a_non_functorial_candidate(two_points_over_chai
     # The largest functorial assignment below the fiber meet is the right
     # extension among functorial assignments, and passes.
     fixed = {"t0": trivial_nullity(c), "t1": diag.values["d1"]}
-    R = KanResult("right", fixed, {}, {}, True)
+    R = KanResult("right", fixed, {})
     assert check_universal(K, diag, R, target_carriers=carriers, target_transports=ident).ok
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+import nullkan.nullity
 from nullkan.fincat import EngineError, FinCategory, validate_category
 from nullkan.nullity import (
     bar_null,
@@ -95,6 +96,36 @@ def test_materialized_lookups():
 def test_materialize_carrier_cap():
     with pytest.raises(EngineError):
         materialize_nullity_category("big", [FiniteSet(tuple("abcd"))])
+
+
+def test_materialize_morphism_cap(monkeypatch):
+    monkeypatch.setattr(nullkan.nullity, "MAX_MATERIALIZED_MORPHISMS", 62)
+    assert len(materialize_nullity_category("N", [FiniteSet(("a", "b"))]).category.morphisms) == 62
+    monkeypatch.setattr(nullkan.nullity, "MAX_MATERIALIZED_MORPHISMS", 61)
+    with pytest.raises(EngineError, match="N: 62 morphisms exceeds bound 61"):
+        materialize_nullity_category("N", [FiniteSet(("a", "b"))])
+
+
+@pytest.mark.parametrize(
+    "sizes,entries",
+    [((4,), 65_536), ((4, 4), 524_288), ((3,) * 10, 729_000), ((0, 1, 2, 3), 1_678)],
+)
+def test_set_category_counts_its_entries_before_building(sizes, entries, monkeypatch):
+    # The last case is the injections models' carriers.
+    carriers = [FiniteSet(tuple(f"e{i}_{k}" for i in range(n))) for k, n in enumerate(sizes)]
+    assert len(set_category("S", carriers)[0].composition) == entries
+    monkeypatch.setattr(nullkan.nullity, "MAX_SET_ENTRIES", entries - 1)
+    with pytest.raises(EngineError, match=f"{entries} composition entries exceed bound"):
+        set_category("S", carriers)
+
+
+def test_set_category_refuses_before_enumerating_a_map(monkeypatch):
+    # A 5-element carrier alone has 5^5 maps out and 5^5 maps in.
+    tried = []
+    monkeypatch.setattr(nullkan.nullity, "all_set_maps", lambda *a: tried.append(a) or ())
+    with pytest.raises(EngineError, match="S: 9765625 composition entries exceed bound 1048576"):
+        set_category("S", [FiniteSet(tuple("abcde"))])
+    assert tried == []
 
 
 def test_fiber_preorder():
