@@ -47,6 +47,7 @@ from .fincat import (
 )
 from .kan import KanResult, NullityDiagram, left_kan, right_kan
 from .nullity import (
+    _admitted_maps,
     _maps_category,
     bar_null as _bar_null,
     base_nullity,
@@ -241,20 +242,17 @@ def check_assumptions(s: Setup) -> ValidationReport:
                 _violation("A3-triangle", morphism=m.name, image=comp.mor_map[m.name])
             )
 
-    # A:4 iota3 is invertible and its inverse rstar retracts it:
-    # rstar . iota3 = Id on Arrow(B).
+    # A:4 iota3 is invertible, so its inverse rstar retracts it.  Broken
+    # tables can stop the comma categories it runs between from being built.
     if not any(v.law.startswith(("A1", "A3")) for v in violations):
-        web = build_comma_web(s)
         checked["A4"] = 1
-        rstar = web.iota3_rstar
+        try:
+            rstar = build_comma_web(s).iota3_rstar
+            detail = "no iota3_rstar supplied or derivable"
+        except EngineError as e:
+            rstar, detail = None, str(e)
         if rstar is None:
-            violations.append(
-                _violation("A4-missing", detail="no iota3_rstar supplied or derivable")
-            )
-        else:
-            back = compose_functors(rstar, web.induced("iota3"))
-            if not functor_equal(back, identity_functor(web.arrow_base.category)):
-                violations.append(_violation("A4-retraction", detail="rstar.iota3 != Id"))
+            violations.append(_violation("A4-missing", detail=detail))
     return ValidationReport(not violations, checked, violations)
 
 
@@ -404,7 +402,9 @@ def verify_invariance(
         assignment = main_null(s)
     carriers = {V: carrier_of(s.gamma, V) for V in s.main.objects}
     masks = masks_on(carriers, assignment)
-    endos = transports_of(s.gamma, [e for V in s.main.objects for e in s.main.endos(V)])
+    endos = transports_of(
+        s.main, s.gamma.carrier_mor, [e for V in s.main.objects for e in s.main.endos(V)]
+    )
     violations = []
     for e, bad in failed_transports(masks, endos):
         V = s.main.dom(e)
@@ -438,7 +438,7 @@ def verify_minimality(s: Setup) -> ValidationReport:
             MINIMALITY_GUARD,
         )
     computed = main_null(s)
-    endos = transports_of(s.gamma, [e for V in objs for e in s.main.endos(V)])
+    endos = transports_of(s.main, s.gamma.carrier_mor, [e for V in objs for e in s.main.endos(V)])
     pushed = {V: probe_pushforwards(s, V) for V in objs}
 
     violations: list[Violation] = []
@@ -770,13 +770,11 @@ def _identity_setup() -> Setup:
 
 def _injections_setup(k: int) -> Setup:
     carriers = {f"S{n}": FiniteSet(("a", "b", "c")[:n]) for n in range(4)}
-    C, maps = _maps_category(
-        "injections",
-        carriers,
-        lambda f, a, b: len(set(f.images)) == len(f.images),
-        prefix="inj:",
+    maps = _admitted_maps(
+        carriers, lambda f, a, b: len(set(f.images)) == len(f.images), prefix="inj:"
     )
-    gamma = carrier_functor("gamma", C, carriers, maps)
+    C = _maps_category("injections", maps)
+    gamma = carrier_functor("gamma", C, carriers, maps.setmap)
     ident = identity_functor(C)
     base = {o: base_nullity("cardinality", c, k) for o, c in carriers.items()}
     return Setup(f"injections_card_{k}", C, C, C, ident, ident, ident, gamma, base)

@@ -365,10 +365,9 @@ def validate_category(cat: FinCategory) -> ValidationReport:
             return ValidationReport(False, checked, violations)
 
     # Totality and endpoint sanity of the composition table, in one pass
-    # over the rows that also checks that each certificate functor
-    # preserves each entry.  Loose entries are reported first, in their
-    # given order; a row entry can only have wrong endpoints if a builder
-    # put it there.
+    # over the rows.  Loose entries are reported first, in their given
+    # order; a row entry can only have wrong endpoints if a builder put it
+    # there.
     names, dom, cod, ins, rows = cat._names, cat._dom, cat._cod, cat._in, cat._rows
     n_in = [len(into) for into in ins]
     n_out = [0] * len(ins)
@@ -380,26 +379,16 @@ def validate_category(cat: FinCategory) -> ValidationReport:
     bad_ends = [(g, f) for g, f, _ in cat._loose if dom[g] == cod[f]]
     n_covered = len(bad_ends)  # composable pairs whose entry is loose
     in_doms = [[dom[f] for f in into] for into in ins]
-    # Loose entries rule the certificate out, whatever the functors do.
-    frames = [] if cat._loose else [_frame(F, cat) for F in cat.faithful]
-    preserved = not cat._loose and None not in frames
     n_missing = 0
     bad_rows = set()
     for g, row in enumerate(rows):
         d, c = dom[g], cod[g]
         if -1 in row:
             n_missing += row.count(-1)
-            preserved = False
         elif (
             list(map(dom.__getitem__, row)) == in_doms[d]
             and list(map(cod.__getitem__, row)).count(c) == len(row)
         ):
-            if preserved:
-                for fm, trows, tpos_in in frames:
-                    image = map(trows[fm[g]].__getitem__, tpos_in[d])
-                    if list(image) != list(map(fm.__getitem__, row)):
-                        preserved = False
-                        break
             continue
         for f, h in zip(ins[d], row):
             if h >= 0 and (dom[h] != dom[f] or cod[h] != c):
@@ -434,7 +423,7 @@ def validate_category(cat: FinCategory) -> ValidationReport:
             if add(_violation("right-unit", morphism=m.name, identity=rid)):
                 return ValidationReport(False, checked, violations)
 
-    if preserved and total and not bad_ends and _certified(cat):
+    if total and not bad_ends and _certified(cat):
         # Every triple is composable and every composite is in the table.
         checked["associativity"] = sum(n_in[d] * n_out[c] for d, c in zip(dom, cod))
         return ValidationReport(not violations, checked, violations)
@@ -453,46 +442,23 @@ def validate_category(cat: FinCategory) -> ValidationReport:
     return ValidationReport(not violations, checked, violations)
 
 
-def _frame(F: FunctorData, cat: FinCategory):
-    """If F sends cat's objects, morphisms and identities to the right
-    places in its target, the tables that check F against cat's rows:
-    (F on morphism indices, the target's rows, and for each object x the
-    places of the images of x's in-list in the target's in-lists).
-    Otherwise None.  (Composition is checked on cat's rows.)"""
-    tgt = F.target
-    for x in cat.objects:
-        y = F.obj_map.get(x)
-        if y not in tgt._obj_index:
-            return None
-        if x not in cat.identity or F.mor_map.get(cat.identity[x]) != tgt.identity.get(y):
-            return None
-    fm = []
-    for m in cat.morphisms:
-        i = tgt._index.get(F.mor_map.get(m.name))
-        im = None if i is None else tgt.morphisms[i]
-        if im is None or (im.dom, im.cod) != (F.obj_map[m.dom], F.obj_map[m.cod]):
-            return None
-        fm.append(i)
-    tpos = tgt._pos
-    return fm, tgt._rows, [[tpos[fm[f]] for f in into] for into in cat._in]
-
-
 def _certified(cat: FinCategory) -> bool:
     """Do the functors in `cat.faithful` prove cat associative?
 
     The caller has checked that cat's table is total with the right
-    endpoints and that each functor preserves it, objects, endpoints and
-    identities included.  It remains that each target carries no
-    certificate of its own and passes the brute-force check, and that the
-    functors are jointly faithful: m -> (dom, cod, F1(m), F2(m), ...) is
-    injective.  Then h(gf) and (hg)f have the same endpoints and the same
-    image under every Fi, as Fi(h)(Fi(g)Fi(f)) = (Fi(h)Fi(g))Fi(f) in an
-    associative target, so they are one morphism.
+    endpoints.  Loose entries or a missing identity rule the certificate
+    out.  Otherwise it holds when each target carries no certificate of
+    its own and passes the brute-force check, each functor passes
+    `check_functor`, and the functors are jointly faithful:
+    m -> (dom, cod, F1(m), F2(m), ...) is injective.  Then h(gf) and (hg)f
+    have the same endpoints and the same image under every Fi, as
+    Fi(h)(Fi(g)Fi(f)) = (Fi(h)Fi(g))Fi(f) in an associative target, so
+    they are one morphism.
     """
-    if not cat.faithful:
+    if not cat.faithful or cat._loose or len(cat.identity) < len(cat.objects):
         return False
     for F in cat.faithful:
-        if F.target.faithful or not validate_category(F.target).ok:
+        if F.target.faithful or not validate_category(F.target).ok or not check_functor(F).ok:
             return False
     images = {
         (m.dom, m.cod, *(F.mor_map[m.name] for F in cat.faithful)) for m in cat.morphisms
@@ -684,6 +650,10 @@ class FunctorData(NamedTuple):
 
 
 def check_functor(F: FunctorData) -> ValidationReport:
+    """Check that F preserves objects, morphisms, endpoints, identities and
+    composites.  Composites are read from the rows; a composable pair with
+    no entry in the source's table is skipped and not counted (the source's
+    own report names it), and one missing from the target is a witness."""
     violations: list[Violation] = []
     checked = {"objects": 0, "morphisms": 0, "identities": 0, "composition": 0}
     src, tgt = F.source, F.target
@@ -709,14 +679,27 @@ def check_functor(F: FunctorData) -> ValidationReport:
         checked["identities"] += 1
         if F.mor_map[src.id_of(x)] != tgt.id_of(F.obj_map[x]):
             violations.append(_violation("functor-identity", object=x))
-    for g, f in src.composable_pairs():
-        checked["composition"] += 1
-        lhs = F.mor_map[src.compose(g, f)]
-        rhs = tgt.compose(F.mor_map[g], F.mor_map[f])
-        if lhs != rhs:
-            violations.append(_violation("functor-composition", g=g, f=f))
-        if len(violations) >= MAX_VIOLATIONS:
-            break
+    # Each row of the source, mapped by F, is compared in one step with the
+    # row of its image read at the places of the images of its in-list; a
+    # row that differs is walked pair by pair for witnesses.  F on indices
+    # ends in -2, which no row holds, so a gap (-1) never compares equal.
+    names, ins, trows, tpos = src._names, src._in, tgt._rows, tgt._pos
+    fm = [*map(tgt._index.__getitem__, map(F.mor_map.__getitem__, names)), -2]
+    tpos_in = [[tpos[fm[f]] for f in into] for into in ins]
+    for g, (d, row) in enumerate(zip(src._dom, src._rows)):
+        image = map(trows[fm[g]].__getitem__, tpos_in[d])
+        if len(violations) < MAX_VIOLATIONS and list(image) == list(map(fm.__getitem__, row)):
+            checked["composition"] += len(row)
+            continue
+        for f in ins[d]:
+            h = src._composite(g, f)
+            if h < 0:
+                continue
+            checked["composition"] += 1
+            if tgt._composite(fm[g], fm[f]) != fm[h]:
+                violations.append(_violation("functor-composition", g=names[g], f=names[f]))
+            if len(violations) >= MAX_VIOLATIONS:
+                return ValidationReport(False, checked, violations)
     return ValidationReport(not violations, checked, violations)
 
 

@@ -34,7 +34,7 @@ from .fincat import (
     fibers,
     limit,
 )
-from .nullity import nullity_fiber_preorder
+from .nullity import nullity_fiber_preorder, transports_of
 from .order import (
     FiniteSet,
     NullityStructure,
@@ -47,11 +47,6 @@ from .order import (
     trivial_nullity,
     union_all,
 )
-
-
-def _transports(cat: FinCategory, setmaps: dict[str, SetMap] | None) -> list:
-    """(name, set map, dom, cod) for each morphism of `cat`; none without maps."""
-    return [] if setmaps is None else [(m.name, setmaps[m.name], m.dom, m.cod) for m in cat.morphisms]
 
 
 class NullityDiagram(NamedTuple):
@@ -70,7 +65,7 @@ class NullityDiagram(NamedTuple):
                 morphism=m,
                 null_set=self.values[self.source.dom(m)].carrier.label(bad),
             )
-            for m, bad in failed_transports(masks, _transports(self.source, self.transport))
+            for m, bad in failed_transports(masks, transports_of(self.source, self.transport))
         ]
 
 
@@ -178,7 +173,7 @@ def check_universal(
         return p <= q if side == "left" else q <= p
 
     checked = {"unit_components": len(K.source.objects), "competitors": 0}
-    transports = _transports(K.target, target_transports)
+    transports = transports_of(K.target, target_transports)
     violations: list[Violation] = [
         _violation(
             "kan-candidate-not-functorial",

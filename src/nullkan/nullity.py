@@ -82,25 +82,25 @@ def _code_table(p: int, q: int, r: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _maps_category(
-    name: str, carriers: dict[str, FiniteSet], admits, prefix: str = ""
-) -> tuple[FinCategory, dict[str, SetMap]]:
-    """One object per entry of `carriers` (object id -> carrier) and one
-    morphism per set map f: a -> b with `admits(f, a, b)`, composed as maps.
-    Morphism ids are `prefix` followed by `_map_id`.
+class _Maps(NamedTuple):
+    """The maps `_admitted_maps` admits.  by_code[a][b][k] is the index of
+    the morphism a -> b with code k (see `_code`), or -1; codes[a][b] lists
+    the codes admitted a -> b, in order."""
 
-    Maps are composed by their codes (see `_code`), through one code table
-    per triple of carrier sizes, straight into the category's rows.
-    `admits` must be closed under composition and hold for identities.
+    carriers: dict[str, FiniteSet]  # object id -> carrier
+    mors: list[Mor]
+    setmap: dict[str, SetMap]  # morphism id -> underlying map
+    by_code: list[list[list[int]]]
+    codes: list[list[list[int]]]
 
-    Returns (category, morphism id -> SetMap).
-    """
+
+def _admitted_maps(carriers: dict[str, FiniteSet], admits, prefix: str = "") -> _Maps:
+    """One morphism per set map f: a -> b between entries of `carriers`
+    with `admits(f, a, b)`, by domain, then codomain, then code.  Morphism
+    ids are `prefix` followed by `_map_id`."""
     objs = list(carriers)
-    size = [carriers[o].size for o in objs]
     mors: list[Mor] = []
     setmap: dict[str, SetMap] = {}
-    # by_code[a][b][k]: index of the morphism a -> b with code k, or -1;
-    # codes[a][b]: the codes admitted a -> b, in order.
     by_code = [[[] for _ in objs] for _ in objs]
     codes = [[[] for _ in objs] for _ in objs]
     for a, oa in enumerate(objs):
@@ -117,7 +117,17 @@ def _maps_category(
                     setmap[mid] = f
                 else:
                     by_code[a][b].append(-1)
+    return _Maps(carriers, mors, setmap, by_code, codes)
 
+
+def _maps_category(name: str, maps: _Maps) -> FinCategory:
+    """The category of `maps`, composed by their codes (see `_code`)
+    through one code table per triple of carrier sizes, straight into the
+    rows.  The maps must be closed under composition and hold the
+    identities."""
+    objs = list(maps.carriers)
+    size = [maps.carriers[o].size for o in objs]
+    mors, by_code, codes = maps.mors, maps.by_code, maps.codes
     identity = {}
     for a, oa in enumerate(objs):
         i = by_code[a][a][_code(range(size[a]), size[a])]
@@ -141,7 +151,7 @@ def _maps_category(
                 for into, pick, table in parts:
                     row += map(into, pick(table[k]))
                 rows.append(row)
-    return FinCategory.from_rows(name, objs, mors, identity, rows), setmap
+    return FinCategory.from_rows(name, objs, mors, identity, rows)
 
 
 def set_category(name: str, carriers) -> tuple[FinCategory, dict, dict]:
@@ -167,8 +177,8 @@ def set_category(name: str, carriers) -> tuple[FinCategory, dict, dict]:
     if len(set(obj_ids)) != len(obj_ids):
         raise EngineError("set_category: carrier label collision")
     obj_carrier = dict(zip(obj_ids, distinct))
-    cat, mor_map = _maps_category(name, obj_carrier, lambda f, a, b: True)
-    return cat, obj_carrier, mor_map
+    maps = _admitted_maps(obj_carrier, lambda f, a, b: True)
+    return _maps_category(name, maps), obj_carrier, maps.setmap
 
 
 class MaterializedNullity(NamedTuple):
@@ -198,18 +208,18 @@ def materialize_nullity_category(name: str, carriers) -> MaterializedNullity:
             structure[oid] = NullityStructure(c, masks)
 
     obj_carrier = {o: n.carrier for o, n in structure.items()}
-    cat, setmap = _maps_category(
-        name,
+    maps = _admitted_maps(
         obj_carrier,
         lambda f, a, b: preservation_witness(f, structure[a].masks, structure[b].masks) is None,
     )
-    if len(cat.morphisms) > MAX_MATERIALIZED_MORPHISMS:
+    if len(maps.mors) > MAX_MATERIALIZED_MORPHISMS:
         raise EngineError(
-            f"{name}: {len(cat.morphisms)} morphisms exceeds bound {MAX_MATERIALIZED_MORPHISMS}"
+            f"{name}: {len(maps.mors)} morphisms exceeds bound {MAX_MATERIALIZED_MORPHISMS}"
         )
+    cat = _maps_category(name, maps)
     # Forgetting the null families is faithful: it certifies associativity.
-    cat.faithful = (carrier_functor(f"forget[{name}]", cat, obj_carrier, setmap),)
-    return MaterializedNullity(cat, structure, setmap)
+    cat.faithful = (carrier_functor(f"forget[{name}]", cat, obj_carrier, maps.setmap),)
+    return MaterializedNullity(cat, structure, maps.setmap)
 
 
 def nullity_fiber_preorder(carrier: FiniteSet) -> tuple[FinCategory, dict[str, frozenset[int]]]:
@@ -251,27 +261,32 @@ def check_carrier_action(gamma: FunctorData) -> ValidationReport:
     """Check that the carrier payload is itself functorial.
 
     Endpoints must match the object carriers, identities must be identity
-    maps, and payload composition must agree with the source's table.
+    maps, and payload composition must agree with the source's table at
+    each entry it has; a composable pair without one is not counted.
     """
     src = gamma.source
     violations: list[Violation] = []
     checked = {"endpoints": 0, "identities": 0, "composition": 0}
-    for m in src.morphisms:
+    maps = [setmap_of(gamma, m.name) for m in src.morphisms]
+    for m, sm in zip(src.morphisms, maps):
         checked["endpoints"] += 1
-        sm = setmap_of(gamma, m.name)
         if sm.dom != carrier_of(gamma, m.dom) or sm.cod != carrier_of(gamma, m.cod):
             violations.append(_violation("carrier-endpoints", morphism=m.name))
     for x in src.objects:
         checked["identities"] += 1
         if not setmap_of(gamma, src.id_of(x)).is_identity():
             violations.append(_violation("carrier-identity", object=x))
-    for g, f in src.composable_pairs():
-        checked["composition"] += 1
-        lhs = setmap_of(gamma, f).then(setmap_of(gamma, g))
-        if lhs != setmap_of(gamma, src.compose(g, f)):
-            violations.append(_violation("carrier-composition", g=g, f=f))
-        if len(violations) >= MAX_VIOLATIONS:
-            break
+    names = src._names
+    for g, d in enumerate(src._dom):
+        for f in src._in[d]:
+            h = src._composite(g, f)
+            if h < 0:
+                continue
+            checked["composition"] += 1
+            if maps[f].then(maps[g]) != maps[h]:
+                violations.append(_violation("carrier-composition", g=names[g], f=names[f]))
+            if len(violations) >= MAX_VIOLATIONS:
+                return ValidationReport(False, checked, violations)
     return ValidationReport(not violations, checked, violations)
 
 
@@ -291,13 +306,14 @@ def carrier_functor(name: str, src: FinCategory, obj: dict, mor: dict) -> Functo
 # Nullity assignments along a carrier action.
 
 
-def transports_of(gamma: FunctorData, morphisms=None) -> list[tuple[str, SetMap, str, str]]:
-    """(name, set map, dom, cod) of the given morphisms (default: all, in
-    declared order), as `order.failed_transports` reads them."""
-    src = gamma.source
-    if morphisms is None:
-        morphisms = [m.name for m in src.morphisms]
-    return [(m, setmap_of(gamma, m), src.dom(m), src.cod(m)) for m in morphisms]
+def transports_of(cat: FinCategory, setmaps: dict | None, morphisms=None) -> list:
+    """(name, set map, dom, cod) of the given morphisms of `cat` (default:
+    all, in declared order) under `setmaps`, as `order.failed_transports`
+    reads them; none without maps."""
+    if setmaps is None:
+        return []
+    mors = cat.morphisms if morphisms is None else map(cat.mor, morphisms)
+    return [(m.name, setmaps[m.name], m.dom, m.cod) for m in mors]
 
 
 def check_nullity_assignment(
@@ -320,7 +336,7 @@ def check_nullity_assignment(
             violations.append(_violation("assignment-carrier", object=x))
     if violations:
         return ValidationReport(False, checked, violations[:MAX_VIOLATIONS])
-    moves = transports_of(gamma)
+    moves = transports_of(src, gamma.carrier_mor)
     masks = {x: assignment[x].masks for x in src.objects}
     failures = list(itertools.islice(failed_transports(masks, moves), MAX_VIOLATIONS))
     # Morphisms are counted up to the last violation kept.

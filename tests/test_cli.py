@@ -12,6 +12,8 @@ import pytest
 
 import nullkan
 from nullkan.cli import main
+from nullkan.fincat import EngineError
+from nullkan.specfile import parse_spec, to_setup
 
 SPECGEN = Path(__file__).resolve().parent.parent / "perfbench" / "specgen.py"
 
@@ -58,22 +60,43 @@ end
 """
 
 
+def load_specgen():
+    spec = importlib.util.spec_from_file_location("perfbench_specgen", SPECGEN)
+    specgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(specgen)
+    return specgen
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
 
 
+# A child keeps the peak RSS of the process it was started from until it
+# execs, and os.wait4 reports the larger of the two; so a fresh interpreter,
+# not this one, starts the command and reports its usage.
+MEASURE = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_utime + usage.ru_stime, usage.ru_maxrss)
+"""
+
+
 def run_child(*argv, stderr=subprocess.DEVNULL):
-    """Exit code and resource usage of `python -m nullkan *argv`."""
+    """Exit code, CPU seconds and peak RSS in MB of `python -m nullkan *argv`."""
     src = str(Path(nullkan.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    child = subprocess.Popen(
-        [sys.executable, "-m", "nullkan", *argv], env=env, stdout=subprocess.DEVNULL, stderr=stderr
-    )
-    _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)
-    return child.returncode, usage
+    code, cpu, rss = subprocess.run(
+        [sys.executable, "-c", MEASURE, sys.executable, "-m", "nullkan", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=stderr,
+        check=True,
+        text=True,
+    ).stdout.split()
+    return int(code), float(cpu), int(rss) / 1024  # ru_maxrss is in KiB on Linux
 
 
 def identity_wired_spec(objects, arrows=(), compositions=(), elements=("p",)):
@@ -253,7 +276,8 @@ def test_materialize_validates_the_comma_categories_it_builds(tmp_path, capsys):
 
 def over_bounds():
     """Case -> (spec text, its refusal) for a 5-element carrier, a category
-    of 65 objects and one of 8,193 morphisms."""
+    of 65 objects, one of 8,193 morphisms, and two distinct 3-element
+    carriers, whose nullity category has 20,268 morphisms."""
     five = identity_wired_spec(["X"], elements=tuple("abcde"))
     many_objects = identity_wired_spec([f"x{i}" for i in range(65)])
     # Two identities and 8,191 parallel arrows, none composable.
@@ -270,23 +294,37 @@ def over_bounds():
             f"line {many_arrows.splitlines().index('  morphism a8190 X Y') + 1}: "
             "category 'D' has more than 8192 morphisms",
         ),
+        "two3": (
+            BIG.replace("e0 e1 e2 e3", "a b c").replace("f0 f1 f2 f3", "d e f"),
+            "Null[over]: 20268 morphisms exceeds bound 8192",
+        ),
     }
 
 
-@pytest.mark.parametrize("case", ["carrier5", "objects65", "morphisms8193"])
-@pytest.mark.parametrize("command", ["validate", "construct"])
-def test_inputs_over_the_bounds_are_refused_at_once(case, command, tmp_path):
+@pytest.mark.parametrize(
+    "command,case",
+    [
+        (command, case)
+        for command in ("construct", "validate")
+        for case in ("carrier5", "morphisms8193", "objects65")
+    ]
+    + [("materialize", "two3")],
+)
+def test_inputs_over_the_bounds_are_refused_at_once(command, case, tmp_path):
     # A 5-element carrier took 10.7 s of CPU and 519 MB to validate, and a
-    # 6-element one went past 7 GB; each is now refused as it is built.
+    # 6-element one went past 7 GB; materialize built all 20,268 rows of
+    # two3 (1.3 s, 105 MB) before it counted them.  Each is now refused
+    # before that work.
     text, message = over_bounds()[case]
     spec = tmp_path / "over.spec"
     spec.write_text(text)
     err = tmp_path / "err.txt"
     with err.open("w") as fh:
-        code, usage = run_child(command, "--spec", str(spec), stderr=fh)
+        code, cpu, rss = run_child(command, "--spec", str(spec), stderr=fh)
     assert code == 2
     assert err.read_text() == f"error: {message}\n"
-    assert usage.ru_utime + usage.ru_stime < 1.0
+    assert cpu < 1.0
+    assert rss < 60
 
 
 def test_parse_error_location_reaches_stderr(tmp_path, capsys):
@@ -513,12 +551,9 @@ CONSTRUCT_REFUSALS = {
 
 
 def test_construct_refusals_are_pinned(tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location("perfbench_specgen", SPECGEN)
-    specgen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(specgen)
     refused = {}
     for seed in range(1, 11):
-        for i, text in enumerate(specgen.generate(seed, 2)):
+        for i, text in enumerate(load_specgen().generate(seed, 2)):
             path = tmp_path / f"s{seed}_{i}.spec"
             path.write_text(text)
             code, _, err = run(capsys, "construct", "--spec", str(path))
@@ -532,6 +567,64 @@ def test_materialize_stays_under_150_mb():
     morphisms, 1,420,123 composites) fits in integer rows: the whole
     command peaks under 150 MB, where a composition dict keyed by name
     pairs took 284 MB."""
-    code, usage = run_child("materialize", "--model", "injections_card_0")
+    code, _, rss = run_child("materialize", "--model", "injections_card_0")
     assert code == 0
-    assert usage.ru_maxrss / 1024 < 150  # ru_maxrss is in KiB on Linux
+    assert rss < 150
+
+
+def mutation_corpus(specs_dir):
+    """(spec text, partial) for each one-line mutation of
+    `specs/f2_proper.spec`, `specs/idempotent.spec` and the two specgen
+    specs of seed 3 that still loads: one `compose`, `mor` or `map` line
+    deleted, one `compose` line pointed at each of up to 3 other morphisms
+    of its category, or one `mor` line at each of up to 2 other morphisms
+    of its functor's target.  `partial` marks a deleted `compose` line,
+    which leaves a composable pair without an entry."""
+    texts = [(specs_dir / name).read_text() for name in ("f2_proper.spec", "idempotent.spec")]
+    out = []
+    for text in texts + load_specgen().generate(3, 2):
+        lines = text.splitlines()
+        homs: dict[str, list[str]] = {}  # category -> its morphism names
+        pool: list[str] = []  # the morphisms a line of this block may name
+        for i, line in enumerate(lines):
+            word, *rest = line.split() or [""]
+            if word == "category":
+                pool = homs[rest[0]] = []
+            elif word == "functor":
+                pool = homs[rest[2]]
+            elif word == "morphism":
+                pool.append(rest[0])
+            if word in ("compose", "mor", "map"):
+                out.append((lines[:i] + lines[i + 1 :], word == "compose"))
+            if word in ("compose", "mor"):
+                others = [m for m in pool if m != rest[-1]][: 3 if word == "compose" else 2]
+                for m in others:
+                    pointed = "  " + " ".join([word, *rest[:-1], m])
+                    out.append((lines[:i] + [pointed] + lines[i + 1 :], False))
+    loading = []
+    for variant, partial in out:
+        text = "\n".join(variant) + "\n"
+        try:
+            to_setup(parse_spec(text))
+        except EngineError:
+            continue
+        loading.append((text, partial))
+    return loading
+
+
+def test_validate_reports_every_loading_mutation(specs_dir, tmp_path, capsys):
+    # Where a composable pair has no entry, validate exited 2 on the first
+    # functor law that read it; it now reports the gap with exit 1.  The
+    # other reports are pinned as they were before.
+    spec = tmp_path / "variant.spec"
+    corpus = mutation_corpus(specs_dir)
+    assert (len(corpus), sum(partial for _, partial in corpus)) == (337, 76)
+    pinned = hashlib.sha256()
+    for text, partial in corpus:
+        spec.write_text(text)
+        code, out, err = run(capsys, "validate", "--spec", str(spec), "--json")
+        if partial:
+            assert code == 1 and '"composition-missing"' in out, text
+        else:
+            pinned.update(f"{code}\n{out}".encode())
+    assert pinned.hexdigest() == "05cd911162dd539ed96367e3a7fe8893dbb1c543493f779c0fb1df86dcf28530"

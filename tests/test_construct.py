@@ -232,6 +232,27 @@ def test_broken_retraction_is_reported_not_raised(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] in ("pass", "fail")
 
 
+@pytest.mark.parametrize(
+    "broken,detail",
+    [
+        # With pi = Id_P, A3 holds, but iota3 sends the one object of
+        # Arr(B) into (incl|P), which has two: id:o and e.
+        ("", "no iota3_rstar supplied or derivable"),
+        # Without e after e, (incl|P) cannot be built at all.
+        ("  compose e e e\n", "P: composition table has no entry for ('e', 'e')"),
+    ],
+    ids=["not-invertible", "partial-table"],
+)
+def test_iota3_without_inverse_is_reported(broken, detail, tmp_path, capsys):
+    spec = tmp_path / "a4.spec"
+    spec.write_text(A3_ONLY.replace("  pi crush", "  pi idP").replace(broken, ""))
+    assert main(["validate", "--spec", str(spec), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["assumptions"]["violations"] == [
+        {"law": "A4-missing", "witness": {"detail": detail}}
+    ]
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_invariance_on_builtins(name):
     assert verify_invariance(builtin_model(name)).ok

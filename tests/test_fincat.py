@@ -256,6 +256,23 @@ def test_functor_checks(c2, c3):
     assert not check_functor(broken).ok
 
 
+def test_functor_check_reads_gaps_without_raising(c2, c3):
+    def without(C, key):
+        comp = {k: h for k, h in C.composition.items() if k != key}
+        return FinCategory(f"{C.name}-gap", C.objects, C.morphisms, C.identity, comp)
+
+    f = thin("incl", c2, c3, {"y0": "x0", "y1": "x2"})
+    # A composite the target lacks is a witness.
+    rep = check_functor(f._replace(target=without(c3, ("le:x2>x2", "le:x0>x2"))))
+    assert [v.as_dict() for v in rep.violations] == [
+        {"law": "functor-composition", "witness": {"f": "le:y0>y1", "g": "le:y1>y1"}}
+    ]
+    # A pair the source lacks is skipped and not counted.
+    rep = check_functor(f._replace(source=without(c2, ("le:y1>y1", "le:y0>y1"))))
+    assert rep.ok
+    assert rep.checked["composition"] == check_functor(f).checked["composition"] - 1 == 3
+
+
 def test_compose_functors_and_equality(c2, c3):
     f = thin("incl", c2, c3, {"y0": "x0", "y1": "x2"})
     g = thin("collapse", c3, c2, {"x0": "y0", "x1": "y0", "x2": "y1"})

@@ -154,7 +154,7 @@ def test_enumerator_matches_brute_force(case, count, two_points_over_chain):
     else:
         s = builtin_model(case)
         carriers = {V: carrier_of(s.gamma, V) for V in s.main.objects}
-        transports = transports_of(s.gamma)
+        transports = transports_of(s.main, s.gamma.carrier_mor)
     got = list(enumerate_assignments(carriers, transports, DEFAULT_BUDGET))
     assert got == _brute_assignments(carriers, transports)
     assert len(got) == count
