@@ -130,29 +130,27 @@ def build_comma(
 
     # The row of (f2, g2): x2 -> y2 runs over the squares (f1, g1): x1 -> x2,
     # and its entry is the square (f2 f1, g2 g1): x1 -> y2.  into[x2] holds
-    # each such (f1, g1) as (x1 sx + n_b + 1, place of f1, place of g1).  A
-    # composite that the rows of A or B lack is looked up again by name,
-    # which finds a loose entry or raises.
+    # each such (f1, g1) as (x1 sx + n_b + 1, place of f1, place of g1).  At
+    # the first entry that names no square, a composite that A or B lacks
+    # raises by name; otherwise the composite square does not commute.
     into: list[list[tuple[int, int, int]]] = [[] for _ in objects]
     for f1, g1, x1, x2 in mor_ends:
         into[x2].append((x1 * sx + n_b + 1, A._pos[f1], B._pos[g1]))
     rows = []
-    commutes = True
-    for f2, g2, x2, y2 in mor_ends:
+    for k, (f2, g2, x2, y2) in enumerate(mor_ends):
         ra, rb, y = A._rows[f2], B._rows[g2], y2 * sy
         row = [at.get(x + y + ra[pa] * n_b + rb[pb], -1) for x, pa, pb in into[x2]]
         if -1 in row:
-            row = [
-                at.get(x1 * sx + y + (_after(A, f2, f1) + 1) * n_b + _after(B, g2, g1) + 1, -1)
-                for f1, g1, x1, to in mor_ends
-                if to == x2
-            ]
-            commutes = commutes and -1 not in row
+            j = [j for j, (*_, to) in enumerate(mor_ends) if to == x2][row.index(-1)]
+            f1, g1 = mor_ends[j][:2]
+            _after(A, f2, f1)
+            _after(B, g2, g1)
+            raise EngineError(
+                f"{name}: {morphisms[k].name} after {morphisms[j].name} is not a commuting square"
+            )
         rows.append(row)
 
     cat = FinCategory.from_rows(name, objects, morphisms, identity, rows)
-    if not commutes:  # some composite square does not commute
-        raise EngineError(f"{name}: composition table references unknown name")
     forget1 = FunctorData(f"fst[{name}]", cat, A, {x: obj_data[x][0] for x in objects}, fst)
     forget2 = FunctorData(f"snd[{name}]", cat, B, {x: obj_data[x][2] for x in objects}, snd)
     cat.faithful = (forget1, forget2)

@@ -514,27 +514,31 @@ def verify_extension(s: Setup, budget: int = DEFAULT_BUDGET) -> ExtensionReport:
     statement needs), and the object-by-object restriction equality.
     """
     items: dict[str, dict] = {}
-    gamma_b = gamma_on_base(s)
-    bar = _bar_null(gamma_b, s.base_null)
-    sat = all(bar[b].masks == s.base_null[b].masks for b in s.base.objects)
     a4 = check_assumptions(s)
-    hypothesis_met = sat and a4.ok
-    if not sat:
-        bad = next(
-            (b for b in s.base.objects if bar[b].masks != s.base_null[b].masks), None
-        )
-        items["saturation"] = {
-            "status": "unmet",
-            "witness_object": bad,
-            "bar": bar[bad].sorted_labels() if bad else None,
-            "base": s.base_null[bad].sorted_labels() if bad else None,
-        }
+    # The carriers pull back along j1 j2 only where j1 and j2 send every
+    # object and morphism to one with the right endpoints.
+    unmapped = {
+        f"A1-{F.name}-functor-{law}"
+        for F in (s.j1, s.j2)
+        for law in ("object", "morphism", "endpoints")
+    }
+    if unmapped.isdisjoint(v.law for v in a4.violations):
+        gamma_b = gamma_on_base(s)
+        bar = _bar_null(gamma_b, s.base_null)
+        bad = next((b for b in s.base.objects if bar[b].masks != s.base_null[b].masks), None)
+        if bad is not None:
+            items["saturation"] = {
+                "status": "unmet",
+                "witness_object": bad,
+                "bar": bar[bad].sorted_labels(),
+                "base": s.base_null[bad].sorted_labels(),
+            }
     if not a4.ok:
         items["assumptions"] = {
             "status": "unmet",
             "violations": [v.as_dict() for v in a4.violations][:5],
         }
-    if not hypothesis_met:
+    if items:
         return ExtensionReport(False, items)
 
     web = build_comma_web(s)

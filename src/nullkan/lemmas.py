@@ -14,6 +14,7 @@ Restrict-source and after-composite are checked as the Kan square
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .comma import build_comma, const_functor, induced_comma_functor, terminal_category
@@ -134,23 +135,26 @@ def check_comma_inherits_adjoint(
     return out
 
 
+# The one-object category every slice is taken against.
+_STAR = terminal_category()
+
+
 def _slice(F: FunctorData, d: str, kind: str):
     """The slice of F at d over which a pointwise Kan extension of `kind`
     takes its (co)limit: the comma category (F/d) for "colim", (d/F) for
-    "lim", against the one-object category sent to d.
+    "lim", against the one-object category `_STAR` sent to d.
 
-    Returns the comma category, its projection to F's source, its
-    one-object side, and `place(main, point)`, which puts a functor on F's
-    source side and one on the one-object side into the (I, K) argument
-    slots of `induced_comma_functor`.
+    Returns the comma category, its projection to F's source, and
+    `place(main, point)`, which puts a functor on F's source side and one
+    on the one-object side into the (I, K) argument slots of
+    `induced_comma_functor`.
     """
-    star = terminal_category()
-    anchor = const_functor(star, F.target, d, name=f"at[{d}]")
+    anchor = const_functor(_STAR, F.target, d, name=f"at[{d}]")
     if kind == "colim":
         c = build_comma(F, anchor, f"({F.name}/{d})")
-        return c, c.forget1, star, lambda main, point: (main, point)
+        return c, c.forget1, lambda main, point: (main, point)
     c = build_comma(anchor, F, f"({d}/{F.name})")
-    return c, c.forget2, star, lambda main, point: (point, main)
+    return c, c.forget2, lambda main, point: (point, main)
 
 
 def check_kan_square(
@@ -178,11 +182,12 @@ def check_kan_square(
     adj_kind = "post" if kind == "colim" else "pre"
     oper = colimit if kind == "colim" else limit
     ba = compose_functors(b, a)
+    point = identity_functor(_STAR)
     checked, vacuous, failed = 0, [], []
     for x in d.target.objects:
-        src, src_proj, src_point, place = _slice(d, x, kind)
-        dst, dst_proj, dst_point, _ = _slice(f, e.on_obj(x), kind)
-        I, K = place(a, thin_functor("pt", src_point, dst_point, {"*": "*"}))
+        src, src_proj, place = _slice(d, x, kind)
+        dst, dst_proj, _ = _slice(f, e.on_obj(x), kind)
+        I, K = place(a, point)
         t = induced_comma_functor(f"cmp[{x}]", I, e, K, src, dst)
         try:
             adj = search_half_right_adjoint(t, adj_kind, budget)
@@ -233,7 +238,9 @@ def check_kan_after_composite(
 # them, and inclusion chains inside down-set lattices.
 
 
+@functools.cache
 def _chain(name: str, n: int) -> FinCategory:
+    # Shared by every caller: nothing changes a chain once it is built.
     return chain_preorder(name, [f"{name}{i}" for i in range(n)])
 
 
@@ -241,6 +248,19 @@ def _monotone(rng: random.Random, name: str, src: FinCategory, tgt: FinCategory)
     vals = sorted(rng.randrange(len(tgt.objects)) for _ in src.objects)
     obj_map = {x: tgt.objects[v] for x, v in zip(src.objects, vals)}
     return thin_functor(name, src, tgt, obj_map)
+
+
+def _draw(rng: random.Random, sizes: dict, maps: list) -> tuple[dict, dict]:
+    """The chains and monotone maps of one seeded instance, by name.
+
+    `sizes` gives each chain a size, or a (least, most) pair drawn with
+    `rng.randint` in dict order; `maps` lists (name, source, target) chain
+    names, each map drawn with `_monotone` in list order.
+    """
+    chains = {
+        c: _chain(c, n if isinstance(n, int) else rng.randint(*n)) for c, n in sizes.items()
+    }
+    return chains, {m: _monotone(rng, m, chains[a], chains[b]) for m, a, b in maps}
 
 
 def _downset_chain(rng: random.Random, name: str, src: FinCategory, carrier: FiniteSet) -> FunctorData:
@@ -264,18 +284,14 @@ def precompose_instances(seed: int) -> list[dict]:
     rng = random.Random(seed)
     out = []
     for i in range(7):
-        X = _chain("x", rng.randint(1, 3))
-        Y = _chain("y", rng.randint(1, 3))
-        Z = _chain("z", rng.randint(2, 3))
-        f = _monotone(rng, "f", X, Y)
-        g = _monotone(rng, "g", Y, Z)
-        out.append({"name": f"chains-{i}", "f": f, "g": g, "kind": rng.choice(["colim", "lim"])})
+        _, maps = _draw(
+            rng, {"x": (1, 3), "y": (1, 3), "z": (2, 3)}, [("f", "x", "y"), ("g", "y", "z")]
+        )
+        out.append({"name": f"chains-{i}", **maps, "kind": rng.choice(["colim", "lim"])})
     for i, size in enumerate((0, 1, 2)):
-        X = _chain("x", rng.randint(1, 2))
-        Y = _chain("y", 2)
-        f = _monotone(rng, "f", X, Y)
-        g = _downset_chain(rng, "g", Y, FiniteSet(tuple("ab"[:size])))
-        out.append({"name": f"lattice-{i}", "f": f, "g": g, "kind": rng.choice(["colim", "lim"])})
+        chains, maps = _draw(rng, {"x": (1, 2), "y": 2}, [("f", "x", "y")])
+        g = _downset_chain(rng, "g", chains["y"], FiniteSet(tuple("ab"[:size])))
+        out.append({"name": f"lattice-{i}", **maps, "g": g, "kind": rng.choice(["colim", "lim"])})
     # Guaranteed-hypothesis pair: a surjective chain map has both half
     # adjoints, so neither kind is vacuous here.
     X = _chain("x", 3)
@@ -298,17 +314,10 @@ def comma_inherits_instances(seed: int) -> list[dict]:
     rng = random.Random(seed)
     out = []
     for i in range(8):
-        A = _chain("a", rng.randint(1, 2))
-        B = _chain("b", rng.randint(1, 2))
-        E = _chain("e", rng.randint(1, 2))
-        out.append(
-            {
-                "name": f"chains-{i}",
-                "a": _monotone(rng, "a", A, B),
-                "f": _monotone(rng, "f", B, E),
-                "kind": rng.choice(["pre", "post"]),
-            }
+        _, maps = _draw(
+            rng, {"a": (1, 2), "b": (1, 2), "e": (1, 2)}, [("a", "a", "b"), ("f", "b", "e")]
         )
+        out.append({"name": f"chains-{i}", **maps, "kind": rng.choice(["pre", "post"])})
     A = _chain("a", 2)
     B = _chain("b", 2)
     ident = thin_functor("a", A, B, {"a0": "b0", "a1": "b1"})
@@ -330,19 +339,12 @@ def kan_restrict_instances(seed: int) -> list[dict]:
     rng = random.Random(seed)
     out = []
     for i in range(8):
-        A = _chain("a", rng.randint(1, 2))
-        B = _chain("b", rng.randint(1, 3))
-        E = _chain("e", rng.randint(1, 2))
-        C = _chain("c", 3)
-        out.append(
-            {
-                "name": f"chains-{i}",
-                "a": _monotone(rng, "a", A, B),
-                "b": _monotone(rng, "b", B, C),
-                "f": _monotone(rng, "f", B, E),
-                "kind": rng.choice(["colim", "lim"]),
-            }
+        _, maps = _draw(
+            rng,
+            {"a": (1, 2), "b": (1, 3), "e": (1, 2), "c": 3},
+            [("a", "a", "b"), ("b", "b", "c"), ("f", "b", "e")],
         )
+        out.append({"name": f"chains-{i}", **maps, "kind": rng.choice(["colim", "lim"])})
     # The stated-hypothesis trap: a collapses to the top of B, which has a
     # post-right adjoint, but the empty slice under the bottom of E makes
     # the slice comparison hypothesis fail; reported vacuous, and with a
@@ -367,19 +369,12 @@ def kan_composite_instances(seed: int) -> list[dict]:
     rng = random.Random(seed)
     out = []
     for i in range(9):
-        A = _chain("a", rng.randint(1, 2))
-        D = _chain("d", rng.randint(1, 2))
-        E = _chain("e", rng.randint(1, 2))
-        C = _chain("c", 3)
-        out.append(
-            {
-                "name": f"chains-{i}",
-                "c": _monotone(rng, "c", A, C),
-                "d": _monotone(rng, "d", A, D),
-                "e": _monotone(rng, "e", D, E),
-                "kind": rng.choice(["colim", "lim"]),
-            }
+        _, maps = _draw(
+            rng,
+            {"a": (1, 2), "d": (1, 2), "e": (1, 2), "c": 3},
+            [("c", "a", "c"), ("d", "a", "d"), ("e", "d", "e")],
         )
+        out.append({"name": f"chains-{i}", **maps, "kind": rng.choice(["colim", "lim"])})
     # An antichain target has no cocone over a two-point diagram, so the
     # existence half of the hypotheses fails at every anchor.
     anti = build_preorder("w", ["w0", "w1"], [("w0", "w0"), ("w1", "w1")])
@@ -402,29 +397,17 @@ def kan_square_instances(seed: int) -> list[dict]:
     made, tries = 0, 0
     while made < 9 and tries < 500:
         tries += 1
-        A = _chain("a", rng.randint(1, 2))
-        B = _chain("b", rng.randint(1, 2))
-        D = _chain("d", rng.randint(1, 2))
-        E = _chain("e", rng.randint(1, 2))
-        C = _chain("c", 3)
-        a = _monotone(rng, "a", A, B)
-        f = _monotone(rng, "f", B, E)
-        d = _monotone(rng, "d", A, D)
-        e = _monotone(rng, "e", D, E)
+        chains, maps = _draw(
+            rng,
+            {"a": (1, 2), "b": (1, 2), "d": (1, 2), "e": (1, 2), "c": 3},
+            [("a", "a", "b"), ("f", "b", "e"), ("d", "a", "d"), ("e", "d", "e")],
+        )
+        a, f, d, e = maps.values()
         if not functor_equal(compose_functors(f, a), compose_functors(e, d)):
             continue
         made += 1
-        out.append(
-            {
-                "name": f"square-{made}",
-                "a": a,
-                "b": _monotone(rng, "b", B, C),
-                "d": d,
-                "e": e,
-                "f": f,
-                "kind": rng.choice(["colim", "lim"]),
-            }
-        )
+        b = _monotone(rng, "b", chains["b"], chains["c"])
+        out.append({"name": f"square-{made}", **maps, "b": b, "kind": rng.choice(["colim", "lim"])})
     return out
 
 

@@ -628,3 +628,28 @@ def test_validate_reports_every_loading_mutation(specs_dir, tmp_path, capsys):
         else:
             pinned.update(f"{code}\n{out}".encode())
     assert pinned.hexdigest() == "05cd911162dd539ed96367e3a7fe8893dbb1c543493f779c0fb1df86dcf28530"
+
+
+# Corpus variants whose j2 sends a morphism to one with the wrong endpoints:
+# `check ext` reports the unmet A1 with exit 1 and pulls no carriers back.
+EXT_UNMAPPED = {12, 13, 14, 15}
+
+
+def test_corpus_refusals_are_pinned(specs_dir, tmp_path, capsys):
+    # A comma category whose composite squares do not commute is refused by
+    # naming the two morphisms.  `codes` pins the exit codes of `construct`
+    # and `check ext` apart from EXT_UNMAPPED; `pinned` pins every report.
+    spec = tmp_path / "variant.spec"
+    codes, pinned = hashlib.sha256(), hashlib.sha256()
+    for i, (text, _) in enumerate(mutation_corpus(specs_dir)):
+        spec.write_text(text)
+        for command in ("construct", "check ext"):
+            code, out, err = run(capsys, *command.split(), "--spec", str(spec), "--json")
+            assert "references unknown name" not in err, text
+            if command == "check ext" and i in EXT_UNMAPPED:
+                assert code == 1 and '"assumptions"' in out, text
+            else:
+                codes.update(f"{code}\n".encode())
+            pinned.update(f"{code}\n{out}{err}".encode())
+    assert codes.hexdigest() == "b91fdfcdb713c608dc470bac0a3ad493f7035157386b13b680f5c66d64306397"
+    assert pinned.hexdigest() == "48164ffc1dc766b32048021b3e0cd2c721e52be8e16d3e83ac312c32a9832d74"

@@ -17,6 +17,7 @@ from nullkan.comma import (
 )
 from nullkan.fincat import (
     EngineError,
+    FinCategory,
     FunctorData,
     chain_preorder,
     check_functor,
@@ -116,6 +117,40 @@ def test_build_comma_refuses_before_naming_a_morphism(monkeypatch):
         with pytest.raises(EngineError, match=f"more than {bound} morphisms"):
             build_comma(ident, ident, "small")
     assert named == []
+
+
+def test_build_comma_names_a_square_that_does_not_commute(c3):
+    # alpha sends both steps of the chain to the idempotent e but their
+    # composite to the identity, so the composite of two squares is none.
+    mon = FinCategory(
+        "M",
+        ("*",),
+        (("id", "*", "*"), ("e", "*", "*")),
+        {"*": "id"},
+        {("id", "id"): "id", ("id", "e"): "e", ("e", "id"): "e", ("e", "e"): "e"},
+    )
+    images = {"le:x0>x1": "e", "le:x1>x2": "e", "le:x0>x2": "id"}
+    mor_map = {m.name: images.get(m.name, "id") for m in c3.morphisms}
+    alpha = FunctorData("alpha", c3, mon, dict.fromkeys(c3.objects, "*"), mor_map)
+    with pytest.raises(EngineError) as err:
+        build_comma(alpha, identity_functor(mon), "bent")
+    assert str(err.value) == (
+        "bent: [le:x1>x2;e](x1;id;*)>(x2;id;*) after "
+        "[le:x0>x1;e](x0;id;*)>(x1;id;*) is not a commuting square"
+    )
+
+
+def test_build_comma_names_a_missing_composite(c3):
+    gappy = FinCategory(
+        "G",
+        c3.objects,
+        c3.morphisms,
+        c3.identity,
+        {k: v for k, v in c3.composition.items() if k != ("le:x1>x2", "le:x0>x1")},
+    )
+    with pytest.raises(EngineError) as err:
+        arrow_category(gappy)
+    assert str(err.value) == "G: composition table has no entry for ('le:x1>x2', 'le:x0>x1')"
 
 
 def test_induced_functor_between_slices(c2, c3):
