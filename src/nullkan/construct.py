@@ -422,7 +422,7 @@ def verify_invariance(
 
 def verify_minimality(s: Setup) -> ValidationReport:
     """main_null is contained in every testable assignment that preserves
-    each endomorphism; other morphisms are not checked (ROADMAP item 2).
+    each endomorphism; other morphisms are not checked (ROADMAP item 1).
 
     Enumerates the full candidate space (product of all null families per
     main object), so it refuses models where that space exceeds

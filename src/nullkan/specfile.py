@@ -27,18 +27,25 @@ A file either names a builtin (`model: f2_proper`) or declares blocks:
 
     setup
       base B
-      ...
+      inter I
+      main M
+      j2 j2
+      j1 j1
+      pi pi
+      gamma gamma
       basenull F2^0 n0
     end
 
-Tokens are whitespace-separated; ids never contain whitespace.  Lines
-whose first non-blank character is `#` are comments (ids may contain
-`#`, so there are no trailing comments).  Every referenced id must be
-declared on an earlier line, and a category declares at most
-MAX_OBJECTS objects and MAX_MORPHISMS morphisms.  `parse_spec` reports
-the first error with its line number, and `serialize_spec` emits the
-canonical form (two-space indent, single spaces, no comments), so
-canonical files round-trip byte-for-byte.
+`GRAMMAR` is the one declaration of the block kinds and their line kinds:
+the parser opens blocks and sizes lines from it, and `serialize_spec`
+writes every block through it.  Tokens are whitespace-separated; ids
+never contain whitespace.  Lines whose first non-blank character is `#`
+are comments (ids may contain `#`, so there are no trailing comments).
+Every referenced id must be declared on an earlier line, and a category
+declares at most MAX_OBJECTS objects and MAX_MORPHISMS morphisms.
+`parse_spec` reports the first error with its line number, and
+`serialize_spec` emits the canonical form (two-space indent, single
+spaces, no comments), so canonical files round-trip byte-for-byte.
 """
 
 from __future__ import annotations
@@ -56,6 +63,34 @@ FORMAT_VERSION = 1
 MAX_OBJECTS = 64
 MAX_MORPHISMS = 8192
 
+# Each block kind, in canonical order: the header's token count, the
+# message for a header of another length, the noun that names a block of
+# this kind in messages, and its line kinds in canonical order with their
+# token counts, keyword included (n means exactly n, -n at least n).  A
+# header's tokens after the name refer to categories.
+GRAMMAR = {
+    "category": (
+        2,
+        "category takes a single name",
+        "category",
+        {"object": 2, "morphism": 4, "identity": 3, "compose": 4},
+    ),
+    "functor": (4, "functor takes name, source, target", "functor", {"obj": 3, "mor": 3}),
+    "carriers": (
+        3,
+        "carriers takes name and category",
+        "carriers block",
+        {"carrier": -2, "map": -2},
+    ),
+    "nullity": (2, "nullity takes a single name", "nullity", {"carrier": -1, "null": -1}),
+    "setup": (
+        1,
+        "setup takes no arguments",
+        "setup block",
+        {"base": 2, "inter": 2, "main": 2, "j2": 2, "j1": 2, "pi": 2, "gamma": 2, "basenull": 3},
+    ),
+}
+
 
 class SpecError(EngineError):
     def __init__(self, line: int, message: str):
@@ -64,60 +99,28 @@ class SpecError(EngineError):
         self.reason = message
 
 
-# The blocks a file declares.  The parser opens each with empty lists and
-# appends a line at a time.
+class Block(NamedTuple):
+    header: tuple[str, ...]  # the tokens after the kind: the name, then categories
+    lines: dict[str, list[tuple[str, ...]]]  # keyword -> the tokens after it, per line
 
 
-class CategoryBlock(NamedTuple):
-    name: str
-    objects: list[str]
-    morphisms: list[tuple[str, str, str]]
-    identities: list[tuple[str, str]]
-    compositions: list[tuple[str, str, str]]
-
-
-class FunctorBlock(NamedTuple):
-    name: str
-    src: str
-    tgt: str
-    obj: list[tuple[str, str]]
-    mor: list[tuple[str, str]]
-
-
-class CarrierBlock(NamedTuple):
-    name: str
-    cat: str
-    carriers: list[tuple[str, tuple[str, ...]]]
-    maps: list[tuple[str, tuple[tuple[str, str], ...]]]
-
-
-class NullityBlock(NamedTuple):
-    name: str
-    carrier: tuple[str, ...] | None
-    nulls: list[tuple[str, ...]]
-
-
-class SetupBlock(NamedTuple):
-    names: dict[str, str]  # base/inter/main/j1/j2/pi/gamma
-    basenull: list[tuple[str, str]]
+def new_block(kind: str, header, **lines) -> Block:
+    return Block(tuple(header), {key: list(lines.get(key, ())) for key in GRAMMAR[kind][3]})
 
 
 class SpecDocument:
-    """A model shortcut line, or the blocks of a file in declared order."""
+    """A model shortcut line, or the blocks of a file: kind -> name -> block,
+    in declared order.  The setup block's name is ""."""
 
     def __init__(self, model: str | None = None):
         self.version = FORMAT_VERSION
         self.model = model
-        self.categories: dict[str, CategoryBlock] = {}
-        self.functors: dict[str, FunctorBlock] = {}
-        self.carriers: dict[str, CarrierBlock] = {}
-        self.nullities: dict[str, NullityBlock] = {}
-        self.setup: SetupBlock | None = None
+        self.blocks: dict[str, dict[str, Block]] = {kind: {} for kind in GRAMMAR}
 
 
 def parse_spec(text: str) -> SpecDocument:
     doc = SpecDocument()
-    block = None       # (kind, object)
+    kind = name = block = None
     # The ids each line kind has declared in the open block, and the object
     # and morphism ids of each closed category, so every check is a lookup.
     ids: dict[str, set] = defaultdict(set)
@@ -127,6 +130,10 @@ def parse_spec(text: str) -> SpecDocument:
 
     def err(n, msg):
         raise SpecError(n, msg)
+
+    def refer(n, ref_kind, ref):
+        if ref not in doc.blocks[ref_kind]:
+            err(n, f"dangling reference: {GRAMMAR[ref_kind][2]} {ref!r} not declared")
 
     for n, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("#"):
@@ -140,7 +147,7 @@ def parse_spec(text: str) -> SpecDocument:
             if head == "version:":
                 if not first:
                     err(n, "version must be the first directive")
-                if len(toks) != 2 or not toks[1].isdigit():
+                if len(toks) != 2 or not (toks[1].isascii() and toks[1].isdigit()):
                     err(n, "version takes a single integer")
                 doc.version = int(toks[1])
                 if doc.version != FORMAT_VERSION:
@@ -154,89 +161,54 @@ def parse_spec(text: str) -> SpecDocument:
                 if doc.model is not None:
                     err(n, "duplicate model line")
                 doc.model = toks[1]
-            elif head == "category":
-                if len(toks) != 2:
-                    err(n, "category takes a single name")
-                if toks[1] in doc.categories:
-                    err(n, f"duplicate category {toks[1]!r}")
-                block = ("category", CategoryBlock(toks[1], [], [], [], []))
-            elif head == "functor":
-                if len(toks) != 4:
-                    err(n, "functor takes name, source, target")
-                name, src, tgt = toks[1:]
-                if name in doc.functors:
-                    err(n, f"duplicate functor {name!r}")
-                for c in (src, tgt):
-                    if c not in doc.categories:
-                        err(n, f"dangling reference: category {c!r} not declared")
-                block = ("functor", FunctorBlock(name, src, tgt, [], []))
-            elif head == "carriers":
-                if len(toks) != 3:
-                    err(n, "carriers takes name and category")
-                name, cat = toks[1:]
-                if name in doc.carriers:
-                    err(n, f"duplicate carriers block {name!r}")
-                if cat not in doc.categories:
-                    err(n, f"dangling reference: category {cat!r} not declared")
-                block = ("carriers", CarrierBlock(name, cat, [], []))
-            elif head == "nullity":
-                if len(toks) != 2:
-                    err(n, "nullity takes a single name")
-                if toks[1] in doc.nullities:
-                    err(n, f"duplicate nullity {toks[1]!r}")
-                block = ("nullity", NullityBlock(toks[1], None, []))
-            elif head == "setup":
-                if len(toks) != 1:
-                    err(n, "setup takes no arguments")
-                if doc.setup is not None:
-                    err(n, "duplicate setup block")
-                block = ("setup", SetupBlock({}, []))
+            elif head in GRAMMAR:
+                size, wrong_size, noun, _ = GRAMMAR[head]
+                if len(toks) != size:
+                    err(n, wrong_size)
+                name = toks[1] if len(toks) > 1 else ""
+                if name in doc.blocks[head]:
+                    err(n, f"duplicate {noun} {name!r}" if name else f"duplicate {noun}")
+                for cat in toks[2:]:
+                    refer(n, "category", cat)
+                kind, block = head, new_block(head, toks[1:])
             else:
                 err(n, f"unknown directive {head!r}")
             ids = defaultdict(set)
             continue
 
-        kind, b = block
         if head == "end":
             if len(toks) != 1:
                 err(n, "end takes no arguments")
+            if kind == "nullity" and not block.lines["carrier"]:
+                err(n, f"nullity {name!r} has no carrier line")
+            doc.blocks[kind][name] = block
             if kind == "category":
-                doc.categories[b.name] = b
-                category_ids[b.name] = ids
-            elif kind == "functor":
-                doc.functors[b.name] = b
-            elif kind == "carriers":
-                doc.carriers[b.name] = b
-            elif kind == "nullity":
-                if b.carrier is None:
-                    err(n, f"nullity {b.name!r} has no carrier line")
-                doc.nullities[b.name] = b
-            else:
-                doc.setup = b
+                category_ids[name] = ids
             block = None
             continue
 
+        size = GRAMMAR[kind][3].get(head)
+        if size is None or (len(toks) != size if size > 0 else len(toks) < -size):
+            err(n, f"bad {kind} line {head!r}")
+
         if kind == "category":
             objs, mors = ids["object"], ids["morphism"]
-            if head == "object" and len(toks) == 2:
+            if head == "object":
                 if toks[1] in objs:
                     err(n, f"duplicate object {toks[1]!r}")
                 if len(objs) == MAX_OBJECTS:
-                    err(n, f"category {b.name!r} has more than {MAX_OBJECTS} objects")
+                    err(n, f"category {name!r} has more than {MAX_OBJECTS} objects")
                 objs.add(toks[1])
-                b.objects.append(toks[1])
-            elif head == "morphism" and len(toks) == 4:
-                mid, dom, cod = toks[1:]
-                if mid in mors:
-                    err(n, f"duplicate morphism {mid!r}")
+            elif head == "morphism":
+                if toks[1] in mors:
+                    err(n, f"duplicate morphism {toks[1]!r}")
                 if len(mors) == MAX_MORPHISMS:
-                    err(n, f"category {b.name!r} has more than {MAX_MORPHISMS} morphisms")
-                for o in (dom, cod):
+                    err(n, f"category {name!r} has more than {MAX_MORPHISMS} morphisms")
+                for o in toks[2:]:
                     if o not in objs:
                         err(n, f"dangling reference: object {o!r} not declared")
-                mors.add(mid)
-                b.morphisms.append((mid, dom, cod))
-            elif head == "identity" and len(toks) == 3:
+                mors.add(toks[1])
+            elif head == "identity":
                 if toks[1] not in objs:
                     err(n, f"dangling reference: object {toks[1]!r} not declared")
                 if toks[2] not in mors:
@@ -244,120 +216,67 @@ def parse_spec(text: str) -> SpecDocument:
                 if toks[1] in ids["identity"]:
                     err(n, f"duplicate identity for {toks[1]!r}")
                 ids["identity"].add(toks[1])
-                b.identities.append((toks[1], toks[2]))
-            elif head == "compose" and len(toks) == 4:
+            else:  # compose
                 for m in toks[1:]:
                     if m not in mors:
                         err(n, f"dangling reference: morphism {m!r} not declared")
                 if (toks[1], toks[2]) in ids["compose"]:
                     err(n, f"duplicate composition for ({toks[1]}, {toks[2]})")
                 ids["compose"].add((toks[1], toks[2]))
-                b.compositions.append((toks[1], toks[2], toks[3]))
-            else:
-                err(n, f"bad category line {head!r}")
-        elif kind == "functor":
-            src, tgt = category_ids[b.src], category_ids[b.tgt]
-            if head == "obj" and len(toks) == 3:
-                if toks[1] not in src["object"]:
-                    err(n, f"dangling reference: object {toks[1]!r} not in {b.src}")
-                if toks[2] not in tgt["object"]:
-                    err(n, f"dangling reference: object {toks[2]!r} not in {b.tgt}")
-                if toks[1] in ids["obj"]:
-                    err(n, f"duplicate obj line for {toks[1]!r}")
-                ids["obj"].add(toks[1])
-                b.obj.append((toks[1], toks[2]))
-            elif head == "mor" and len(toks) == 3:
-                if toks[1] not in src["morphism"]:
-                    err(n, f"dangling reference: morphism {toks[1]!r} not in {b.src}")
-                if toks[2] not in tgt["morphism"]:
-                    err(n, f"dangling reference: morphism {toks[2]!r} not in {b.tgt}")
-                if toks[1] in ids["mor"]:
-                    err(n, f"duplicate mor line for {toks[1]!r}")
-                ids["mor"].add(toks[1])
-                b.mor.append((toks[1], toks[2]))
-            else:
-                err(n, f"bad functor line {head!r}")
-        elif kind == "carriers":
-            cat = category_ids[b.cat]
-            if head == "carrier" and len(toks) >= 2:
-                if toks[1] not in cat["object"]:
-                    err(n, f"dangling reference: object {toks[1]!r} not in {b.cat}")
-                if toks[1] in ids["carrier"]:
-                    err(n, f"duplicate carrier line for {toks[1]!r}")
-                if len(set(toks[2:])) != len(toks[2:]):
-                    err(n, "carrier elements must be distinct")
-                ids["carrier"].add(toks[1])
-                b.carriers.append((toks[1], tuple(toks[2:])))
-            elif head == "map" and len(toks) >= 2:
-                if toks[1] not in cat["morphism"]:
-                    err(n, f"dangling reference: morphism {toks[1]!r} not in {b.cat}")
-                if toks[1] in ids["map"]:
-                    err(n, f"duplicate map line for {toks[1]!r}")
-                pairs = []
+        elif kind in ("functor", "carriers"):
+            # obj and carrier lines name objects, mor and map lines
+            # morphisms, of the categories in the header.
+            part = "object" if head in ("obj", "carrier") else "morphism"
+            for cat, ref in zip(block.header[1:], toks[1:]):
+                if ref not in category_ids[cat][part]:
+                    err(n, f"dangling reference: {part} {ref!r} not in {cat}")
+            if toks[1] in ids[head]:
+                err(n, f"duplicate {head} line for {toks[1]!r}")
+            if head == "carrier" and len(set(toks[2:])) != len(toks[2:]):
+                err(n, "carrier elements must be distinct")
+            if head == "map":
                 for t in toks[2:]:
                     if t.count(">") != 1:
                         err(n, f"bad element pair {t!r} (want a>b)")
-                    pairs.append(tuple(t.split(">")))
-                ids["map"].add(toks[1])
-                b.maps.append((toks[1], tuple(pairs)))
-            else:
-                err(n, f"bad carriers line {head!r}")
+            ids[head].add(toks[1])
         elif kind == "nullity":
+            carrier = block.lines["carrier"]
             if head == "carrier":
-                if b.carrier is not None:
+                if carrier:
                     err(n, "duplicate carrier line")
                 if len(set(toks[1:])) != len(toks[1:]):
                     err(n, "carrier elements must be distinct")
-                block = (kind, b._replace(carrier=tuple(toks[1:])))
-            elif head == "null":
-                if b.carrier is None:
+            else:  # null
+                if not carrier:
                     err(n, "null line before the carrier line")
-                elems = set(b.carrier)
+                elems = set(carrier[0])
                 for e in toks[1:]:
                     if e not in elems:
                         err(n, f"dangling reference: element {e!r} not in the carrier")
-                b.nulls.append(tuple(toks[1:]))
-            else:
-                err(n, f"bad nullity line {head!r}")
-        else:  # setup
-            if head in ("base", "inter", "main") and len(toks) == 2:
-                if toks[1] not in doc.categories:
-                    err(n, f"dangling reference: category {toks[1]!r} not declared")
-                if head in b.names:
-                    err(n, f"duplicate setup key {head!r}")
-                b.names[head] = toks[1]
-            elif head in ("j1", "j2", "pi") and len(toks) == 2:
-                if toks[1] not in doc.functors:
-                    err(n, f"dangling reference: functor {toks[1]!r} not declared")
-                if head in b.names:
-                    err(n, f"duplicate setup key {head!r}")
-                b.names[head] = toks[1]
-            elif head == "gamma" and len(toks) == 2:
-                if toks[1] not in doc.carriers:
-                    err(n, f"dangling reference: carriers block {toks[1]!r} not declared")
-                if head in b.names:
-                    err(n, "duplicate setup key 'gamma'")
-                b.names[head] = toks[1]
-            elif head == "basenull" and len(toks) == 3:
-                if toks[2] not in doc.nullities:
-                    err(n, f"dangling reference: nullity {toks[2]!r} not declared")
-                if toks[1] in ids["basenull"]:
-                    err(n, f"duplicate basenull line for {toks[1]!r}")
-                ids["basenull"].add(toks[1])
-                b.basenull.append((toks[1], toks[2]))
-            else:
-                err(n, f"bad setup line {head!r}")
+        elif head == "basenull":
+            refer(n, "nullity", toks[2])
+            if toks[1] in ids["basenull"]:
+                err(n, f"duplicate basenull line for {toks[1]!r}")
+            ids["basenull"].add(toks[1])
+        else:  # base, inter, main, j2, j1, pi or gamma
+            ref_kind = (
+                "category" if head in ("base", "inter", "main")
+                else "carriers" if head == "gamma"
+                else "functor"
+            )
+            refer(n, ref_kind, toks[1])
+            if block.lines[head]:
+                err(n, f"duplicate setup key {head!r}")
+        block.lines[head].append(tuple(toks[1:]))
 
     tail = len(text.splitlines()) + 1
     if block is not None:
-        err(tail, f"unterminated {block[0]} block")
-    if doc.model is None and doc.setup is None:
+        err(tail, f"unterminated {kind} block")
+    if doc.model is None and not doc.blocks["setup"]:
         err(tail, "missing setup block")
     if not seen_version:
         err(tail, "missing version line")
-    if doc.model is not None and (
-        doc.categories or doc.functors or doc.carriers or doc.nullities or doc.setup
-    ):
+    if doc.model is not None and any(doc.blocks.values()):
         err(tail, "a model shortcut file cannot also declare blocks")
     return doc
 
@@ -366,119 +285,83 @@ def serialize_spec(doc: SpecDocument) -> str:
     lines = [f"version: {doc.version}"]
     if doc.model is not None:
         lines.append(f"model: {doc.model}")
-        return "\n".join(lines) + "\n"
-    for b in doc.categories.values():
-        lines.append("")
-        lines.append(f"category {b.name}")
-        for o in b.objects:
-            lines.append(f"  object {o}")
-        for mid, dom, cod in b.morphisms:
-            lines.append(f"  morphism {mid} {dom} {cod}")
-        for o, m in b.identities:
-            lines.append(f"  identity {o} {m}")
-        for g, f, gf in b.compositions:
-            lines.append(f"  compose {g} {f} {gf}")
-        lines.append("end")
-    for b in doc.functors.values():
-        lines.append("")
-        lines.append(f"functor {b.name} {b.src} {b.tgt}")
-        for x, fx in b.obj:
-            lines.append(f"  obj {x} {fx}")
-        for m, fm in b.mor:
-            lines.append(f"  mor {m} {fm}")
-        lines.append("end")
-    for b in doc.carriers.values():
-        lines.append("")
-        lines.append(f"carriers {b.name} {b.cat}")
-        for o, elems in b.carriers:
-            lines.append("  carrier " + " ".join((o,) + elems))
-        for m, pairs in b.maps:
-            lines.append("  map " + " ".join((m,) + tuple(f"{a}>{v}" for a, v in pairs)))
-        lines.append("end")
-    for b in doc.nullities.values():
-        lines.append("")
-        lines.append(f"nullity {b.name}")
-        lines.append(("  carrier " + " ".join(b.carrier)).rstrip())
-        for subset in b.nulls:
-            lines.append(("  null " + " ".join(subset)).rstrip())
-        lines.append("end")
-    s = doc.setup
-    lines.append("")
-    lines.append("setup")
-    for key in ("base", "inter", "main", "j2", "j1", "pi", "gamma"):
-        if key in s.names:
-            lines.append(f"  {key} {s.names[key]}")
-    for obj, nul in s.basenull:
-        lines.append(f"  basenull {obj} {nul}")
-    lines.append("end")
+    for kind, (_, _, _, line_kinds) in GRAMMAR.items():
+        for b in doc.blocks[kind].values():
+            lines += ["", " ".join((kind, *b.header))]
+            lines += ["  " + " ".join((key, *toks)) for key in line_kinds for toks in b.lines[key]]
+            lines.append("end")
     return "\n".join(lines) + "\n"
 
 
-def _build_category(b: CategoryBlock) -> FinCategory:
+def _build_category(b: Block) -> FinCategory:
     """Identity compositions are implied, so files list only the real ones."""
-    comp = {(g, f): gf for g, f, gf in b.compositions}
-    ids = dict(b.identities)
-    for mid, dom, cod in b.morphisms:
+    comp = {(g, f): gf for g, f, gf in b.lines["compose"]}
+    ids = dict(b.lines["identity"])
+    for mid, dom, cod in b.lines["morphism"]:
         if dom in ids:
             comp.setdefault((mid, ids[dom]), mid)
         if cod in ids:
             comp.setdefault((ids[cod], mid), mid)
-    return FinCategory(b.name, b.objects, b.morphisms, ids, comp)
+    objects = [o for (o,) in b.lines["object"]]
+    return FinCategory(b.header[0], objects, b.lines["morphism"], ids, comp)
 
 
 def to_setup(doc: SpecDocument, name: str = "spec") -> Setup:
     """Build the runnable Setup a document describes."""
     if doc.model is not None:
         return builtin_model(doc.model)
-    s = doc.setup
+    s = doc.blocks["setup"][""]
+    names = {key: rows[0][0] for key, rows in s.lines.items() if rows and key != "basenull"}
     missing = [
         k
         for k in ("base", "inter", "main", "j1", "j2", "pi", "gamma")
-        if k not in s.names
+        if k not in names
     ]
     if missing:
         raise EngineError(f"setup block is missing {', '.join(missing)}")
-    cats = {cname: _build_category(b) for cname, b in doc.categories.items()}
-    base = cats[s.names["base"]]
-    inter = cats[s.names["inter"]]
-    main = cats[s.names["main"]]
+    cats = {cname: _build_category(b) for cname, b in doc.blocks["category"].items()}
+    base = cats[names["base"]]
+    inter = cats[names["inter"]]
+    main = cats[names["main"]]
 
     def functor(key, want_src, want_tgt):
-        b = doc.functors[s.names[key]]
-        if b.src != want_src.name or b.tgt != want_tgt.name:
+        b = doc.blocks["functor"][names[key]]
+        fname, src, tgt = b.header
+        if src != want_src.name or tgt != want_tgt.name:
             raise EngineError(
                 f"{key} must go {want_src.name} -> {want_tgt.name}, "
-                f"functor {b.name!r} goes {b.src} -> {b.tgt}"
+                f"functor {fname!r} goes {src} -> {tgt}"
             )
-        obj_map = dict(b.obj)
-        mor_map = dict(b.mor)
+        obj_map = dict(b.lines["obj"])
+        mor_map = dict(b.lines["mor"])
         for x in want_src.objects:
             if x not in obj_map:
-                raise EngineError(f"functor {b.name!r} is missing obj {x!r}")
+                raise EngineError(f"functor {fname!r} is missing obj {x!r}")
         for m in want_src.morphisms:
             if m.name not in mor_map:
                 if want_src.is_identity(m.name):
                     mor_map[m.name] = want_tgt.id_of(obj_map[m.dom])
                 else:
-                    raise EngineError(f"functor {b.name!r} is missing mor {m.name!r}")
-        return FunctorData(b.name, want_src, want_tgt, obj_map, mor_map)
+                    raise EngineError(f"functor {fname!r} is missing mor {m.name!r}")
+        return FunctorData(fname, want_src, want_tgt, obj_map, mor_map)
 
     j2 = functor("j2", base, inter)
     j1 = functor("j1", inter, main)
     pi = functor("pi", main, inter)
 
-    cb = doc.carriers[s.names["gamma"]]
-    if cb.cat != main.name:
-        raise EngineError(f"gamma must act on {main.name}, not {cb.cat}")
-    carr = {o: FiniteSet(elems) for o, elems in cb.carriers}
+    cb = doc.blocks["carriers"][names["gamma"]]
+    cname, cat = cb.header
+    if cat != main.name:
+        raise EngineError(f"gamma must act on {main.name}, not {cat}")
+    carr = {toks[0]: FiniteSet(toks[1:]) for toks in cb.lines["carrier"]}
     for o in main.objects:
         if o not in carr:
             raise EngineError(f"gamma is missing a carrier for object {o!r}")
     maps = {}
-    for mid, pairs in cb.maps:
+    for mid, *pairs in cb.lines["map"]:
         dom, cod = carr[main.dom(mid)], carr[main.cod(mid)]
         table: dict[str, str] = {}
-        for a, v in pairs:
+        for a, v in (pair.split(">") for pair in pairs):
             if a not in dom.elements:
                 raise EngineError(
                     f"gamma map {mid!r} names {a!r}, not in the carrier of {main.dom(mid)!r}"
@@ -491,6 +374,9 @@ def to_setup(doc: SpecDocument, name: str = "spec") -> Setup:
                     f"not in the carrier of {main.cod(mid)!r}"
                 )
             table[a] = v
+        for a in dom.elements:
+            if a not in table:
+                raise EngineError(f"gamma map {mid!r} gives no image for {a!r}")
         maps[mid] = SetMap.from_dict(dom, cod, table)
     for m in main.morphisms:
         if m.name not in maps:
@@ -498,9 +384,9 @@ def to_setup(doc: SpecDocument, name: str = "spec") -> Setup:
                 maps[m.name] = SetMap.identity(carr[m.dom])
             else:
                 raise EngineError(f"gamma is missing a map for morphism {m.name!r}")
-    gamma = carrier_functor(cb.name, main, carr, maps)
+    gamma = carrier_functor(cname, main, carr, maps)
 
-    basenull = dict(s.basenull)
+    basenull = dict(s.lines["basenull"])
     stray = sorted(set(basenull) - set(base.objects))
     if stray:
         raise EngineError(f"basenull names objects outside {base.name}: {stray}")
@@ -509,15 +395,16 @@ def to_setup(doc: SpecDocument, name: str = "spec") -> Setup:
     for b_ in base.objects:
         if b_ not in basenull:
             raise EngineError(f"setup is missing basenull for object {b_!r}")
-        nb = doc.nullities[basenull[b_]]
+        nb = doc.blocks["nullity"][basenull[b_]]
+        (carrier,) = nb.lines["carrier"]
         want = carr[jj_obj[b_]]
-        if tuple(nb.carrier) != want.elements:
+        if carrier != want.elements:
             raise EngineError(
-                f"nullity {nb.name!r} carrier {nb.carrier} does not match "
+                f"nullity {basenull[b_]!r} carrier {carrier} does not match "
                 f"gamma({jj_obj[b_]}) = {want.elements}"
             )
         base_null[b_] = down_closure(
-            want, [want.mask_of(subset) for subset in nb.nulls]
+            want, [want.mask_of(subset) for subset in nb.lines["null"]]
         )
     return Setup(name, base, inter, main, j2, j1, pi, gamma, base_null)
 
@@ -525,68 +412,55 @@ def to_setup(doc: SpecDocument, name: str = "spec") -> Setup:
 def from_setup(s: Setup) -> SpecDocument:
     """Document form of a Setup (used to ship builtins as example files)."""
     doc = SpecDocument()
-
-    def cat_block(C):
-        return CategoryBlock(
-            C.name,
-            list(C.objects),
-            [(m.name, m.dom, m.cod) for m in C.morphisms],
-            [(o, C.id_of(o)) for o in C.objects],
-            [
+    blocks = doc.blocks
+    for C in (s.base, s.inter, s.main):
+        if C.name in blocks["category"]:
+            continue
+        blocks["category"][C.name] = new_block(
+            "category",
+            [C.name],
+            object=[(o,) for o in C.objects],
+            morphism=[(m.name, m.dom, m.cod) for m in C.morphisms],
+            identity=[(o, C.id_of(o)) for o in C.objects],
+            compose=[
                 (g, f, gf)
                 for (g, f), gf in sorted(C.composition.items())
                 if not (C.is_identity(g) or C.is_identity(f))
             ],
         )
-
-    for C in (s.base, s.inter, s.main):
-        if C.name not in doc.categories:
-            doc.categories[C.name] = cat_block(C)
-
-    def fun_block(F, alias):
-        return FunctorBlock(
-            alias,
-            F.source.name,
-            F.target.name,
-            sorted(F.obj_map.items()),
-            sorted(
-                (m, fm)
-                for m, fm in F.mor_map.items()
-                if not F.source.is_identity(m)
-            ),
+    for alias in ("j2", "j1", "pi"):
+        F = getattr(s, alias)
+        blocks["functor"][alias] = new_block(
+            "functor",
+            [alias, F.source.name, F.target.name],
+            obj=sorted(F.obj_map.items()),
+            mor=sorted((m, fm) for m, fm in F.mor_map.items() if not F.source.is_identity(m)),
         )
-
-    doc.functors["j2"] = fun_block(s.j2, "j2")
-    doc.functors["j1"] = fun_block(s.j1, "j1")
-    doc.functors["pi"] = fun_block(s.pi, "pi")
-
-    cb = CarrierBlock("gamma", s.main.name, [], [])
-    for o in s.main.objects:
-        cb.carriers.append((o, carrier_of(s.gamma, o).elements))
-    for m in s.main.morphisms:
-        if s.main.is_identity(m.name):
-            continue
-        sm = setmap_of(s.gamma, m.name)
-        cb.maps.append((m.name, tuple(sorted(sm.as_dict().items()))))
-    doc.carriers["gamma"] = cb
-
+    blocks["carriers"]["gamma"] = new_block(
+        "carriers",
+        ["gamma", s.main.name],
+        carrier=[(o, *carrier_of(s.gamma, o).elements) for o in s.main.objects],
+        map=[
+            (m.name, *(">".join(p) for p in sorted(setmap_of(s.gamma, m.name).as_dict().items())))
+            for m in s.main.morphisms
+            if not s.main.is_identity(m.name)
+        ],
+    )
     for i, b_ in enumerate(s.base.objects):
         struct = s.base_null[b_]
-        doc.nullities[f"null{i}"] = NullityBlock(
-            f"null{i}",
-            struct.carrier.elements,
-            [struct.carrier.elems_of(m) for m in sorted(struct.masks) if m],
+        blocks["nullity"][f"null{i}"] = new_block(
+            "nullity",
+            [f"null{i}"],
+            carrier=[struct.carrier.elements],
+            null=[struct.carrier.elems_of(m) for m in sorted(struct.masks) if m],
         )
-    doc.setup = SetupBlock(
-        {
-            "base": s.base.name,
-            "inter": s.inter.name,
-            "main": s.main.name,
-            "j2": "j2",
-            "j1": "j1",
-            "pi": "pi",
-            "gamma": "gamma",
-        },
-        [(b_, f"null{i}") for i, b_ in enumerate(s.base.objects)],
+    blocks["setup"][""] = new_block(
+        "setup",
+        [],
+        base=[(s.base.name,)],
+        inter=[(s.inter.name,)],
+        main=[(s.main.name,)],
+        **{alias: [(alias,)] for alias in ("j2", "j1", "pi", "gamma")},
+        basenull=[(b_, f"null{i}") for i, b_ in enumerate(s.base.objects)],
     )
     return doc

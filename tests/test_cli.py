@@ -335,6 +335,18 @@ def test_parse_error_location_reaches_stderr(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_non_ascii_version_digit_is_input_error(tmp_path):
+    # A superscript two passes str.isdigit() but not int(): the file is
+    # refused with its line, not crashed on with a traceback.
+    spec = tmp_path / "v.spec"
+    spec.write_text("version: \u00b2\n", encoding="utf-8")
+    err = tmp_path / "err.txt"
+    with err.open("w") as fh:
+        code, _, _ = run_child("validate", "--spec", str(spec), stderr=fh)
+    assert code == 2
+    assert err.read_text() == "error: line 1: version takes a single integer\n"
+
+
 def test_missing_file_is_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "validate", "--spec", str(tmp_path / "absent.spec"))
     assert code == 2

@@ -1,6 +1,8 @@
 """Model file parsing, canonical serialization, and setup construction."""
 
+import hashlib
 import itertools
+import random
 import time
 
 import pytest
@@ -15,6 +17,7 @@ from nullkan.specfile import (
     serialize_spec,
     to_setup,
 )
+from test_cli import load_specgen
 
 MINIMAL = """version: 1
 
@@ -115,6 +118,8 @@ CAT = "version: 1\ncategory C\n  object x\n  morphism i x x\n  morphism f x x\n"
         ("", 1, "missing setup block"),
         ("version: 1\n", 2, "missing setup block"),
         ("version: 2\n", 1, "unsupported format version"),
+        # str.isdigit() accepts a superscript two, which int() refuses
+        ("version: \u00b2\n", 1, "version takes a single integer"),
         ("model: identity\n", 2, "missing version line"),
         ("model: identity\nversion: 1\n", 2, "version must be the first"),
         ("version: 1\nversion: 1\n", 2, "version must be the first"),
@@ -163,6 +168,32 @@ CAT = "version: 1\ncategory C\n  object x\n  morphism i x x\n  morphism f x x\n"
             12,
             "duplicate basenull line for 'x'",
         ),
+        (CAT + "end\ncarriers g C\n  carrier x u u\n", 8, "carrier elements must be distinct"),
+        (CAT + "end\ncarriers g C\n  map i x>x x\n", 8, "bad element pair 'x' (want a>b)"),
+        ("version: 1\nnullity n\n  carrier u u\n", 3, "carrier elements must be distinct"),
+        # a header of the wrong length, and a second block of one name
+        ("version: 1\ncategory C D\n", 2, "category takes a single name"),
+        ("version: 1\ncategory C\nend\nfunctor F C\n", 4, "functor takes name, source, target"),
+        ("version: 1\ncategory C\nend\ncarriers g\n", 4, "carriers takes name and category"),
+        ("version: 1\nnullity\n", 2, "nullity takes a single name"),
+        ("version: 1\nsetup s\n", 2, "setup takes no arguments"),
+        ("version: 1\ncategory C\nend\ncategory C\n", 4, "duplicate category 'C'"),
+        (
+            "version: 1\ncategory C\nend\nfunctor F C C\nend\nfunctor F C C\n",
+            6,
+            "duplicate functor 'F'",
+        ),
+        (
+            "version: 1\ncategory C\nend\ncarriers g C\nend\ncarriers g C\n",
+            6,
+            "duplicate carriers block 'g'",
+        ),
+        (
+            "version: 1\nnullity n\n  carrier u\nend\nnullity n\n",
+            5,
+            "duplicate nullity 'n'",
+        ),
+        ("version: 1\nsetup\nend\nsetup\n", 4, "duplicate setup block"),
         # ids are per block: a second category may reuse them
         (CAT + "end\ncategory D\n  object x\n  morphism f x x\nend\n", 11, "missing setup"),
     ],
@@ -229,6 +260,7 @@ def test_to_setup_requires_gamma_coverage():
         ("x0>x0 x1>x0 zz>x1", "gamma map 'e' names 'zz', not in the carrier of 'P0'"),
         ("x0>x0 x1>x0 x0>x1", "gamma map 'e' gives element 'x0' twice"),
         ("x0>x0 x1>zz", "gamma map 'e' sends 'x1' to 'zz', not in the carrier of 'P0'"),
+        ("x0>x0", "gamma map 'e' gives no image for 'x1'"),
     ],
 )
 def test_to_setup_rejects_bad_map_sources(pairs, message):
@@ -267,3 +299,78 @@ def test_from_setup_emits_no_identity_noise():
 def test_document_defaults():
     doc = SpecDocument(model="identity")
     assert serialize_spec(doc) == "version: 1\nmodel: identity\n"
+
+
+# Every keyword the grammar knows, and one it does not.
+KEYWORDS = (
+    "version:", "model:", "category", "functor", "carriers", "nullity", "setup", "end",
+    "object", "morphism", "identity", "compose", "obj", "mor", "carrier", "map", "null",
+    "base", "inter", "main", "j2", "j1", "pi", "gamma", "basenull", "wat",
+)
+# Tokens a mutation may insert besides the file's own.
+STRAY_TOKENS = ("zz", "a>b", "a>b>c", "x>")
+
+
+def mutate(text: str, rng) -> str:
+    """`text` with one line deleted, duplicated, moved or swapped, or one
+    token of a line replaced, dropped or inserted, or its keyword replaced."""
+    lines = text.splitlines()
+    words = [i for i, line in enumerate(lines) if line.strip()]
+    pool = sorted({t for line in lines for t in line.split()}) + list(STRAY_TOKENS)
+    i, j = rng.choice(words), rng.randrange(len(lines) + 1)
+    op = rng.randrange(8)
+    if op == 0:
+        del lines[i]
+    elif op == 1:
+        lines.insert(j, lines[i])
+    elif op == 2:
+        lines.insert(j, lines.pop(i))
+    elif op == 3:
+        j = min(j, len(lines) - 1)
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        indent = lines[i][: len(lines[i]) - len(lines[i].lstrip())]
+        toks = lines[i].split()
+        k = rng.randrange(len(toks))
+        if op == 4:
+            toks[k] = rng.choice(pool)
+        elif op == 5:
+            del toks[k]
+        elif op == 6:
+            toks.insert(k + 1, rng.choice(pool))
+        else:
+            toks[0] = rng.choice(KEYWORDS)
+        lines[i] = indent + " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def mutant_corpus(specs_dir):
+    """100 seeded one-line mutants of each shipped spec and of the specgen
+    specs of seeds 0-4."""
+    texts = [f.read_text() for f in sorted(specs_dir.glob("*.spec"))]
+    for seed in range(5):
+        texts += load_specgen().generate(seed, 2)
+    rng = random.Random(0)
+    return [mutate(text, rng) for text in texts for _ in range(100)]
+
+
+def load_outcome(text: str) -> str:
+    """The parse error, or the canonical text and what `to_setup` makes of it."""
+    try:
+        doc = parse_spec(text)
+    except SpecError as e:
+        return f"{e.line} {e.reason}"
+    try:
+        built = serialize_spec(from_setup(to_setup(doc, "mutant")))
+    except EngineError as e:
+        built = f"error: {e}"
+    return f"{serialize_spec(doc)}\n{built}"
+
+
+def test_mutant_corpus_outcomes_are_pinned(specs_dir):
+    corpus = mutant_corpus(specs_dir)
+    assert len(corpus) == 1300
+    pinned = hashlib.sha256()
+    for text in corpus:
+        pinned.update(f"{load_outcome(text)}\0".encode())
+    assert pinned.hexdigest() == "2fb12acd3b801f55a69456327bb698dbd974632df72c4240c5400e3f133b3c93"
