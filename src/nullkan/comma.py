@@ -51,11 +51,21 @@ class CommaCategory(NamedTuple):
 
 
 def build_comma(
-    alpha: FunctorData, beta: FunctorData, name: str | None = None
+    alpha: FunctorData, beta: FunctorData, name: str | None = None, laws_checked: bool = False
 ) -> CommaCategory:
     """Materialize the comma category of the cospan (alpha, beta); refuses
     one of more than MAX_COMMA_OBJECTS objects or MAX_COMMA_MORPHISMS
-    morphisms before it names a morphism."""
+    morphisms before it names a morphism.
+
+    The composition rows are built at once, and a composite that A or B
+    lacks, or a composite square that does not commute, raises.  With
+    `laws_checked`, the caller vouches that A, B and C pass
+    `validate_category` and alpha and beta pass `check_functor`; the rows
+    are then deferred to the category's first read of them (see
+    `FinCategory`).  They cannot fail there: A and B have every composite,
+    and the composite of two squares commutes because alpha and beta
+    preserve composition and C is associative.
+    """
     A, B, C = alpha.source, beta.source, alpha.target
     if not C.same_table(beta.target):
         raise EngineError(
@@ -133,24 +143,29 @@ def build_comma(
     # each such (f1, g1) as (x1 sx + n_b + 1, place of f1, place of g1).  At
     # the first entry that names no square, a composite that A or B lacks
     # raises by name; otherwise the composite square does not commute.
-    into: list[list[tuple[int, int, int]]] = [[] for _ in objects]
-    for f1, g1, x1, x2 in mor_ends:
-        into[x2].append((x1 * sx + n_b + 1, A._pos[f1], B._pos[g1]))
-    rows = []
-    for k, (f2, g2, x2, y2) in enumerate(mor_ends):
-        ra, rb, y = A._rows[f2], B._rows[g2], y2 * sy
-        row = [at.get(x + y + ra[pa] * n_b + rb[pb], -1) for x, pa, pb in into[x2]]
-        if -1 in row:
-            j = [j for j, (*_, to) in enumerate(mor_ends) if to == x2][row.index(-1)]
-            f1, g1 = mor_ends[j][:2]
-            _after(A, f2, f1)
-            _after(B, g2, g1)
-            raise EngineError(
-                f"{name}: {morphisms[k].name} after {morphisms[j].name} is not a commuting square"
-            )
-        rows.append(row)
+    def rows() -> list[list[int]]:
+        into: list[list[tuple[int, int, int]]] = [[] for _ in objects]
+        for f1, g1, x1, x2 in mor_ends:
+            into[x2].append((x1 * sx + n_b + 1, A._pos[f1], B._pos[g1]))
+        out = []
+        for k, (f2, g2, x2, y2) in enumerate(mor_ends):
+            ra, rb, y = A._rows[f2], B._rows[g2], y2 * sy
+            row = [at.get(x + y + ra[pa] * n_b + rb[pb], -1) for x, pa, pb in into[x2]]
+            if -1 in row:
+                j = [j for j, (*_, to) in enumerate(mor_ends) if to == x2][row.index(-1)]
+                f1, g1 = mor_ends[j][:2]
+                _after(A, f2, f1)
+                _after(B, g2, g1)
+                raise EngineError(
+                    f"{name}: {morphisms[k].name} after {morphisms[j].name} "
+                    "is not a commuting square"
+                )
+            out.append(row)
+        return out
 
-    cat = FinCategory.from_rows(name, objects, morphisms, identity, rows)
+    cat = FinCategory.from_rows(
+        name, objects, morphisms, identity, rows if laws_checked else rows()
+    )
     forget1 = FunctorData(f"fst[{name}]", cat, A, {x: obj_data[x][0] for x in objects}, fst)
     forget2 = FunctorData(f"snd[{name}]", cat, B, {x: obj_data[x][2] for x in objects}, snd)
     cat.faithful = (forget1, forget2)

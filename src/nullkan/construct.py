@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 from .comma import (
     CommaCategory,
-    arrow_category,
     build_comma,
     check_right_inverse,
     functor_inverse,
@@ -44,6 +43,7 @@ from .fincat import (
     find_section,
     functor_equal,
     identity_functor,
+    lawful,
 )
 from .kan import KanResult, NullityDiagram, left_kan, right_kan
 from .nullity import (
@@ -139,7 +139,13 @@ class CommaWeb:
     between them.
 
     Each member is built the first time it is read and kept, so a command
-    pays only for the comma categories it uses.
+    pays only for the comma categories it uses.  The web checks its setup
+    once, before it builds the first member: base, inter and main must
+    pass `validate_category` and j2, j1 and pi `check_functor`.  When they
+    do, every member defers its composition rows (see `build_comma`), so a
+    command builds the rows of the members it composes and no others.
+    When they do not, the members build their rows at once, and a broken
+    table is refused as the member is built.
     """
 
     def __init__(self, s: Setup):
@@ -147,24 +153,35 @@ class CommaWeb:
         self._induced: dict[str, FunctorData] = {}
 
     @cached_property
+    def _laws_checked(self) -> bool:
+        s = self.s
+        return all(map(lawful, (s.base, s.inter, s.main))) and all(
+            check_functor(F).ok for F in (s.j2, s.j1, s.pi)
+        )
+
+    def _comma(self, alpha: FunctorData, beta: FunctorData, name: str) -> CommaCategory:
+        return build_comma(alpha, beta, name, laws_checked=self._laws_checked)
+
+    @cached_property
     def arrow_base(self) -> CommaCategory:
         """Arrow(B)."""
-        return arrow_category(self.s.base)
+        i = identity_functor(self.s.base)
+        return self._comma(i, i, f"Arr({self.s.base.name})")
 
     @cached_property
     def comma_main(self) -> CommaCategory:
         """(j1 j2 | Id_M)."""
-        return build_comma(j1j2(self.s), identity_functor(self.s.main), "(j1j2|M)")
+        return self._comma(j1j2(self.s), identity_functor(self.s.main), "(j1j2|M)")
 
     @cached_property
     def comma_probe(self) -> CommaCategory:
         """(j2 | pi)."""
-        return build_comma(self.s.j2, self.s.pi, "(j2|pi)")
+        return self._comma(self.s.j2, self.s.pi, "(j2|pi)")
 
     @cached_property
     def comma_inter(self) -> CommaCategory:
         """(j2 | Id_I)."""
-        return build_comma(self.s.j2, identity_functor(self.s.inter), "(j2|I)")
+        return self._comma(self.s.j2, identity_functor(self.s.inter), "(j2|I)")
 
     def _leg(self, key: str) -> FunctorData:
         s = self.s

@@ -9,7 +9,8 @@ every law check can produce a concrete witness when it fails.
 from __future__ import annotations
 
 import itertools
-from collections.abc import ItemsView, Mapping
+from collections.abc import Callable, ItemsView, Mapping
+from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -118,12 +119,24 @@ class FinCategory:
     the `identity` dict it is given without copying: callers pass a fresh
     dict, or one that nothing writes to again.
 
+    A builder whose rows cannot fail may defer them: it hands `from_rows`
+    a function that builds the rows, and the first read of `_rows` (by
+    `compose`, `composition`, `same_table`, `validate_category`, a functor
+    check or a search) calls it and checks the shape of what it returns.
+    A deferred builder raises on that read whatever it would have raised
+    when called at once.  Only `comma.build_comma` defers, and only when
+    its caller has checked the cospan's inputs (see there); a category
+    that nothing composes then never builds its rows.
+
     `faithful` is a certificate of associativity, set only by builders of
     concrete categories: functors out of this category that should preserve
     its composition and be jointly faithful, into categories checked by
     brute force.  `validate_category` verifies it before it relies on it,
     and sweeps every triple when it fails, so a wrong certificate costs
     time, never a verdict.  Default: none.
+
+    `lawful` and `opposite` keep their results on the category, so the
+    tables must not change once either has read them.
     """
 
     def __init__(
@@ -157,18 +170,33 @@ class FinCategory:
         objects,
         morphisms,
         identity: dict[str, str],
-        rows: list[list[int]],
+        rows: list[list[int]] | Callable[[], list[list[int]]],
     ) -> "FinCategory":
         """The category whose composition rows (see the class docstring)
         are `rows`, which it keeps without copying.  Each entry must be -1
-        or the index of a morphism."""
+        or the index of a morphism.  `rows` may instead be a function that
+        returns them: the category then builds them on the first read."""
         cat = cls.__new__(cls)
         cat._frame(name, objects, morphisms, identity)
-        if list(map(len, rows)) != list(map(len, map(cat._in.__getitem__, cat._dom))):
-            raise EngineError(f"{name}: composition rows do not match the in-lists")
-        cat._rows = rows
         cat._loose = []
+        if callable(rows):
+            cat._build_rows = rows
+        else:
+            cat._rows = cat._shaped(rows)
         return cat
+
+    @cached_property
+    def _rows(self) -> list[list[int]]:
+        """The deferred rows, built on the first read and kept."""
+        rows = self._shaped(self._build_rows())
+        del self._build_rows
+        return rows
+
+    def _shaped(self, rows: list[list[int]]) -> list[list[int]]:
+        """`rows`, after checking that each row matches its in-list."""
+        if list(map(len, rows)) != list(map(len, map(self._in.__getitem__, self._dom))):
+            raise EngineError(f"{self.name}: composition rows do not match the in-lists")
+        return rows
 
     def _frame(self, name, objects, morphisms, identity) -> None:
         """Objects, morphisms, identities and the index tables."""
@@ -180,6 +208,8 @@ class FinCategory:
         self.morphisms = mors
         self.identity = identity
         self.faithful: tuple[FunctorData, ...] = ()
+        self._lawful: bool | None = None
+        self._op: FinCategory | None = None
 
         self._obj_index = obj_index = {x: i for i, x in enumerate(objects)}
         if len(obj_index) != len(objects):
@@ -442,6 +472,15 @@ def validate_category(cat: FinCategory) -> ValidationReport:
     return ValidationReport(not violations, checked, violations)
 
 
+def lawful(cat: FinCategory) -> bool:
+    """`validate_category(cat).ok`, computed on the first call for cat and
+    kept on it.  For callers that need the verdict only; `validate_category`
+    itself is not memoized, since its callers read the whole report."""
+    if cat._lawful is None:
+        cat._lawful = validate_category(cat).ok
+    return cat._lawful
+
+
 def _certified(cat: FinCategory) -> bool:
     """Do the functors in `cat.faithful` prove cat associative?
 
@@ -458,7 +497,7 @@ def _certified(cat: FinCategory) -> bool:
     if not cat.faithful or cat._loose or len(cat.identity) < len(cat.objects):
         return False
     for F in cat.faithful:
-        if F.target.faithful or not validate_category(F.target).ok or not check_functor(F).ok:
+        if F.target.faithful or not lawful(F.target) or not check_functor(F).ok:
             return False
     images = {
         (m.dom, m.cod, *(F.mor_map[m.name] for F in cat.faithful)) for m in cat.morphisms
@@ -600,7 +639,10 @@ def opposite(C: FinCategory) -> FinCategory:
     in C^op is f after g in C.
 
     The in-list of x in C^op is the list of morphisms out of x in C, so
-    the row of g in C^op reads the place of g in the rows of C."""
+    the row of g in C^op reads the place of g in the rows of C.  Built on
+    the first call for C and kept on it."""
+    if C._op is not None:
+        return C._op
     outs: list[list[int]] = [[] for _ in C.objects]
     for m, d in enumerate(C._dom):
         outs[d].append(m)
@@ -613,6 +655,7 @@ def opposite(C: FinCategory) -> FinCategory:
         [[rows[f][pos[g]] for f in outs[c]] for g, c in enumerate(C._cod)],
     )
     op._loose = [(f, g, h) for g, f, h in C._loose]
+    C._op = op
     return op
 
 

@@ -1,11 +1,15 @@
 """The full lifting pipeline and the three theorem verifiers."""
 
 import json
+import random
 
 import pytest
+from test_cli import load_specgen, mutation_corpus
 
+import nullkan.cli
 import nullkan.comma
 import nullkan.construct
+import nullkan.fincat
 from nullkan.cli import main
 from nullkan.construct import (
     BUILTIN_NAMES,
@@ -25,7 +29,7 @@ from nullkan.construct import (
     verify_invariance,
     verify_minimality,
 )
-from nullkan.fincat import BudgetExceeded, EngineError
+from nullkan.fincat import BudgetExceeded, EngineError, FinCategory
 from nullkan.nullity import carrier_of
 from nullkan.order import (
     FiniteSet,
@@ -142,17 +146,23 @@ def test_comma_web_shapes_and_memoization():
         assert w.induced(name) is w.induced(name)
 
 
-def test_comma_web_builds_members_on_first_use(monkeypatch):
+def test_comma_web_builds_members_on_first_use(monkeypatch, specs_dir, tmp_path, capsys):
     built = []
+    made = {}  # name -> the comma category built under it
+    laws_checked = {}  # name -> whether the web vouched for its inputs
     real = nullkan.comma.build_comma
 
     def counting(alpha, beta, name=None, **kw):
         built.append(name)
-        return real(alpha, beta, name, **kw)
+        laws_checked[name] = kw.get("laws_checked", False)
+        made[name] = real(alpha, beta, name, **kw)
+        return made[name]
 
-    # arrow_category reaches build_comma through the comma module
+    def composed():
+        """The comma categories built so far that have built their rows."""
+        return sorted(n for n, cc in made.items() if "_rows" in vars(cc.category))
+
     monkeypatch.setattr(nullkan.construct, "build_comma", counting)
-    monkeypatch.setattr(nullkan.comma, "build_comma", counting)
     s = builtin_model("f2_proper")
     run_pipeline(s)
     assert built == ["(j1j2|M)", "(j2|pi)"]
@@ -166,6 +176,81 @@ def test_comma_web_builds_members_on_first_use(monkeypatch):
         built.clear()
         main([*argv, "--model", "f2_trivial", "--json"])
         assert sorted(built) == ["(j2|I)", "Arr(F2-linear)"], argv
+
+    # The lift and its verifiers read objects, morphisms, forgetful functors
+    # and fibers, and compose in no member, so no member builds its rows.
+    sg = load_specgen()
+    monoid = sorted(sg._closure([(0, 0, 1), (0, 0, 2), (2, 1, 0)]))
+    text = sg.spec_text(monoid, sg.base_family(random.Random(0), monoid))
+    m17 = to_setup(parse_spec(text), "m17")
+    assert len(m17.main.morphisms) == 17
+    for s in (builtin_model("injections_card_0"), m17):
+        made.clear()
+        laws_checked.clear()
+        run_pipeline(s)
+        verify_minimality(s)
+        direct_prevalence(s)
+        assert laws_checked == {"(j1j2|M)": True, "(j2|pi)": True}, s.name
+        assert composed() == [], s.name
+    # materialize validates every member; check lemmas composes in three
+    # through its section and adjoint searches.
+    for argv, want in (
+        (["materialize"], sorted(web)),
+        (["check", "lemmas"], ["(j1j2|M)", "(j2|pi)", "Arr(F2-linear)"]),
+    ):
+        made.clear()
+        main([*argv, "--model", "f2_proper", "--json"])
+        assert composed() == want, argv
+    capsys.readouterr()
+
+    # A compose line pointed elsewhere fails the web's setup check, so the
+    # member is built at once and refused by naming the broken square.
+    text, partial = mutation_corpus(specs_dir)[1]
+    assert not partial
+    spec = tmp_path / "variant.spec"
+    spec.write_text(text)
+    laws_checked.clear()
+    assert main(["construct", "--spec", str(spec), "--json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: (j1j2|M): [A0;s](F2^0;T0;F2^1)>(F2^1;s;F2^1) after "
+        "[id:F2^0;T0](F2^0;id:F2^0;F2^0)>(F2^0;T0;F2^1) is not a commuting square\n"
+    )
+    assert laws_checked == {"(j1j2|M)": False}
+
+
+def test_deferred_rows_are_the_rows_built_at_once(specs_dir):
+    setups = [builtin_model(name) for name in BUILTIN_NAMES]
+    setups += [to_setup(parse_spec(p.read_text()), p.stem) for p in sorted(specs_dir.glob("*.spec"))]
+    setups += [to_setup(parse_spec(t), "seed3") for t in load_specgen().generate(3, 2)]
+    for s in setups:
+        web = build_comma_web(s)
+        for member in ("arrow_base", "comma_main", "comma_probe", "comma_inter"):
+            cc = getattr(web, member)
+            cat = cc.category
+            assert "_rows" not in vars(cat), (s.name, member)
+            at_once = nullkan.comma.build_comma(cc.left, cc.right, cat.name).category
+            assert cat.same_table(at_once), (s.name, member)
+            # The row-shape check of from_rows runs on deferred rows too.
+            args = (cat.name, cat.objects, cat.morphisms, cat.identity)
+            short = FinCategory.from_rows(*args, lambda rows=at_once._rows[:-1]: rows)
+            with pytest.raises(EngineError, match="do not match the in-lists"):
+                short.compose(*next(iter(cat.composition)))
+
+
+def test_materialize_validates_injections_once(monkeypatch):
+    # The certificate of each comma category reads the verdict on its
+    # targets, which the web's setup check has already computed.
+    seen = []
+    real = nullkan.fincat.validate_category
+
+    def counting(cat):
+        seen.append(cat.name)
+        return real(cat)
+
+    monkeypatch.setattr(nullkan.fincat, "validate_category", counting)
+    monkeypatch.setattr(nullkan.cli, "validate_category", counting)
+    assert main(["materialize", "--model", "injections_card_0", "--json"]) == 0
+    assert seen.count("injections") == 1
 
 
 # pi . j1 != Id_I (pi sends e to the identity) while pi . j1 . j2 = j2.

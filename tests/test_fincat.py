@@ -648,6 +648,7 @@ def test_universal_search_budget_names():
 def test_opposite(name):
     C = SEARCH_CATS[name]()
     Cop = opposite(C)
+    assert opposite(C) is Cop
     assert opposite(Cop).same_table(C)
     assert validate_category(Cop).ok
     assert all(Cop.hom(a, b) == C.hom(b, a) for a in C.objects for b in C.objects)
