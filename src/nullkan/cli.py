@@ -22,7 +22,13 @@ from .construct import (
     verify_invariance,
     verify_minimality,
 )
-from .fincat import DEFAULT_BUDGET, BudgetExceeded, EngineError, validate_category
+from .fincat import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    EngineError,
+    validate_category,
+    validated,
+)
 from .lemmas import check_setup_adjoints, run_lemma_suite
 from .nullity import carrier_of, materialize_nullity_category
 from .report import assignment_payload, canonical_json, digest, nullity_cells
@@ -84,7 +90,7 @@ def _cmd_validate(s, args):
     cats = {}
     lines = []
     for C in {c.name: c for c in (s.base, s.inter, s.main)}.values():
-        rep = validate_category(C)
+        rep = validated(C)
         cats[C.name] = rep.as_dict()
         lines.append(f"  category {C.name}: {'ok' if rep.ok else 'FAIL'}")
     assum = check_assumptions(s)

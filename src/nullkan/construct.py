@@ -43,7 +43,7 @@ from .fincat import (
     find_section,
     functor_equal,
     identity_functor,
-    lawful,
+    validated,
 )
 from .kan import KanResult, NullityDiagram, left_kan, right_kan
 from .nullity import (
@@ -141,11 +141,12 @@ class CommaWeb:
     Each member is built the first time it is read and kept, so a command
     pays only for the comma categories it uses.  The web checks its setup
     once, before it builds the first member: base, inter and main must
-    pass `validate_category` and j2, j1 and pi `check_functor`.  When they
-    do, every member defers its composition rows (see `build_comma`), so a
-    command builds the rows of the members it composes and no others.
-    When they do not, the members build their rows at once, and a broken
-    table is refused as the member is built.
+    pass `validate_category` (read through `validated`, which keeps each
+    report) and j2, j1 and pi `check_functor`.  When they do, every member
+    defers its composition rows (see `build_comma`), so a command builds
+    the rows of the members it composes and no others.  When they do not,
+    the members build their rows at once, and a broken table is refused as
+    the member is built.
     """
 
     def __init__(self, s: Setup):
@@ -155,7 +156,7 @@ class CommaWeb:
     @cached_property
     def _laws_checked(self) -> bool:
         s = self.s
-        return all(map(lawful, (s.base, s.inter, s.main))) and all(
+        return all(validated(C).ok for C in (s.base, s.inter, s.main)) and all(
             check_functor(F).ok for F in (s.j2, s.j1, s.pi)
         )
 
@@ -522,6 +523,12 @@ def find_pi_star_section(
     return None, "absent"
 
 
+def _verdict(bad: list, **extra) -> dict:
+    """An extension item that failed on the witnesses in `bad` (the first
+    three kept), or was verified when there are none."""
+    return {"status": "verified" if not bad else "failed", "witnesses": bad[:3], **extra}
+
+
 def verify_extension(s: Setup, budget: int = DEFAULT_BUDGET) -> ExtensionReport:
     """Does the lifted nullity restrict back to the base nullity?
 
@@ -617,10 +624,7 @@ def verify_extension(s: Setup, budget: int = DEFAULT_BUDGET) -> ExtensionReport:
         if pipe.comma_values.values[iota2.on_obj(oid)].masks
         != arrow_null[oid].masks
     ]
-    items["triangle_comma"] = {
-        "status": "verified" if not yellow_bad else "failed",
-        "witnesses": yellow_bad[:3],
-    }
+    items["triangle_comma"] = _verdict(yellow_bad)
 
     # Blue triangle: probed . iota1 = arrow-level base nullity.  Needs a
     # section of pi_star; reported as skipped (with the reason) when none
@@ -639,11 +643,7 @@ def verify_extension(s: Setup, budget: int = DEFAULT_BUDGET) -> ExtensionReport:
             if pipe.probed.extension[iota1.on_obj(oid)].masks
             != arrow_null[oid].masks
         ]
-        items["triangle_probe"] = {
-            "status": "verified" if not blue_bad else "failed",
-            "section": how,
-            "witnesses": blue_bad[:3],
-        }
+        items["triangle_probe"] = _verdict(blue_bad, section=how)
 
     # Red triangle: the lifted nullity restricted along j1 j2 equals the
     # bar closure of the base (= the base itself, once saturated).
@@ -652,10 +652,7 @@ def verify_extension(s: Setup, budget: int = DEFAULT_BUDGET) -> ExtensionReport:
         for b in s.base.objects
         if pipe.main_null[jj.on_obj(b)].masks != bar[b].masks
     ]
-    items["triangle_restrict"] = {
-        "status": "verified" if not red_bad else "failed",
-        "witnesses": red_bad[:3],
-    }
+    items["triangle_restrict"] = _verdict(red_bad)
 
     # The theorem itself: main_null . j1j2 = base_null pointwise.
     eq_bad = []
@@ -670,10 +667,7 @@ def verify_extension(s: Setup, budget: int = DEFAULT_BUDGET) -> ExtensionReport:
                     "base": want.sorted_labels(),
                 }
             )
-    items["extension_equality"] = {
-        "status": "verified" if not eq_bad else "failed",
-        "witnesses": eq_bad[:3],
-    }
+    items["extension_equality"] = _verdict(eq_bad)
     return ExtensionReport(True, items)
 
 

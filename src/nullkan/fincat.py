@@ -135,8 +135,9 @@ class FinCategory:
     and sweeps every triple when it fails, so a wrong certificate costs
     time, never a verdict.  Default: none.
 
-    `lawful` and `opposite` keep their results on the category, so the
-    tables must not change once either has read them.
+    `validated` keeps the category's validation report on it, and
+    `opposite` its opposite, so the tables must not change once either has
+    read them.
     """
 
     def __init__(
@@ -208,7 +209,7 @@ class FinCategory:
         self.morphisms = mors
         self.identity = identity
         self.faithful: tuple[FunctorData, ...] = ()
-        self._lawful: bool | None = None
+        self._report: ValidationReport | None = None
         self._op: FinCategory | None = None
 
         self._obj_index = obj_index = {x: i for i, x in enumerate(objects)}
@@ -472,13 +473,13 @@ def validate_category(cat: FinCategory) -> ValidationReport:
     return ValidationReport(not violations, checked, violations)
 
 
-def lawful(cat: FinCategory) -> bool:
-    """`validate_category(cat).ok`, computed on the first call for cat and
-    kept on it.  For callers that need the verdict only; `validate_category`
-    itself is not memoized, since its callers read the whole report."""
-    if cat._lawful is None:
-        cat._lawful = validate_category(cat).ok
-    return cat._lawful
+def validated(cat: FinCategory) -> ValidationReport:
+    """`validate_category(cat)`, computed on the first call for cat and kept
+    on it, so that each category is validated once however many verdicts
+    read it.  `validate_category` itself keeps nothing."""
+    if cat._report is None:
+        cat._report = validate_category(cat)
+    return cat._report
 
 
 def _certified(cat: FinCategory) -> bool:
@@ -497,7 +498,7 @@ def _certified(cat: FinCategory) -> bool:
     if not cat.faithful or cat._loose or len(cat.identity) < len(cat.objects):
         return False
     for F in cat.faithful:
-        if F.target.faithful or not lawful(F.target) or not check_functor(F).ok:
+        if F.target.faithful or not validated(F.target).ok or not check_functor(F).ok:
             return False
     images = {
         (m.dom, m.cod, *(F.mor_map[m.name] for F in cat.faithful)) for m in cat.morphisms
@@ -511,28 +512,14 @@ def _associativity_sweep(
     """Count the composable triples (h, g, f) and find those with h(gf) != (hg)f.
 
     `rows` are cat's composition rows, holding only entries with the right
-    endpoints.  Every triple with both gf and hg in them is counted.  The
-    first `limit` failing triples are returned as (h, g, f) names, ordered
-    by the index of c = cod(g), then of h, g and f.
-
-    For each g, `gf_at[g]` reads a row at the places of g's composites gf
-    in the in-list of cod(g), which is the in-list that the row of h runs
-    over, and (hg)f sits at the same place in the row of hg as gf in the
-    row of g.  Where g's row has gaps, `live[g]` reads a row at the places
-    where it has entries.
+    endpoints.  h runs over the morphisms in order of dom(h), then of h; g
+    over the in-list of dom(h) where hg is in the rows; f over the in-list
+    of dom(g) where gf is in them.  Every such triple is counted, and the
+    first `limit` with h(gf) != (hg)f are returned as (h, g, f) names, in
+    that order.  h(gf) sits in the row of h at the place of gf, and (hg)f
+    in the row of hg at the place of f.
     """
     pos, ins, dom = cat._pos, cat._in, cat._dom
-    full = [tuple(row) for row in rows]
-    live, gf_at, n_live = [], [], []
-    for row in rows:
-        if -1 in row:
-            places = [i for i, x in enumerate(row) if x >= 0]
-            live.append(_picker(places))
-        else:
-            places = range(len(row))
-            live.append(None)
-        gf_at.append(_picker([pos[row[i]] for i in places]))
-        n_live.append(len(places))
     total = 0
     found: list[tuple[int, int, int]] = []
     for h in sorted(range(len(rows)), key=dom.__getitem__):
@@ -540,15 +527,13 @@ def _associativity_sweep(
         for g, hg in zip(ins[dom[h]], rh):
             if hg < 0:
                 continue
-            total += n_live[g]
-            if len(found) == limit:
-                continue
-            lhs = gf_at[g](rh)
-            rhs = full[hg] if live[g] is None else live[g](rows[hg])
-            if lhs != rhs:
-                fs = ins[dom[g]] if live[g] is None else live[g](ins[dom[g]])
-                bad = [f for f, x, y in zip(fs, lhs, rhs) if x != y]
-                found.extend((h, g, f) for f in bad[: limit - len(found)])
+            rhg = rows[hg]
+            for f, gf in zip(ins[dom[g]], rows[g]):
+                if gf < 0:
+                    continue
+                total += 1
+                if len(found) < limit and rh[pos[gf]] != rhg[pos[f]]:
+                    found.append((h, g, f))
     names = cat._names
     return total, [(names[h], names[g], names[f]) for h, g, f in found]
 
@@ -722,6 +707,8 @@ def check_functor(F: FunctorData) -> ValidationReport:
         checked["identities"] += 1
         if F.mor_map[src.id_of(x)] != tgt.id_of(F.obj_map[x]):
             violations.append(_violation("functor-identity", object=x))
+            if len(violations) >= MAX_VIOLATIONS:
+                return ValidationReport(False, checked, violations)
     # Each row of the source, mapped by F, is compared in one step with the
     # row of its image read at the places of the images of its in-list; a
     # row that differs is walked pair by pair for witnesses.  F on indices

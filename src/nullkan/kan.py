@@ -41,10 +41,8 @@ from .order import (
     SetMap,
     enumerate_assignments,
     failed_transports,
-    full_nullity,
     intersect_all,
     masks_on,
-    trivial_nullity,
     union_all,
 )
 
@@ -83,17 +81,14 @@ def _kan_fiber(
 ) -> KanResult:
     if not diag.source.same_table(K.source):
         raise EngineError("kan: diagram and K have different sources")
+    # An empty fiber gets the trivial (left) or the full (right) structure,
+    # and a piece on another carrier is refused.
+    combine = union_all if side == "left" else intersect_all
     extension: dict[str, NullityStructure] = {}
     sizes: dict[str, int] = {}
     for d, objs in fibers(K).items():
-        carrier = target_carriers[d]
-        # union_all and intersect_all refuse a piece on another carrier.
         pieces = [diag.values[x] for x in objs]
-        if side == "left":
-            ext = union_all(carrier, pieces) if pieces else trivial_nullity(carrier)
-        else:
-            ext = intersect_all(carrier, pieces) if pieces else full_nullity(carrier)
-        extension[d] = ext
+        extension[d] = combine(target_carriers[d], pieces)
         sizes[d] = len(pieces)
     return KanResult(side, extension, sizes)
 

@@ -272,10 +272,14 @@ def check_carrier_action(gamma: FunctorData) -> ValidationReport:
         checked["endpoints"] += 1
         if sm.dom != carrier_of(gamma, m.dom) or sm.cod != carrier_of(gamma, m.cod):
             violations.append(_violation("carrier-endpoints", morphism=m.name))
+            if len(violations) >= MAX_VIOLATIONS:
+                return ValidationReport(False, checked, violations)
     for x in src.objects:
         checked["identities"] += 1
         if not setmap_of(gamma, src.id_of(x)).is_identity():
             violations.append(_violation("carrier-identity", object=x))
+            if len(violations) >= MAX_VIOLATIONS:
+                return ValidationReport(False, checked, violations)
     names = src._names
     for g, d in enumerate(src._dom):
         for f in src._in[d]:

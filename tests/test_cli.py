@@ -1,7 +1,9 @@
 """Command line surface: exit codes, report shapes, determinism."""
 
+import collections
 import hashlib
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -665,3 +667,64 @@ def test_corpus_refusals_are_pinned(specs_dir, tmp_path, capsys):
             pinned.update(f"{code}\n{out}{err}".encode())
     assert codes.hexdigest() == "b91fdfcdb713c608dc470bac0a3ad493f7035157386b13b680f5c66d64306397"
     assert pinned.hexdigest() == "48164ffc1dc766b32048021b3e0cd2c721e52be8e16d3e83ac312c32a9832d74"
+
+
+def census_slice():
+    """(monoid, base family) for every monoid generated by one map of the
+    3-point set, up to relabelling the points, and every down-closed family
+    containing the empty set that its maps send into itself, up to the
+    relabellings that fix the monoid; masks as in specgen."""
+    sg = load_specgen()
+    perms = list(itertools.permutations(range(3)))
+
+    def relabel(maps, p):
+        back = [p.index(i) for i in range(3)]
+        return tuple(sorted(tuple(p[f[back[i]]] for i in range(3)) for f in maps))
+
+    monoids = sorted(
+        {
+            min(relabel(sg._closure([f]), p) for p in perms)
+            for f in itertools.product(range(3), repeat=3)
+        }
+    )
+    out = []
+    for monoid in monoids:
+        fixing = [p for p in perms if relabel(monoid, p) == monoid]
+        seen = set()
+        for bits in range(1, 256, 2):
+            family = [s for s in range(8) if bits >> s & 1]
+            if any(t not in family for s in family for t in range(8) if t & s == t):
+                continue
+            if any(sg._image(f, s) not in family for f in monoid for s in family):
+                continue
+            canon = min(tuple(sorted(sg._image(p, s) for s in family)) for p in fixing)
+            if canon not in seen:
+                seen.add(canon)
+                out.append((monoid, family))
+    return out
+
+
+def test_census_slice_differential(tmp_path, capsys):
+    # Every setup validates; the oracle agrees wherever the lift runs, and
+    # the lift refuses only a non-functorial main nullity.
+    sg = load_specgen()
+    setups = census_slice()
+    assert (len({m for m, _ in setups}), len(setups)) == (7, 67)
+    spec = tmp_path / "census.spec"
+    pinned = hashlib.sha256()
+    lifted = collections.Counter()
+    for monoid, family in setups:
+        spec.write_text(sg.spec_text(monoid, family))
+        codes = {}
+        for command in ("validate", "construct", "oracle-compare", "check thm1"):
+            code, out, err = run(capsys, *command.split(), "--spec", str(spec), "--json")
+            codes[command] = code
+            pinned.update(f"{code}\n{out}\0{err}\0".encode())
+            if code == 2:
+                assert "pipeline produced a non-functorial main nullity" in err, (monoid, family)
+        assert codes["validate"] == 0, (monoid, family)
+        if codes["construct"] == 0:
+            assert codes["oracle-compare"] == 0, (monoid, family)
+        lifted[codes["construct"]] += 1
+    assert lifted == {0: 53, 2: 14}
+    assert pinned.hexdigest() == "500e437ef9d954667a99df223b5f991515405be93761fa795cc667daa958cdb6"

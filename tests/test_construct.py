@@ -238,8 +238,8 @@ def test_deferred_rows_are_the_rows_built_at_once(specs_dir):
 
 
 def test_materialize_validates_injections_once(monkeypatch):
-    # The certificate of each comma category reads the verdict on its
-    # targets, which the web's setup check has already computed.
+    # The certificate of each comma category and the web's setup check read
+    # the report that `validated` keeps; `validate` reports that same one.
     seen = []
     real = nullkan.fincat.validate_category
 
@@ -249,8 +249,10 @@ def test_materialize_validates_injections_once(monkeypatch):
 
     monkeypatch.setattr(nullkan.fincat, "validate_category", counting)
     monkeypatch.setattr(nullkan.cli, "validate_category", counting)
-    assert main(["materialize", "--model", "injections_card_0", "--json"]) == 0
-    assert seen.count("injections") == 1
+    for command in ("materialize", "validate"):
+        seen.clear()
+        assert main([command, "--model", "injections_card_0", "--json"]) == 0, command
+        assert seen.count("injections") == 1, command
 
 
 # pi . j1 != Id_I (pi sends e to the identity) while pi . j1 . j2 = j2.

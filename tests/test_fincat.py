@@ -8,6 +8,7 @@ import pytest
 
 from nullkan.comma import arrow_category, bang_functor
 from nullkan.fincat import (
+    MAX_VIOLATIONS,
     BudgetExceeded,
     EngineError,
     FinCategory,
@@ -271,6 +272,24 @@ def test_functor_check_reads_gaps_without_raising(c2, c3):
     rep = check_functor(f._replace(source=without(c2, ("le:y1>y1", "le:y0>y1"))))
     assert rep.ok
     assert rep.checked["composition"] == check_functor(f).checked["composition"] - 1 == 3
+
+
+def test_functor_identity_pass_stops_at_the_witness_cap():
+    # Each object carries an idempotent e, and F sends its identity to e:
+    # F preserves composition but no identity, and the check stops at the cap.
+    objs = [f"o{i}" for i in range(30)]
+    ids = {x: f"id:{x}" for x in objs}
+    mors = [m for x in objs for m in ((ids[x], x, x), (f"e:{x}", x, x))]
+    comp = {}
+    for x in objs:
+        e = f"e:{x}"
+        comp |= {(ids[x], ids[x]): ids[x], (ids[x], e): e, (e, ids[x]): e, (e, e): e}
+    C = FinCategory("idem30", objs, mors, ids, comp)
+    F = FunctorData("to-e", C, C, {x: x for x in objs}, {m[0]: f"e:{m[1]}" for m in mors})
+    rep = check_functor(F)
+    assert len(rep.violations) == MAX_VIOLATIONS
+    assert {v.law for v in rep.violations} == {"functor-identity"}
+    assert rep.checked["identities"] == MAX_VIOLATIONS
 
 
 def test_compose_functors_and_equality(c2, c3):

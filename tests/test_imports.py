@@ -123,6 +123,20 @@ def test_budget_errors_come_from_the_meter_and_the_guard():
     assert sites == {("fincat.py", "_Meter.step"), ("construct.py", "verify_minimality")}
 
 
+def test_categories_are_validated_through_the_kept_report():
+    # Every verdict reads the report `validated` keeps on the category, so
+    # each category is validated once per run; only `materialize` validates
+    # its comma and nullity categories directly, as nothing else reads them.
+    sites = {
+        (path.name, site)
+        for path in sorted(SRC.glob("*.py"))
+        for site in constructor_sites(
+            ast.parse(path.read_text(encoding="utf-8")), "validate_category"
+        )
+    }
+    assert sites == {("fincat.py", "validated"), ("cli.py", "_cmd_materialize")}
+
+
 def test_constructor_detector_finds_each_site():
     tree = ast.parse(
         "class M:\n    def step(self):\n        raise E('x', 1)\n"

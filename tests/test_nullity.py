@@ -3,7 +3,13 @@
 import pytest
 
 import nullkan.nullity
-from nullkan.fincat import EngineError, FinCategory, validate_category
+from nullkan.fincat import (
+    MAX_VIOLATIONS,
+    EngineError,
+    FinCategory,
+    discrete_category,
+    validate_category,
+)
 from nullkan.nullity import (
     bar_null,
     base_nullity,
@@ -153,6 +159,21 @@ def test_carrier_action_checks(loop):
     assert not rep.ok
     assert carrier_of(gamma, "o") == c
     assert setmap_of(gamma, "s").apply("x0") == "x1"
+
+
+def test_carrier_action_stops_at_the_witness_cap():
+    # Each identity carries the swap of two points: one identity witness
+    # per object, and the check stops at the cap.
+    cat = discrete_category("d30", [f"o{i}" for i in range(30)])
+    c = FiniteSet(("x0", "x1"))
+    swap = SetMap.from_dict(c, c, {"x0": "x1", "x1": "x0"})
+    gamma = carrier_functor(
+        "swaps", cat, {x: c for x in cat.objects}, {m.name: swap for m in cat.morphisms}
+    )
+    rep = check_carrier_action(gamma)
+    assert len(rep.violations) == MAX_VIOLATIONS
+    assert {v.law for v in rep.violations} == {"carrier-identity"}
+    assert rep.checked == {"endpoints": 30, "identities": MAX_VIOLATIONS, "composition": 0}
 
 
 def test_nullity_assignment_functoriality(loop):
