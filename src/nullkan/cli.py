@@ -226,20 +226,17 @@ def _cmd_materialize(s, args):
     return body, ok, lines
 
 
-def _dispatch(args):
-    if args.command == "check":
-        return {
-            "thm1": _cmd_check_thm1,
-            "thm3": _cmd_check_thm3,
-            "ext": _cmd_check_ext,
-            "lemmas": _cmd_check_lemmas,
-        }[args.claim]
-    return {
-        "validate": _cmd_validate,
-        "construct": _cmd_construct,
-        "oracle-compare": _cmd_oracle_compare,
-        "materialize": _cmd_materialize,
-    }[args.command]
+# Each command, by the name its report gives it.
+COMMANDS = {
+    "validate": _cmd_validate,
+    "construct": _cmd_construct,
+    "oracle-compare": _cmd_oracle_compare,
+    "materialize": _cmd_materialize,
+    "check:thm1": _cmd_check_thm1,
+    "check:thm3": _cmd_check_thm3,
+    "check:ext": _cmd_check_ext,
+    "check:lemmas": _cmd_check_lemmas,
+}
 
 
 def main(argv=None) -> int:
@@ -261,7 +258,7 @@ def main(argv=None) -> int:
         "budget": args.budget,
     }
     try:
-        body, ok, lines = _dispatch(args)(setup, args)
+        body, ok, lines = COMMANDS[command](setup, args)
         status = "pass" if ok else "fail"
         code = EXIT_PASS if ok else EXIT_FAIL
     except BudgetExceeded as e:

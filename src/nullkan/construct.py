@@ -55,7 +55,6 @@ from .nullity import (
     carrier_of,
     check_carrier_action,
     check_nullity_assignment,
-    is_saturated as _is_saturated,
     setmap_of,
     transports_of,
 )
@@ -79,7 +78,12 @@ MINIMALITY_GUARD = 1 << 12
 class Setup:
     """A base, intermediate and main category, the functors j2: B -> I,
     j1: I -> M and pi: M -> I, the carriers gamma on M and the null
-    families on B; `_web` keeps the comma web once built."""
+    families on B.
+
+    What derives from these is built on first read and kept: `jj`,
+    `gamma_base`, `functor_reports` and the comma web `_web`.  Every reader
+    takes them from here, so no field changes once the setup is built.
+    """
 
     def __init__(
         self,
@@ -98,20 +102,23 @@ class Setup:
         self.base_null = base_null
         self._web: CommaWeb | None = None
 
+    @cached_property
+    def jj(self) -> FunctorData:
+        """j1 after j2."""
+        return compose_functors(self.j1, self.j2, name="j1j2")
 
-def j1j2(s: Setup) -> FunctorData:
-    return compose_functors(s.j1, s.j2, name="j1j2")
+    @cached_property
+    def gamma_base(self) -> FunctorData:
+        """The carrier action on the base: gamma pulled back along jj."""
+        jj, gamma = self.jj, self.gamma
+        obj = {x: carrier_of(gamma, jj.on_obj(x)) for x in self.base.objects}
+        mor = {m.name: setmap_of(gamma, jj.on_mor(m.name)) for m in self.base.morphisms}
+        return carrier_functor("gamma.j1j2", self.base, obj, mor)
 
-
-def pullback_carrier(gamma: FunctorData, F: FunctorData, name: str) -> FunctorData:
-    """Carrier action on F's source obtained by precomposition with F."""
-    obj = {x: carrier_of(gamma, F.on_obj(x)) for x in F.source.objects}
-    mor = {m.name: setmap_of(gamma, F.on_mor(m.name)) for m in F.source.morphisms}
-    return carrier_functor(name, F.source, obj, mor)
-
-
-def gamma_on_base(s: Setup) -> FunctorData:
-    return pullback_carrier(s.gamma, j1j2(s), "gamma.j1j2")
+    @cached_property
+    def functor_reports(self) -> tuple[ValidationReport, ValidationReport, ValidationReport]:
+        """The `check_functor` reports of j2, j1 and pi, in that order."""
+        return check_functor(self.j2), check_functor(self.j1), check_functor(self.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +127,12 @@ def gamma_on_base(s: Setup) -> FunctorData:
 
 # name -> (J, K, source, target): the functor induced from (Id_B, J, K)
 # between two of the web's comma categories.  J and K are setup functors,
-# their composite j1j2, or the identities Id_I and Id_M.
+# their composite jj, or the identities Id_I and Id_M.
 INDUCED = {
     "pi_star": ("pi", "Id_M", "comma_main", "comma_probe"),
     "pi_star_section": ("j1", "Id_M", "comma_probe", "comma_main"),
-    "iota1": ("j2", "j1j2", "arrow_base", "comma_probe"),
-    "iota2": ("j1j2", "j1j2", "arrow_base", "comma_main"),
+    "iota1": ("j2", "jj", "arrow_base", "comma_probe"),
+    "iota2": ("jj", "jj", "arrow_base", "comma_main"),
     "iota3": ("j2", "j2", "arrow_base", "comma_inter"),
     "iota4": ("Id_I", "pi", "comma_probe", "comma_inter"),
     "iota5": ("Id_I", "j1", "comma_inter", "comma_probe"),
@@ -142,7 +149,8 @@ class CommaWeb:
     pays only for the comma categories it uses.  The web checks its setup
     once, before it builds the first member: base, inter and main must
     pass `validate_category` (read through `validated`, which keeps each
-    report) and j2, j1 and pi `check_functor`.  When they do, every member
+    report) and j2, j1 and pi `check_functor` (read from the setup's kept
+    `functor_reports`).  When they do, every member
     defers its composition rows (see `build_comma`), so a command builds
     the rows of the members it composes and no others.  When they do not,
     the members build their rows at once, and a broken table is refused as
@@ -157,7 +165,7 @@ class CommaWeb:
     def _laws_checked(self) -> bool:
         s = self.s
         return all(validated(C).ok for C in (s.base, s.inter, s.main)) and all(
-            check_functor(F).ok for F in (s.j2, s.j1, s.pi)
+            rep.ok for rep in s.functor_reports
         )
 
     def _comma(self, alpha: FunctorData, beta: FunctorData, name: str) -> CommaCategory:
@@ -172,7 +180,7 @@ class CommaWeb:
     @cached_property
     def comma_main(self) -> CommaCategory:
         """(j1 j2 | Id_M)."""
-        return self._comma(j1j2(self.s), identity_functor(self.s.main), "(j1j2|M)")
+        return self._comma(self.s.jj, identity_functor(self.s.main), "(j1j2|M)")
 
     @cached_property
     def comma_probe(self) -> CommaCategory:
@@ -186,8 +194,6 @@ class CommaWeb:
 
     def _leg(self, key: str) -> FunctorData:
         s = self.s
-        if key == "j1j2":
-            return j1j2(s)
         if key in ("Id_I", "Id_M"):
             return identity_functor(s.inter if key == "Id_I" else s.main)
         return getattr(s, key)
@@ -235,8 +241,7 @@ def check_assumptions(s: Setup) -> ValidationReport:
     rep = check_carrier_action(s.gamma)
     checked["A1"] = sum(rep.checked.values())
     violations += [Violation(f"A1-{v.law}", v.witness) for v in rep.violations]
-    for F in (s.j2, s.j1, s.pi):
-        frep = check_functor(F)
+    for F, frep in zip((s.j2, s.j1, s.pi), s.functor_reports):
         checked["A1"] += sum(frep.checked.values())
         violations += [
             Violation(f"A1-{F.name}-{v.law}", v.witness) for v in frep.violations
@@ -244,21 +249,21 @@ def check_assumptions(s: Setup) -> ValidationReport:
 
     # A:2 the base carries a valid nullity assignment.
     if not violations:
-        nrep = check_nullity_assignment(gamma_on_base(s), s.base_null)
+        nrep = check_nullity_assignment(s.gamma_base, s.base_null)
         checked["A2"] = sum(nrep.checked.values())
         violations += [Violation(f"A2-{v.law}", v.witness) for v in nrep.violations]
 
-    # A:3 pi . j1 = Id_I on the nose.
+    # A:3 pi . j1 = Id_I on the nose; the first MAX_VIOLATIONS witnesses,
+    # objects first.
     comp = compose_functors(s.pi, s.j1)
     checked["A3"] = len(s.inter.objects) + len(s.inter.morphisms)
-    for x in s.inter.objects:
-        if comp.obj_map[x] != x:
-            violations.append(_violation("A3-triangle", object=x, image=comp.obj_map[x]))
-    for m in s.inter.morphisms:
-        if comp.mor_map[m.name] != m.name:
-            violations.append(
-                _violation("A3-triangle", morphism=m.name, image=comp.mor_map[m.name])
-            )
+    triangle = (
+        _violation("A3-triangle", **{kind: x, "image": y})
+        for kind, table in (("object", comp.obj_map), ("morphism", comp.mor_map))
+        for x, y in table.items()
+        if x != y
+    )
+    violations += itertools.islice(triangle, MAX_VIOLATIONS)
 
     # A:4 iota3 is invertible, so its inverse rstar retracts it.  Broken
     # tables can stop the comma categories it runs between from being built.
@@ -356,7 +361,7 @@ def main_null(s: Setup) -> dict[str, NullityStructure]:
 
 def direct_prevalence(s: Setup) -> dict[str, NullityStructure]:
     """Union over probes of the intersection over lifts of preimage nullity."""
-    jj = j1j2(s)
+    jj = s.jj
     out: dict[str, NullityStructure] = {}
     for V in s.main.objects:
         carrier = carrier_of(s.gamma, V)
@@ -381,15 +386,7 @@ def direct_prevalence(s: Setup) -> dict[str, NullityStructure]:
 
 
 # ---------------------------------------------------------------------------
-# Saturation and testability.
-
-
-def bar_base(s: Setup) -> dict[str, NullityStructure]:
-    return _bar_null(gamma_on_base(s), s.base_null)
-
-
-def is_saturated_base(s: Setup) -> bool:
-    return _is_saturated(gamma_on_base(s), s.base_null)
+# Testability.
 
 
 def probe_pushforwards(s: Setup, V: str) -> list[frozenset[int]]:
@@ -539,16 +536,12 @@ def verify_extension(s: Setup, budget: int = DEFAULT_BUDGET) -> ExtensionReport:
     """
     items: dict[str, dict] = {}
     a4 = check_assumptions(s)
-    # The carriers pull back along j1 j2 only where j1 and j2 send every
-    # object and morphism to one with the right endpoints.
-    unmapped = {
-        f"A1-{F.name}-functor-{law}"
-        for F in (s.j1, s.j2)
-        for law in ("object", "morphism", "endpoints")
-    }
-    if unmapped.isdisjoint(v.law for v in a4.violations):
-        gamma_b = gamma_on_base(s)
-        bar = _bar_null(gamma_b, s.base_null)
+    # The carriers pull back along j1 j2 only where j2 and j1 send every
+    # object and morphism to one with the right endpoints: the first pass of
+    # `check_functor`, which stops there when it fails.
+    first_pass = ("functor-object", "functor-morphism", "functor-endpoints")
+    if not any(v.law in first_pass for rep in s.functor_reports[:2] for v in rep.violations):
+        bar = _bar_null(s.gamma_base, s.base_null)
         bad = next((b for b in s.base.objects if bar[b].masks != s.base_null[b].masks), None)
         if bad is not None:
             items["saturation"] = {
@@ -566,7 +559,7 @@ def verify_extension(s: Setup, budget: int = DEFAULT_BUDGET) -> ExtensionReport:
         return ExtensionReport(False, items)
 
     web = build_comma_web(s)
-    jj = j1j2(s)
+    jj, gamma_b = s.jj, s.gamma_base
     pipe = run_pipeline(s)
 
     # Square 1: the carrier action commutes with the comma construction.
@@ -645,16 +638,10 @@ def verify_extension(s: Setup, budget: int = DEFAULT_BUDGET) -> ExtensionReport:
         ]
         items["triangle_probe"] = _verdict(blue_bad, section=how)
 
-    # Red triangle: the lifted nullity restricted along j1 j2 equals the
-    # bar closure of the base (= the base itself, once saturated).
-    red_bad = [
-        b
-        for b in s.base.objects
-        if pipe.main_null[jj.on_obj(b)].masks != bar[b].masks
-    ]
-    items["triangle_restrict"] = _verdict(red_bad)
-
-    # The theorem itself: main_null . j1j2 = base_null pointwise.
+    # The theorem itself: main_null . j1j2 = base_null pointwise.  Past the
+    # saturation gate the bar closure is the base, so the red triangle (the
+    # lifted nullity restricted along j1 j2 equals the bar closure) fails
+    # at the same objects.
     eq_bad = []
     for b in s.base.objects:
         got = pipe.main_null[jj.on_obj(b)]
@@ -667,6 +654,7 @@ def verify_extension(s: Setup, budget: int = DEFAULT_BUDGET) -> ExtensionReport:
                     "base": want.sorted_labels(),
                 }
             )
+    items["triangle_restrict"] = _verdict([w["object"] for w in eq_bad])
     items["extension_equality"] = _verdict(eq_bad)
     return ExtensionReport(True, items)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, ItemsView, Mapping
 from functools import cached_property
-from operator import itemgetter
 from typing import NamedTuple
 
 DEFAULT_BUDGET = 200_000
@@ -104,8 +103,9 @@ class FinCategory:
     of g after f, or -1 where the table has no entry.  A table given as a
     dict may hold entries that are not composites with the right endpoints
     (cod(f) != dom(g), or g after f not a morphism dom(f) -> cod(g)); those
-    are kept only in `_loose`, as (g, f, gf) indices in the given order, so
-    that `validate_category` can report them as witnesses in that order.
+    are kept only in `_loose`, a dict (g, f) -> gf of indices in the given
+    order, so that `validate_category` can report them as witnesses in that
+    order.
 
     Names stay the interface: `compose`, `hom`, `mor`, `id_of` and
     `composable_pairs` take and give names, and `composition` is a
@@ -151,7 +151,7 @@ class FinCategory:
         self._frame(name, objects, morphisms, identity)
         index, dom, cod, pos = self._index, self._dom, self._cod, self._pos
         rows = [[-1] * len(self._in[d]) for d in dom]
-        loose = []
+        loose = {}
         for (g, f), h in composition.items():
             try:
                 gi, fi, hi = index[g], index[f], index[h]
@@ -160,7 +160,7 @@ class FinCategory:
             if dom[gi] == cod[fi] and dom[hi] == dom[fi] and cod[hi] == cod[gi]:
                 rows[gi][pos[fi]] = hi
             else:
-                loose.append((gi, fi, hi))
+                loose[gi, fi] = hi
         self._rows = rows
         self._loose = loose
 
@@ -179,7 +179,7 @@ class FinCategory:
         returns them: the category then builds them on the first read."""
         cat = cls.__new__(cls)
         cat._frame(name, objects, morphisms, identity)
-        cat._loose = []
+        cat._loose = {}
         if callable(rows):
             cat._build_rows = rows
         else:
@@ -268,10 +268,7 @@ class FinCategory:
             h = self._rows[gi][self._pos[fi]]
             if h >= 0:
                 return h
-        for g2, f2, h in self._loose:
-            if g2 == gi and f2 == fi:
-                return h
-        return -1
+        return self._loose.get((gi, fi), -1)
 
     def compose(self, g: str, f: str) -> str:
         """g after f."""
@@ -312,7 +309,7 @@ class FinCategory:
             and self.morphisms == other.morphisms
             and self.identity == other.identity
             and self._rows == other._rows
-            and sorted(self._loose) == sorted(other._loose)
+            and self._loose == other._loose
         )
 
     def __repr__(self):
@@ -355,7 +352,7 @@ class CompositionView(Mapping):
             for f, h in zip(ins[d], row):
                 if h >= 0:
                     yield (g, names[f]), names[h]
-        for g, f, h in cat._loose:
+        for (g, f), h in cat._loose.items():
             yield (names[g], names[f]), names[h]
 
 
@@ -406,8 +403,8 @@ def validate_category(cat: FinCategory) -> ValidationReport:
         n_out[d] += 1
     n_pairs = sum(a * b for a, b in zip(n_out, n_in))
     checked["totality"] = n_pairs
-    spurious = [(g, f) for g, f, _ in cat._loose if dom[g] != cod[f]]
-    bad_ends = [(g, f) for g, f, _ in cat._loose if dom[g] == cod[f]]
+    spurious = [(g, f) for g, f in cat._loose if dom[g] != cod[f]]
+    bad_ends = [(g, f) for g, f in cat._loose if dom[g] == cod[f]]
     n_covered = len(bad_ends)  # composable pairs whose entry is loose
     in_doms = [[dom[f] for f in into] for into in ins]
     n_missing = 0
@@ -538,14 +535,6 @@ def _associativity_sweep(
     return total, [(names[h], names[g], names[f]) for h, g, f in found]
 
 
-def _picker(places):
-    """A function reading a list at `places` into a tuple."""
-    if len(places) == 1:
-        p = places[0]
-        return lambda r: (r[p],)
-    return itemgetter(*places) if places else lambda r: ()
-
-
 # ---------------------------------------------------------------------------
 # Standard small categories.
 
@@ -639,7 +628,7 @@ def opposite(C: FinCategory) -> FinCategory:
         C.identity,
         [[rows[f][pos[g]] for f in outs[c]] for g, c in enumerate(C._cod)],
     )
-    op._loose = [(f, g, h) for g, f, h in C._loose]
+    op._loose = {(f, g): h for (g, f), h in C._loose.items()}
     C._op = op
     return op
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from operator import itemgetter
 from typing import NamedTuple
 
 from .fincat import (
@@ -19,7 +20,6 @@ from .fincat import (
     Mor,
     ValidationReport,
     Violation,
-    _picker,
     _violation,
     build_preorder,
 )
@@ -118,6 +118,14 @@ def _admitted_maps(carriers: dict[str, FiniteSet], admits, prefix: str = "") -> 
                 else:
                     by_code[a][b].append(-1)
     return _Maps(carriers, mors, setmap, by_code, codes)
+
+
+def _picker(places):
+    """A function reading a list at `places` into a tuple."""
+    if len(places) == 1:
+        p = places[0]
+        return lambda r: (r[p],)
+    return itemgetter(*places) if places else lambda r: ()
 
 
 def _maps_category(name: str, maps: _Maps) -> FinCategory:
@@ -376,11 +384,6 @@ def bar_null(
                 pieces.append(preimage_nullity(setmap_of(gamma, m.name), assignment[m.dom]))
         out[x] = union_all(carrier_of(gamma, x), pieces)
     return out
-
-
-def is_saturated(gamma: FunctorData, assignment: dict[str, NullityStructure]) -> bool:
-    bar = bar_null(gamma, assignment)
-    return all(bar[x].masks == assignment[x].masks for x in gamma.source.objects)
 
 
 def base_nullity(kind: str, carrier: FiniteSet, k: int | None = None) -> NullityStructure:

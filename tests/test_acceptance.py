@@ -19,13 +19,9 @@ from nullkan.comma import (
 )
 from nullkan.construct import (
     BUILTIN_NAMES,
-    bar_base,
     build_comma_web,
     builtin_model,
     direct_prevalence,
-    gamma_on_base,
-    is_saturated_base,
-    j1j2,
     main_null,
     verify_extension,
     verify_invariance,
@@ -44,6 +40,7 @@ from nullkan.fincat import (
 )
 from nullkan.lemmas import check_setup_adjoints, run_lemma_suite
 from nullkan.nullity import (
+    bar_null,
     carrier_of,
     materialize_nullity_category,
     nullity_fiber_preorder,
@@ -147,7 +144,7 @@ def test_ac2_points_comma_and_marginal_squares():
         for name in BUILTIN_NAMES:
             s = builtin_model(name)
             w = build_comma_web(s)
-            jj = j1j2(s)
+            jj = s.jj
             id_b = identity_functor(s.base)
             cases = [
                 (
@@ -223,7 +220,7 @@ def test_ac6_extension_recovers_base_on_saturated_models():
             rep = verify_extension(s)
             assert rep.ok, name
             assert rep.items["extension_equality"]["status"] == "verified"
-            jj = j1j2(s)
+            jj = s.jj
             lifted = main_null(s)
             for b in s.base.objects:
                 assert lifted[jj.obj_map[b]].masks == s.base_null[b].masks, (name, b)
@@ -278,19 +275,24 @@ def test_ac8_lemma_suite_and_adjoint_claims():
 
 def test_ac9_saturation_sweep_is_idempotent():
     with criterion("AC-9", 5.0, "saturation sweep is idempotent; saturation classified correctly"):
+        saturated = {}
         for name in BUILTIN_NAMES:
             s = builtin_model(name)
-            g = gamma_on_base(s)
-            bar = bar_base(s)
-            from nullkan.nullity import bar_null
-
-            twice = bar_null(g, bar)
+            bar = bar_null(s.gamma_base, s.base_null)
+            twice = bar_null(s.gamma_base, bar)
             assert all(twice[x].masks == bar[x].masks for x in bar), name
-        assert is_saturated_base(builtin_model("f2_proper"))
-        assert is_saturated_base(builtin_model("identity"))
-        assert not is_saturated_base(builtin_model("f2_trivial"))
-        for k in range(3):
-            assert not is_saturated_base(builtin_model(f"injections_card_{k}"))
+            items = verify_extension(s).items
+            saturated[name] = "saturation" not in items
+            if not saturated[name]:
+                assert items["saturation"]["status"] == "unmet", name
+        assert saturated == {
+            "identity": True,
+            "f2_trivial": False,
+            "f2_proper": True,
+            "injections_card_0": False,
+            "injections_card_1": False,
+            "injections_card_2": False,
+        }
 
 
 def test_ac10_reports_reproducible_and_specs_round_trip(tmp_path, specs_dir, capsys):

@@ -14,13 +14,11 @@ from nullkan.cli import main
 from nullkan.construct import (
     BUILTIN_NAMES,
     Setup,
-    bar_base,
     build_comma_web,
     builtin_model,
     check_assumptions,
     direct_prevalence,
     find_pi_star_section,
-    is_saturated_base,
     is_testable,
     main_null,
     probe_pushforwards,
@@ -29,10 +27,19 @@ from nullkan.construct import (
     verify_invariance,
     verify_minimality,
 )
-from nullkan.fincat import BudgetExceeded, EngineError, FinCategory
-from nullkan.nullity import carrier_of
+from nullkan.fincat import (
+    MAX_VIOLATIONS,
+    BudgetExceeded,
+    EngineError,
+    FinCategory,
+    FunctorData,
+    discrete_category,
+    identity_functor,
+)
+from nullkan.nullity import bar_null, carrier_functor, carrier_of
 from nullkan.order import (
     FiniteSet,
+    SetMap,
     down_closure,
     full_nullity,
     proper_nullity,
@@ -255,6 +262,61 @@ def test_materialize_validates_injections_once(monkeypatch):
         assert seen.count("injections") == 1, command
 
 
+@pytest.mark.parametrize("model", ["injections_card_0", "f2_proper"])
+def test_setup_functors_and_base_action_are_derived_once(model, monkeypatch, capsys):
+    # A1, the comma web's setup check and the saturation gate read the
+    # setup's kept functor reports; A2 and the gate its kept base action.
+    checked, actions = [], []
+    real_check, real_action = nullkan.construct.check_functor, nullkan.construct.carrier_functor
+
+    def counting_check(F):
+        checked.append(F.name)
+        return real_check(F)
+
+    def counting_action(name, *args):
+        actions.append(name)
+        return real_action(name, *args)
+
+    monkeypatch.setattr(nullkan.construct, "check_functor", counting_check)
+    monkeypatch.setattr(nullkan.construct, "carrier_functor", counting_action)
+    s = builtin_model(model)
+    for argv in (["validate"], ["check", "ext"]):
+        checked.clear()
+        actions.clear()
+        main([*argv, "--model", model, "--json"])
+        assert checked == [s.j2.name, s.j1.name, s.pi.name], argv
+        assert actions.count("gamma.j1j2") == 1, argv
+    capsys.readouterr()
+
+
+def test_retraction_triangle_keeps_the_first_witnesses():
+    # pi sends all 30 objects of a discrete category to x0: 29 objects and
+    # 29 identities break pi . j1 = Id_I, and A3 keeps the first 20.
+    inter = discrete_category("D30", [f"x{i}" for i in range(30)])
+    ident = identity_functor(inter)
+    pi = FunctorData(
+        "pi",
+        inter,
+        inter,
+        dict.fromkeys(inter.objects, "x0"),
+        dict.fromkeys(ident.mor_map, "id:x0"),
+    )
+    c = FiniteSet(("a",))
+    gamma = carrier_functor(
+        "gamma",
+        inter,
+        dict.fromkeys(inter.objects, c),
+        {m: SetMap(c, c, (0,)) for m in ident.mor_map},
+    )
+    base = dict.fromkeys(inter.objects, proper_nullity(c))
+    s = Setup("d30", inter, inter, inter, ident, ident, pi, gamma, base)
+    rep = check_assumptions(s)
+    assert rep.checked["A3"] == 60
+    triangle = [dict(v.witness) for v in rep.violations if v.law == "A3-triangle"]
+    assert len(triangle) == MAX_VIOLATIONS == 20
+    assert triangle == [{"object": f"x{i}", "image": "x0"} for i in range(1, 21)]
+
+
 # pi . j1 != Id_I (pi sends e to the identity) while pi . j1 . j2 = j2.
 A3_ONLY = """version: 1
 
@@ -369,15 +431,23 @@ def test_invariance_refuses_an_assignment_on_the_wrong_carrier():
 
 
 def test_saturation_of_builtins():
-    assert is_saturated_base(builtin_model("identity"))
-    assert is_saturated_base(builtin_model("f2_proper"))
-    assert not is_saturated_base(builtin_model("f2_trivial"))
-    assert not is_saturated_base(builtin_model("injections_card_0"))
+    status = {
+        name: verify_extension(builtin_model(name)).items.get("saturation", {}).get("status")
+        for name in BUILTIN_NAMES
+    }
+    assert status == {
+        "identity": None,
+        "f2_trivial": "unmet",
+        "f2_proper": None,
+        "injections_card_0": "unmet",
+        "injections_card_1": "unmet",
+        "injections_card_2": "unmet",
+    }
 
 
 def test_bar_closure_on_f2_trivial():
     s = builtin_model("f2_trivial")
-    bar = bar_base(s)
+    bar = bar_null(s.gamma_base, s.base_null)
     assert bar["F2^0"].is_trivial()
     assert bar["F2^1"].sorted_labels() == ["{}", "{1}"]
 

@@ -137,6 +137,19 @@ def test_categories_are_validated_through_the_kept_report():
     assert sites == {("fincat.py", "validated"), ("cli.py", "_cmd_materialize")}
 
 
+def test_setup_functors_are_checked_through_the_kept_reports():
+    # j2, j1 and pi are checked once per setup, on `Setup.functor_reports`;
+    # only an associativity certificate checks its own functors.
+    sites = {
+        (path.name, site)
+        for path in sorted(SRC.glob("*.py"))
+        for site in constructor_sites(
+            ast.parse(path.read_text(encoding="utf-8")), "check_functor"
+        )
+    }
+    assert sites == {("fincat.py", "_certified"), ("construct.py", "Setup.functor_reports")}
+
+
 def test_constructor_detector_finds_each_site():
     tree = ast.parse(
         "class M:\n    def step(self):\n        raise E('x', 1)\n"
