@@ -10,6 +10,7 @@ after exhaustively checking the two defining squares.
 
 from __future__ import annotations
 
+from array import array
 from typing import NamedTuple
 
 from .fincat import (
@@ -140,17 +141,21 @@ def build_comma(
 
     # The row of (f2, g2): x2 -> y2 runs over the squares (f1, g1): x1 -> x2,
     # and its entry is the square (f2 f1, g2 g1): x1 -> y2.  into[x2] holds
-    # each such (f1, g1) as (x1 sx + n_b + 1, place of f1, place of g1).  At
-    # the first entry that names no square, a composite that A or B lacks
-    # raises by name; otherwise the composite square does not commute.
-    def rows() -> list[list[int]]:
+    # each such (f1, g1) as (x1 sx + n_b + 1, place of f1, place of g1).  The
+    # rows of A, times n_b, and of B are read once into lists, which index
+    # faster than arrays.  At the first entry that names no square, a
+    # composite that A or B lacks raises by name; otherwise the composite
+    # square does not commute.
+    def rows() -> list[array]:
         into: list[list[tuple[int, int, int]]] = [[] for _ in objects]
         for f1, g1, x1, x2 in mor_ends:
             into[x2].append((x1 * sx + n_b + 1, A._pos[f1], B._pos[g1]))
+        a_rows = [[fa * n_b for fa in r.tolist()] for r in A._rows]
+        b_rows = [r.tolist() for r in B._rows]
         out = []
         for k, (f2, g2, x2, y2) in enumerate(mor_ends):
-            ra, rb, y = A._rows[f2], B._rows[g2], y2 * sy
-            row = [at.get(x + y + ra[pa] * n_b + rb[pb], -1) for x, pa, pb in into[x2]]
+            ra, rb, y = a_rows[f2], b_rows[g2], y2 * sy
+            row = [at.get(x + y + ra[pa] + rb[pb], -1) for x, pa, pb in into[x2]]
             if -1 in row:
                 j = [j for j, (*_, to) in enumerate(mor_ends) if to == x2][row.index(-1)]
                 f1, g1 = mor_ends[j][:2]
@@ -160,7 +165,7 @@ def build_comma(
                     f"{name}: {morphisms[k].name} after {morphisms[j].name} "
                     "is not a commuting square"
                 )
-            out.append(row)
+            out.append(array("h", row))
         return out
 
     cat = FinCategory.from_rows(

@@ -9,6 +9,7 @@ every law check can produce a concrete witness when it fails.
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections.abc import Callable, ItemsView, Mapping
 from functools import cached_property
 from typing import NamedTuple
@@ -18,6 +19,9 @@ DEFAULT_BUDGET = 200_000
 MAX_VIOLATIONS = 20
 # The most elements `power_set_preorder` takes: 2^5 subsets.
 MAX_POWER_SET = 5
+# The most morphisms a category may have: every composition entry is a
+# morphism index held in a signed 16-bit slot, with -1 for a gap.
+MAX_MORPHISMS = 32767
 
 
 class EngineError(Exception):
@@ -94,18 +98,25 @@ class ValidationReport(NamedTuple):
 
 
 class FinCategory:
-    """Explicit finite category, stored as one table of integers.
+    """Explicit finite category, stored as rows of 16-bit morphism indices.
 
     Morphisms are numbered in their declared order.  `_in[x]` lists, by
     index, the morphisms into the object with index x (its in-list), and
     `_pos[f]` is f's place in the in-list of cod(f).  Each morphism g has a
-    row `_rows[g]` with one entry per f in the in-list of dom(g): the index
-    of g after f, or -1 where the table has no entry.  A table given as a
-    dict may hold entries that are not composites with the right endpoints
-    (cod(f) != dom(g), or g after f not a morphism dom(f) -> cod(g)); those
-    are kept only in `_loose`, a dict (g, f) -> gf of indices in the given
-    order, so that `validate_category` can report them as witnesses in that
-    order.
+    row `_rows[g]`, an `array('h')` with one entry per f in the in-list of
+    dom(g): the index of g after f, or -1 where the table has no entry.
+    An entry takes 2 bytes, where a list takes an 8-byte pointer and some
+    slack: the nullity category that `materialize` builds holds 1.4
+    million entries.  So a category has at most MAX_MORPHISMS (32,767)
+    morphisms, which `_frame` checks before any row is built; the input
+    bounds stop at 16,384.  Reading an entry makes an int object (beyond
+    256), so a pass over a whole row reads each entry once.
+
+    A table given as a dict may hold entries that are not composites with
+    the right endpoints (cod(f) != dom(g), or g after f not a morphism
+    dom(f) -> cod(g)); those are kept only in `_loose`, a dict (g, f) -> gf
+    of indices in the given order, so that `validate_category` can report
+    them as witnesses in that order.
 
     Names stay the interface: `compose`, `hom`, `mor`, `id_of` and
     `composable_pairs` take and give names, and `composition` is a
@@ -115,9 +126,9 @@ class FinCategory:
     broken tables can be built and then rejected.
 
     The constructor converts a composition dict once; builders that compose
-    as integers pass their rows to `from_rows` instead.  The category keeps
-    the `identity` dict it is given without copying: callers pass a fresh
-    dict, or one that nothing writes to again.
+    as integers pass their `array('h')` rows to `from_rows` instead.  The
+    category keeps the `identity` dict it is given without copying: callers
+    pass a fresh dict, or one that nothing writes to again.
 
     A builder whose rows cannot fail may defer them: it hands `from_rows`
     a function that builds the rows, and the first read of `_rows` (by
@@ -150,7 +161,7 @@ class FinCategory:
     ):
         self._frame(name, objects, morphisms, identity)
         index, dom, cod, pos = self._index, self._dom, self._cod, self._pos
-        rows = [[-1] * len(self._in[d]) for d in dom]
+        rows = [array("h", [-1]) * len(self._in[d]) for d in dom]
         loose = {}
         for (g, f), h in composition.items():
             try:
@@ -171,12 +182,13 @@ class FinCategory:
         objects,
         morphisms,
         identity: dict[str, str],
-        rows: list[list[int]] | Callable[[], list[list[int]]],
+        rows: list[array] | Callable[[], list[array]],
     ) -> "FinCategory":
         """The category whose composition rows (see the class docstring)
-        are `rows`, which it keeps without copying.  Each entry must be -1
-        or the index of a morphism.  `rows` may instead be a function that
-        returns them: the category then builds them on the first read."""
+        are `rows`, `array('h')` rows that it keeps without copying.  Each
+        entry must be -1 or the index of a morphism.  `rows` may instead be
+        a function that returns them: the category then builds them on the
+        first read."""
         cat = cls.__new__(cls)
         cat._frame(name, objects, morphisms, identity)
         cat._loose = {}
@@ -187,16 +199,19 @@ class FinCategory:
         return cat
 
     @cached_property
-    def _rows(self) -> list[list[int]]:
+    def _rows(self) -> list[array]:
         """The deferred rows, built on the first read and kept."""
         rows = self._shaped(self._build_rows())
         del self._build_rows
         return rows
 
-    def _shaped(self, rows: list[list[int]]) -> list[list[int]]:
-        """`rows`, after checking that each row matches its in-list."""
+    def _shaped(self, rows: list[array]) -> list[array]:
+        """`rows`, after checking that each is an `array('h')` that matches
+        its in-list."""
         if list(map(len, rows)) != list(map(len, map(self._in.__getitem__, self._dom))):
             raise EngineError(f"{self.name}: composition rows do not match the in-lists")
+        if set(map(type, rows)) - {array} or {r.typecode for r in rows} - {"h"}:
+            raise EngineError(f"{self.name}: composition rows are not int16 arrays")
         return rows
 
     def _frame(self, name, objects, morphisms, identity) -> None:
@@ -204,6 +219,8 @@ class FinCategory:
         self.name = name
         self.objects = objects = tuple(objects)
         mors = tuple(morphisms)
+        if len(mors) > MAX_MORPHISMS:
+            raise EngineError(f"{name}: {len(mors)} morphisms exceed bound {MAX_MORPHISMS}")
         if set(map(type, mors)) - {Mor}:
             mors = tuple(m if type(m) is Mor else Mor(*m) for m in mors)
         self.morphisms = mors
@@ -407,17 +424,18 @@ def validate_category(cat: FinCategory) -> ValidationReport:
     bad_ends = [(g, f) for g, f in cat._loose if dom[g] == cod[f]]
     n_covered = len(bad_ends)  # composable pairs whose entry is loose
     in_doms = [[dom[f] for f in into] for into in ins]
+    # A gap (-1) reads the -1 past the end of dom and of cod, which is no
+    # object, so a row with a gap fails the first comparison; only a row
+    # that fails is counted for gaps and walked.
+    dom_of, cod_of = [*dom, -1].__getitem__, [*cod, -1].__getitem__
     n_missing = 0
     bad_rows = set()
     for g, row in enumerate(rows):
+        row = row.tolist()
         d, c = dom[g], cod[g]
-        if -1 in row:
-            n_missing += row.count(-1)
-        elif (
-            list(map(dom.__getitem__, row)) == in_doms[d]
-            and list(map(cod.__getitem__, row)).count(c) == len(row)
-        ):
+        if list(map(dom_of, row)) == in_doms[d] and list(map(cod_of, row)).count(c) == len(row):
             continue
+        n_missing += row.count(-1)
         for f, h in zip(ins[d], row):
             if h >= 0 and (dom[h] != dom[f] or cod[h] != c):
                 bad_ends.append((g, f))
@@ -459,10 +477,11 @@ def validate_category(cat: FinCategory) -> ValidationReport:
         rows = list(rows)
         for g in bad_rows:
             d, c = dom[g], cod[g]
-            rows[g] = [
+            kept = [
                 h if h < 0 or (dom[h] == dom[f] and cod[h] == c) else -1
                 for f, h in zip(ins[d], rows[g])
             ]
+            rows[g] = array("h", kept)
     n_assoc, bad = _associativity_sweep(cat, rows, MAX_VIOLATIONS - len(violations))
     checked["associativity"] = n_assoc
     for h, g, f in bad:
@@ -504,7 +523,7 @@ def _certified(cat: FinCategory) -> bool:
 
 
 def _associativity_sweep(
-    cat: FinCategory, rows: list[list[int]], limit: int
+    cat: FinCategory, rows: list[array], limit: int
 ) -> tuple[int, list[tuple[str, str, str]]]:
     """Count the composable triples (h, g, f) and find those with h(gf) != (hg)f.
 
@@ -573,7 +592,7 @@ def build_preorder(name: str, elements, leq) -> FinCategory:
     at = {p: i for i, p in enumerate(pairs)}
     into = {y: [p for p in pairs if p[1] == y] for y in elements}
     # The row of y <= z runs over the x <= y; its entries are the x <= z.
-    rows = [[at[x, z] for x, _ in into[y]] for y, z in pairs]
+    rows = [array("h", [at[x, z] for x, _ in into[y]]) for y, z in pairs]
     mors = [Mor(f"le:{x}>{y}", x, y) for x, y in pairs]
     ids = {x: f"le:{x}>{x}" for x in elements}
     return FinCategory.from_rows(name, elements, mors, ids, rows)
@@ -626,7 +645,7 @@ def opposite(C: FinCategory) -> FinCategory:
         C.objects,
         [Mor(m.name, m.cod, m.dom) for m in C.morphisms],
         C.identity,
-        [[rows[f][pos[g]] for f in outs[c]] for g, c in enumerate(C._cod)],
+        [array("h", [rows[f][pos[g]] for f in outs[c]]) for g, c in enumerate(C._cod)],
     )
     op._loose = {(f, g): h for (g, f), h in C._loose.items()}
     C._op = op
@@ -702,12 +721,19 @@ def check_functor(F: FunctorData) -> ValidationReport:
     # row of its image read at the places of the images of its in-list; a
     # row that differs is walked pair by pair for witnesses.  F on indices
     # ends in -2, which no row holds, so a gap (-1) never compares equal.
+    # The image row depends only on F(g) and dom(g): it is read once for
+    # each F(g) in a run of rows with one domain, and kept for that run.
     names, ins, trows, tpos = src._names, src._in, tgt._rows, tgt._pos
     fm = [*map(tgt._index.__getitem__, map(F.mor_map.__getitem__, names)), -2]
     tpos_in = [[tpos[fm[f]] for f in into] for into in ins]
+    run, images = -1, {}
     for g, (d, row) in enumerate(zip(src._dom, src._rows)):
-        image = map(trows[fm[g]].__getitem__, tpos_in[d])
-        if len(violations) < MAX_VIOLATIONS and list(image) == list(map(fm.__getitem__, row)):
+        if d != run:
+            run, images = d, {}
+        image = images.get(fm[g])
+        if image is None:
+            image = images[fm[g]] = list(map(trows[fm[g]].__getitem__, tpos_in[d]))
+        if len(violations) < MAX_VIOLATIONS and image == list(map(fm.__getitem__, row)):
             checked["composition"] += len(row)
             continue
         for f in ins[d]:
@@ -769,33 +795,6 @@ class NatTransData(NamedTuple):
     source: FunctorData
     target: FunctorData
     components: dict[str, str]  # source-category object -> target-category morphism
-
-
-def check_natural(t: NatTransData) -> ValidationReport:
-    F, G = t.source, t.target
-    tgt = F.target
-    violations: list[Violation] = []
-    checked = {"components": 0, "naturality": 0}
-    for x in F.source.objects:
-        checked["components"] += 1
-        c = t.components.get(x)
-        if c is None or c not in tgt._index:
-            violations.append(_violation("component-missing", object=x))
-            continue
-        m = tgt.mor(c)
-        if m.dom != F.obj_map[x] or m.cod != G.obj_map[x]:
-            violations.append(_violation("component-endpoints", object=x, component=c))
-    if violations:
-        return ValidationReport(False, checked, violations[:MAX_VIOLATIONS])
-    for m in F.source.morphisms:
-        checked["naturality"] += 1
-        lhs = tgt.compose(t.components[m.cod], F.mor_map[m.name])
-        rhs = tgt.compose(G.mor_map[m.name], t.components[m.dom])
-        if lhs != rhs:
-            violations.append(_violation("naturality", morphism=m.name))
-            if len(violations) >= MAX_VIOLATIONS:
-                break
-    return ValidationReport(not violations, checked, violations)
 
 
 class _Meter:

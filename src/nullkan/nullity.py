@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from array import array
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -31,7 +32,6 @@ from .order import (
     cardinality_nullity,
     failed_transports,
     preimage_nullity,
-    preservation_witness,
     proper_nullity,
     trivial_nullity,
     union_all,
@@ -97,20 +97,24 @@ class _Maps(NamedTuple):
 def _admitted_maps(carriers: dict[str, FiniteSet], admits, prefix: str = "") -> _Maps:
     """One morphism per set map f: a -> b between entries of `carriers`
     with `admits(f, a, b)`, by domain, then codomain, then code.  Morphism
-    ids are `prefix` followed by `_map_id`."""
+    ids are `prefix` followed by `_map_id`.  Each map is built once per
+    pair of carriers, and object pairs over the same carriers share it."""
     objs = list(carriers)
     mors: list[Mor] = []
     setmap: dict[str, SetMap] = {}
     by_code = [[[] for _ in objs] for _ in objs]
     codes = [[[] for _ in objs] for _ in objs]
+    maps_over: dict[tuple[FiniteSet, FiniteSet], list[SetMap]] = {}
     for a, oa in enumerate(objs):
         ca = carriers[oa]
         for b, ob in enumerate(objs):
             cb = carriers[ob]
-            for k, images in enumerate(all_set_maps(ca, cb)):
-                f = SetMap(ca, cb, images)
+            fs = maps_over.get((ca, cb))
+            if fs is None:
+                fs = maps_over[ca, cb] = [SetMap(ca, cb, i) for i in all_set_maps(ca, cb)]
+            for k, f in enumerate(fs):
                 if admits(f, oa, ob):
-                    mid = prefix + _map_id(oa, ob, images)
+                    mid = prefix + _map_id(oa, ob, f.images)
                     by_code[a][b].append(len(mors))
                     codes[a][b].append(k)
                     mors.append(Mor(mid, oa, ob))
@@ -158,7 +162,7 @@ def _maps_category(name: str, maps: _Maps) -> FinCategory:
                 row: list[int] = []
                 for into, pick, table in parts:
                     row += map(into, pick(table[k]))
-                rows.append(row)
+                rows.append(array("h", row))
     return FinCategory.from_rows(name, objs, mors, identity, rows)
 
 
@@ -216,10 +220,17 @@ def materialize_nullity_category(name: str, carriers) -> MaterializedNullity:
             structure[oid] = NullityStructure(c, masks)
 
     obj_carrier = {o: n.carrier for o, n in structure.items()}
-    maps = _admitted_maps(
-        obj_carrier,
-        lambda f, a, b: preservation_witness(f, structure[a].masks, structure[b].masks) is None,
-    )
+    null = {o: n.masks for o, n in structure.items()}
+    # images[f.images][m]: the image of the subset m of f's domain under f.
+    images: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def preserves(f: SetMap, a: str, b: str) -> bool:
+        image = images.get(f.images)
+        if image is None:
+            image = images[f.images] = tuple(map(f.image_mask, f.dom.all_masks()))
+        return null[b].issuperset(map(image.__getitem__, null[a]))
+
+    maps = _admitted_maps(obj_carrier, preserves)
     if len(maps.mors) > MAX_MATERIALIZED_MORPHISMS:
         raise EngineError(
             f"{name}: {len(maps.mors)} morphisms exceeds bound {MAX_MATERIALIZED_MORPHISMS}"
@@ -307,10 +318,14 @@ def carrier_functor(name: str, src: FinCategory, obj: dict, mor: dict) -> Functo
     cat, obj_carrier, mor_setmap = set_category(f"Set[{name}]", list(obj.values()))
     rev = {carrier_id(c): oid for oid, c in obj_carrier.items()}
     obj_map = {x: rev[carrier_id(obj[x])] for x in src.objects}
+    # Each image is the name of its Set morphism, one string shared by the
+    # morphisms over it; a map that is no Set morphism keeps its `_map_id`,
+    # which `check_functor` reports.
+    named = {(m.dom, m.cod, mor_setmap[m.name].images): m.name for m in cat.morphisms}
     mor_map = {}
     for m in src.morphisms:
-        sm = mor[m.name]
-        mor_map[m.name] = _map_id(obj_map[m.dom], obj_map[m.cod], sm.images)
+        key = (obj_map[m.dom], obj_map[m.cod], mor[m.name].images)
+        mor_map[m.name] = named.get(key) or _map_id(*key)
     return FunctorData(name, src, cat, obj_map, mor_map, carrier_obj=dict(obj), carrier_mor=dict(mor))
 
 

@@ -5,9 +5,10 @@ nullkan; budget errors are raised only by the step meter and the
 minimality guard; every parameter default is overridden by some call in
 the package, bar a listed few; the benchmark tracer's targets exist; and
 importing the CLI loads every traced module but not `dataclasses` or
-`inspect`."""
+`inspect`, and no standard library module outside a pinned list."""
 
 import ast
+import functools
 import importlib.util
 import inspect
 import os
@@ -353,19 +354,50 @@ def test_tracer_targets_exist():
     assert inspect.isgeneratorfunction(fincat.enumerate_functors)
 
 
-def test_cli_import_loads_traced_modules_but_no_dataclasses():
-    # Every verdict is a fresh process that pays for what `import
-    # nullkan.cli` loads, and the traced benchmark run wraps the modules
-    # that import has loaded.
+@functools.cache
+def modules_cli_import_adds() -> frozenset[str]:
+    """The modules a fresh interpreter loads for `import nullkan.cli`."""
     probe = (
         "import sys; before = set(sys.modules); import nullkan.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    loaded = set(
+    return frozenset(
         subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         ).stdout.split()
     )
+
+
+def test_cli_import_loads_traced_modules_but_no_dataclasses():
+    # Every verdict is a fresh process that pays for what `import
+    # nullkan.cli` loads, and the traced benchmark run wraps the modules
+    # that import has loaded.
+    loaded = modules_cli_import_adds()
     assert not loaded & {"dataclasses", "inspect"}
     assert {f"nullkan.{home}" for home, _ in load_tracer().TIMED} <= loaded
+
+
+# The standard library modules `import nullkan.cli` may add to those the
+# interpreter has loaded at start-up.
+CLI_STDLIB = {
+    "__future__",
+    "_blake2",
+    "_hashlib",
+    "_json",
+    "argparse",
+    "array",
+    "gettext",
+    "hashlib",
+    "json",
+    "json.decoder",
+    "json.encoder",
+    "json.scanner",
+}
+
+
+def test_cli_import_adds_only_pinned_stdlib_modules():
+    # Most of a verdict's CPU is start-up, so a module the CLI starts to
+    # load is added here on purpose, not by accident.
+    loaded = {m for m in modules_cli_import_adds() if m.split(".")[0] != "nullkan"}
+    assert loaded <= CLI_STDLIB, sorted(loaded - CLI_STDLIB)

@@ -98,6 +98,19 @@ def test_materialized_lookups():
     assert swap.images not in endo_maps  # swap sends the null {a} to {b}
 
 
+def test_materialize_shares_each_set_map_and_its_name():
+    # Carriers of 0, 1 and 2 elements give 8 objects and 95 morphisms over
+    # the 11 maps between the carriers.  Each map is built once, and the
+    # forgetful functor names each image by the one string of its Set
+    # morphism.
+    m = materialize_nullity_category("N", [FiniteSet(tuple("ab"[:k])) for k in range(3)])
+    assert (len(m.category.objects), len(m.setmap)) == (8, 95)
+    assert len({id(f) for f in m.setmap.values()}) == 11
+    forget = m.category.faithful[0]
+    assert len({id(name) for name in forget.mor_map.values()}) == 11
+    assert set(forget.mor_map.values()) == {mor.name for mor in forget.target.morphisms}
+
+
 def test_materialize_carrier_cap():
     with pytest.raises(EngineError):
         materialize_nullity_category("big", [FiniteSet(tuple("abcd"))])

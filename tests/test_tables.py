@@ -1,22 +1,37 @@
 """The integer composition table of FinCategory and its name views.
 
-The rows hold the table; `composition` is a read-only mapping computed
-from them.  These tests pin the name views of the builders' categories,
-round-trip every table through a dict, keep loose entries in their given
-order and check the row sweep against a sweep over the name dict.
+The rows hold the table, as int16 arrays; `composition` is a read-only
+mapping computed from them.  These tests pin the name views of the
+builders' categories, check that every builder keeps int16 rows and that
+no category passes the int16 bound, round-trip every table through a dict,
+keep loose entries in their given order and check the row sweep against a
+sweep over the name dict.
 """
 
 import functools
 import hashlib
 import random
+from array import array
 
 import pytest
 
 import nullkan.fincat
-from nullkan.comma import arrow_category
+from nullkan.cli import main
+from nullkan.comma import arrow_category, build_comma
 from nullkan.construct import build_comma_web, builtin_model
-from nullkan.fincat import EngineError, FinCategory, chain_preorder, validate_category
-from nullkan.nullity import materialize_nullity_category
+from nullkan.fincat import (
+    MAX_MORPHISMS,
+    EngineError,
+    FinCategory,
+    Mor,
+    chain_preorder,
+    discrete_category,
+    identity_functor,
+    opposite,
+    power_set_preorder,
+    validate_category,
+)
+from nullkan.nullity import materialize_nullity_category, set_category
 from nullkan.order import FiniteSet
 
 # (entries, sha256 prefix of sorted(cat.composition.items()), one
@@ -96,6 +111,71 @@ def test_composition_view_is_pinned(source, member):
     n, digest = VIEW_PINS[source, member]
     assert len(cat.composition) == n
     assert view_digest(cat) == digest
+
+
+def arrows_of_c3(laws_checked: bool) -> FinCategory:
+    i = identity_functor(chain_preorder("c3", "abc"))
+    return build_comma(i, i, "Arr(c3)", laws_checked=laws_checked).category
+
+
+def deferred_c2() -> FinCategory:
+    c2 = chain_preorder("c2", ["y0", "y1"])
+    return FinCategory.from_rows(
+        "c2", c2.objects, c2.morphisms, dict(c2.identity), lambda: c2._rows
+    )
+
+
+# Each builder of a FinCategory; "deferred" ones build their rows on the
+# first read.
+BUILDERS = {
+    "FinCategory": lambda: discrete_category("d", "xy"),
+    "from_rows deferred": deferred_c2,
+    "build_preorder": lambda: power_set_preorder("p2", "ab"),
+    "opposite": lambda: opposite(chain_preorder("c3", "abc")),
+    "build_comma": lambda: arrows_of_c3(False),
+    "build_comma deferred": lambda: arrows_of_c3(True),
+    "comma web deferred": lambda: build_comma_web(builtin_model("f2_proper")).comma_main.category,
+    "set_category": lambda: set_category("Set", [FiniteSet(("a", "b")), FiniteSet(("c",))])[0],
+    "injections": lambda: builtin_model("injections_card_0").main,
+    "materialized": lambda: pinned_category("materialized", "sizes 0-2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_every_builder_keeps_int16_rows(name):
+    cat = BUILDERS[name]()
+    assert ("_rows" not in vars(cat)) == name.endswith("deferred")
+    assert {(type(r), r.typecode) for r in cat._rows} == {(array, "h")}
+    assert "_rows" in vars(cat)
+    assert validate_category(cat).ok
+
+
+def test_frame_refuses_the_32768th_morphism(monkeypatch, capsys):
+    assert MAX_MORPHISMS == 2**15 - 1
+    mors = [Mor(f"m{i}", "x", "x") for i in range(MAX_MORPHISMS + 1)]
+
+    def no_rows():
+        raise AssertionError("a row was built")
+
+    class NoTable(dict):
+        def items(self):
+            raise AssertionError("a row was built")
+
+    FinCategory.from_rows("edge", ("x",), mors[:-1], {"x": "m0"}, no_rows)
+    refused = "^big: 32768 morphisms exceed bound 32767$"
+    with pytest.raises(EngineError, match=refused):
+        FinCategory.from_rows("big", ("x",), mors, {"x": "m0"}, no_rows)
+    with pytest.raises(EngineError, match=refused):
+        FinCategory("big", ("x",), mors, {"x": "m0"}, NoTable())
+
+    # No input gets past the bounds where it is read, so the bound is
+    # lowered below the 6,249 morphisms of the category `materialize`
+    # builds: the CLI reports the refusal as bad input.
+    monkeypatch.setattr(nullkan.fincat, "MAX_MORPHISMS", 6248)
+    assert main(["materialize", "--model", "injections_card_0", "--json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: Null[injections_card_0]: 6249 morphisms exceed bound 6248\n"
+    )
 
 
 def rebuilt(cat: FinCategory, composition) -> FinCategory:
@@ -181,15 +261,18 @@ def test_loose_entries_keep_their_given_order():
 def test_from_rows_checks_the_row_shapes():
     c2 = chain_preorder("c2", ["y0", "y1"])
     args = ("r", c2.objects, c2.morphisms, dict(c2.identity))
-    rows = [list(r) for r in c2._rows]
+    rows = [array("h", r) for r in c2._rows]
     assert FinCategory.from_rows(*args, rows).same_table(c2)
     with pytest.raises(EngineError, match="do not match the in-lists"):
         FinCategory.from_rows(*args, rows[:-1])
     with pytest.raises(EngineError, match="do not match the in-lists"):
-        FinCategory.from_rows(*args, [r + [0] for r in rows])
+        FinCategory.from_rows(*args, [r + array("h", [0]) for r in rows])
+    for other in ([r.tolist() for r in rows], [array("i", r) for r in rows]):
+        with pytest.raises(EngineError, match="are not int16 arrays"):
+            FinCategory.from_rows(*args, other)
     # A row entry with the wrong endpoints (le:y1>y1 after le:y0>y1 sent
     # to le:y0>y0) is composed as given and reported by validation.
-    bent = FinCategory.from_rows(*args, [rows[0], rows[1], [0, 2]])
+    bent = FinCategory.from_rows(*args, [rows[0], rows[1], array("h", [0, 2])])
     assert bent.compose("le:y1>y1", "le:y0>y1") == "le:y0>y0"
     first = validate_category(bent).violations[0]
     assert (first.law, dict(first.witness)) == (
