@@ -2,10 +2,14 @@
 
 A comma category over a cospan  A --alpha--> C <--beta-- B  is materialized
 with objects (a, phi, b) where phi: alpha(a) -> beta(b), and morphisms the
-commuting squares (f, g).  Both forgetful functors are built alongside the
-category; jointly faithful, they certify its associativity.
-`induced_comma_functor` lifts a triple of functors between two such cospans
-after exhaustively checking the two defining squares.
+commuting squares (f, g).  Its table, a `CommaTable`, indexes each square
+by its legs (f, g) and its endpoints.  When the caller has checked the
+cospan's inputs, the table composes two squares from the composites of
+their legs, and builds its composition rows only for a reader of the whole
+table.  Both forgetful functors are built alongside the category; jointly
+faithful, they certify its associativity.  `induced_comma_functor` lifts a
+triple of functors between two such cospans after exhaustively checking
+the two defining squares, and maps each square by index.
 """
 
 from __future__ import annotations
@@ -39,11 +43,93 @@ def comma_mor(f: str, g: str, dom: str, cod: str) -> str:
     return f"[{f};{g}]{dom}>{cod}"
 
 
+class CommaTable(FinCategory):
+    """The table of a comma category over A and B, indexed by square.
+
+    Morphism k is a square from object `_dom[k]` to object `_cod[k]` whose
+    legs are `fst[k]` in A and `snd[k]` in B, two int16 arrays; `_square`
+    finds a square by its endpoints and legs.  Until the rows are built,
+    `compose` answers from the legs: the composite of two squares is the
+    square between the outer endpoints whose legs are the composites of
+    theirs.  Only a reader of the whole table builds the rows (see
+    `FinCategory`).
+    """
+
+    def _square(self, dom: str, cod: str, f: int, g: int) -> str | None:
+        """The name of the square (f, g): dom -> cod, or None."""
+        index, fst, snd = self._index, self.fst, self.snd
+        for h in self._hom.get((dom, cod), ()):
+            if fst[index[h]] == f and snd[index[h]] == g:
+                return h
+        return None
+
+    def compose(self, g: str, f: str) -> str:
+        """g after f: from the rows once they are built, else from the legs."""
+        if "_rows" in self.__dict__:
+            return FinCategory.compose(self, g, f)
+        index, fst, snd = self._index, self.fst, self.snd
+        if g in index and f in index:
+            gi, fi = index[g], index[f]
+            mg, mf = self.morphisms[gi], self.morphisms[fi]
+            if mg.dom == mf.cod:
+                a = self.A._composite(fst[gi], fst[fi])
+                b = self.B._composite(snd[gi], snd[fi])
+                h = self._square(mf.dom, mg.cod, a, b)
+                if h is not None:
+                    return h
+        raise EngineError(
+            f"{self.name}: composition table has no entry for ({g!r}, {f!r})"
+        )
+
+    def _square_rows(self) -> list[array]:
+        """The composition rows, read off A's and B's.
+
+        The row of (f2, g2): x2 -> y2 runs over the in-list of x2, the
+        squares (f1, g1): x1 -> x2, and its entry is the square (f2 f1,
+        g2 g1): x1 -> y2, found by its key.  at[x sx + y sy + (f + 1) nb + g
+        + 1] is the square (f, g): x -> y; with f + 1 and g + 1 as digits, f
+        or g = -1 (a missing composite) gives a key that names no square.
+        into[x2] holds each (f1, g1) as (x1 sx + nb + 1, place of f1, place
+        of g1).  The rows of A, times nb, and of B are read once into lists,
+        which index faster than arrays.  At the first entry that names no
+        square, a composite that A or B lacks raises by name; otherwise the
+        composite square does not commute.
+        """
+        A, B, fst, snd, dom = self.A, self.B, self.fst, self.snd, self._dom
+        nb = len(B.morphisms) + 1
+        sy = (len(A.morphisms) + 1) * nb
+        sx = len(self.objects) * sy
+        at = {
+            x * sx + y * sy + (f + 1) * nb + g + 1: k
+            for k, (x, y, f, g) in enumerate(zip(dom, self._cod, fst, snd))
+        }
+        into = [
+            [(dom[k] * sx + nb + 1, A._pos[fst[k]], B._pos[snd[k]]) for k in ks]
+            for ks in self._in
+        ]
+        a_rows = [[fa * nb for fa in r.tolist()] for r in A._rows]
+        b_rows = [r.tolist() for r in B._rows]
+        out = []
+        for k, (f2, g2, x2, y2) in enumerate(zip(fst, snd, dom, self._cod)):
+            ra, rb, y = a_rows[f2], b_rows[g2], y2 * sy
+            row = [at.get(x + y + ra[pa] + rb[pb], -1) for x, pa, pb in into[x2]]
+            if -1 in row:
+                j = self._in[x2][row.index(-1)]
+                _after(A, f2, fst[j])
+                _after(B, g2, snd[j])
+                raise EngineError(
+                    f"{self.name}: {self._names[k]} after {self._names[j]} "
+                    "is not a commuting square"
+                )
+            out.append(array("h", row))
+        return out
+
+
 class CommaCategory(NamedTuple):
     """A materialized comma category.  A morphism's components (f, g) are
     its images under `forget1` and `forget2`."""
 
-    category: FinCategory
+    category: CommaTable
     left: FunctorData
     right: FunctorData
     obj_data: dict[str, tuple[str, str, str]]
@@ -61,11 +147,12 @@ def build_comma(
     The composition rows are built at once, and a composite that A or B
     lacks, or a composite square that does not commute, raises.  With
     `laws_checked`, the caller vouches that A, B and C pass
-    `validate_category` and alpha and beta pass `check_functor`; the rows
-    are then deferred to the category's first read of them (see
-    `FinCategory`).  They cannot fail there: A and B have every composite,
-    and the composite of two squares commutes because alpha and beta
-    preserve composition and C is associative.
+    `validate_category` and alpha and beta pass `check_functor`.  The
+    category then composes from the legs of its squares (see
+    `CommaTable`), and builds its rows only for a reader of the whole
+    table.  Neither can fail there: A and B have every composite, and the
+    composite of two squares commutes because alpha and beta preserve
+    composition and C is associative.
     """
     A, B, C = alpha.source, beta.source, alpha.target
     if not C.same_table(beta.target):
@@ -112,26 +199,20 @@ def build_comma(
                 raise EngineError(f"{name}: more than {MAX_COMMA_MORPHISMS} morphisms")
             squares.append(found)
 
-    # at[x sx + y sy + (f + 1) n_b + g + 1]: the index of the square
-    # (f, g): x -> y.  With f + 1 and g + 1 as digits, f or g = -1 (a
-    # missing composite) gives a key that names no square.
-    n_a, n_b = len(A.morphisms) + 1, len(B.morphisms) + 1
-    sy = n_a * n_b
-    sx = len(objects) * sy
+    # Each square, named once, with its legs kept as indices into A and B.
     morphisms: list[Mor] = []
     fst: dict[str, str] = {}
     snd: dict[str, str] = {}
-    at: dict[int, int] = {}
-    mor_ends: list[tuple[int, int, int, int]] = []
+    legs_a, legs_b = array("h"), array("h")
     for xy, found in enumerate(squares):
         if not found:
             continue
         x, y = divmod(xy, len(objects))
         for f, g in found:
             mid = comma_mor(A._names[f], B._names[g], objects[x], objects[y])
-            at[x * sx + y * sy + (f + 1) * n_b + g + 1] = len(morphisms)
             morphisms.append(Mor(mid, objects[x], objects[y]))
-            mor_ends.append((f, g, x, y))
+            legs_a.append(f)
+            legs_b.append(g)
             fst[mid] = A._names[f]
             snd[mid] = B._names[g]
 
@@ -139,38 +220,10 @@ def build_comma(
     for xid, (a, phi, b) in obj_data.items():
         identity[xid] = comma_mor(A.id_of(a), B.id_of(b), xid, xid)
 
-    # The row of (f2, g2): x2 -> y2 runs over the squares (f1, g1): x1 -> x2,
-    # and its entry is the square (f2 f1, g2 g1): x1 -> y2.  into[x2] holds
-    # each such (f1, g1) as (x1 sx + n_b + 1, place of f1, place of g1).  The
-    # rows of A, times n_b, and of B are read once into lists, which index
-    # faster than arrays.  At the first entry that names no square, a
-    # composite that A or B lacks raises by name; otherwise the composite
-    # square does not commute.
-    def rows() -> list[array]:
-        into: list[list[tuple[int, int, int]]] = [[] for _ in objects]
-        for f1, g1, x1, x2 in mor_ends:
-            into[x2].append((x1 * sx + n_b + 1, A._pos[f1], B._pos[g1]))
-        a_rows = [[fa * n_b for fa in r.tolist()] for r in A._rows]
-        b_rows = [r.tolist() for r in B._rows]
-        out = []
-        for k, (f2, g2, x2, y2) in enumerate(mor_ends):
-            ra, rb, y = a_rows[f2], b_rows[g2], y2 * sy
-            row = [at.get(x + y + ra[pa] + rb[pb], -1) for x, pa, pb in into[x2]]
-            if -1 in row:
-                j = [j for j, (*_, to) in enumerate(mor_ends) if to == x2][row.index(-1)]
-                f1, g1 = mor_ends[j][:2]
-                _after(A, f2, f1)
-                _after(B, g2, g1)
-                raise EngineError(
-                    f"{name}: {morphisms[k].name} after {morphisms[j].name} "
-                    "is not a commuting square"
-                )
-            out.append(array("h", row))
-        return out
-
-    cat = FinCategory.from_rows(
-        name, objects, morphisms, identity, rows if laws_checked else rows()
-    )
+    cat = CommaTable.from_rows(name, objects, morphisms, identity, lambda: cat._square_rows())
+    cat.A, cat.B, cat.fst, cat.snd = A, B, legs_a, legs_b
+    if not laws_checked:
+        cat._rows  # built now: a broken table raises here
     forget1 = FunctorData(f"fst[{name}]", cat, A, {x: obj_data[x][0] for x in objects}, fst)
     forget2 = FunctorData(f"snd[{name}]", cat, B, {x: obj_data[x][2] for x in objects}, snd)
     cat.faithful = (forget1, forget2)
@@ -259,16 +312,20 @@ def induced_comma_functor(
         if oid not in dst.obj_data:
             raise EngineError(f"{dst.category.name}: no comma object {oid}")
         obj_map[xid] = oid
+    # Each square (f, g) of S goes to the square (I f, K g) of T between
+    # the images of its endpoints, named by T's own string.
+    S, T = src.category, dst.category
+    im, km = _mor_indices(I), _mor_indices(K)
     mor_map = {}
-    fst, snd = src.forget1.mor_map, src.forget2.mor_map
-    for m in src.category.morphisms:
-        mid = comma_mor(
-            I.on_mor(fst[m.name]), K.on_mor(snd[m.name]), obj_map[m.dom], obj_map[m.cod]
-        )
-        if mid not in dst.forget1.mor_map:
-            raise EngineError(f"{dst.category.name}: no comma morphism {mid}")
-        mor_map[m.name] = mid
-    return FunctorData(name, src.category, dst.category, obj_map, mor_map)
+    for m, f, g in zip(S.morphisms, S.fst, S.snd):
+        x, y, f, g = obj_map[m.dom], obj_map[m.cod], im[f], km[g]
+        h = T._square(x, y, f, g)
+        if h is None:
+            raise EngineError(
+                f"{T.name}: no comma morphism " + comma_mor(T.A._names[f], T.B._names[g], x, y)
+            )
+        mor_map[m.name] = h
+    return FunctorData(name, S, T, obj_map, mor_map)
 
 
 def check_right_inverse(F: FunctorData, G: FunctorData) -> bool:

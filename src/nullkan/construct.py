@@ -151,8 +151,9 @@ class CommaWeb:
     pass `validate_category` (read through `validated`, which keeps each
     report) and j2, j1 and pi `check_functor` (read from the setup's kept
     `functor_reports`).  When they do, every member
-    defers its composition rows (see `build_comma`), so a command builds
-    the rows of the members it composes and no others.  When they do not,
+    composes from the legs of its squares and defers its composition rows
+    (see `build_comma`), so a command builds the rows only of the members
+    whose whole table it reads.  When they do not,
     the members build their rows at once, and a broken table is refused as
     the member is built.
     """

@@ -132,12 +132,14 @@ class FinCategory:
 
     A builder whose rows cannot fail may defer them: it hands `from_rows`
     a function that builds the rows, and the first read of `_rows` (by
-    `compose`, `composition`, `same_table`, `validate_category`, a functor
-    check or a search) calls it and checks the shape of what it returns.
-    A deferred builder raises on that read whatever it would have raised
-    when called at once.  Only `comma.build_comma` defers, and only when
-    its caller has checked the cospan's inputs (see there); a category
-    that nothing composes then never builds its rows.
+    `compose`, `composition`, `same_table` with another category,
+    `validate_category`, `opposite` or a functor check) calls it and
+    checks the shape of what it returns.  A deferred builder raises on that
+    read whatever it would have raised when called at once.  Only
+    `comma.build_comma` defers, and only when its caller has checked the
+    cospan's inputs (see there).  Its `comma.CommaTable` composes from the
+    legs of its squares in place of the rows, so only a reader of the
+    whole table builds them, and a search builds none.
 
     `faithful` is a certificate of associativity, set only by builders of
     concrete categories: functors out of this category that should preserve

@@ -33,6 +33,7 @@ from .order import (
     failed_transports,
     preimage_nullity,
     proper_nullity,
+    subset_images,
     trivial_nullity,
     union_all,
 )
@@ -221,14 +222,9 @@ def materialize_nullity_category(name: str, carriers) -> MaterializedNullity:
 
     obj_carrier = {o: n.carrier for o, n in structure.items()}
     null = {o: n.masks for o, n in structure.items()}
-    # images[f.images][m]: the image of the subset m of f's domain under f.
-    images: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def preserves(f: SetMap, a: str, b: str) -> bool:
-        image = images.get(f.images)
-        if image is None:
-            image = images[f.images] = tuple(map(f.image_mask, f.dom.all_masks()))
-        return null[b].issuperset(map(image.__getitem__, null[a]))
+        return null[b].issuperset(map(subset_images(f).__getitem__, null[a]))
 
     maps = _admitted_maps(obj_carrier, preserves)
     if len(maps.mors) > MAX_MATERIALIZED_MORPHISMS:

@@ -272,10 +272,24 @@ def masks_on(carriers: dict[str, FiniteSet], assignment) -> dict[str, frozenset[
     return {x: assignment[x].masks for x in carriers}
 
 
+# _IMAGES[f.images][m]: the image of the subset m of f's domain under f.
+_IMAGES: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
+def subset_images(f: SetMap) -> tuple[int, ...]:
+    """The image under f of every subset of its domain, by mask; computed
+    once per images tuple (which fixes the domain's size) and kept."""
+    image = _IMAGES.get(f.images)
+    if image is None:
+        image = _IMAGES[f.images] = tuple(map(f.image_mask, f.dom.all_masks()))
+    return image
+
+
 def preservation_witness(f: SetMap, dom: frozenset[int], cod: frozenset[int]) -> int | None:
     """The least null mask of `dom` that f sends outside `cod`, or None."""
+    image = subset_images(f)
     for m in sorted(dom):
-        if f.image_mask(m) not in cod:
+        if image[m] not in cod:
             return m
     return None
 

@@ -594,6 +594,21 @@ def test_materialize_peaks_within_20_mb_of_a_bare_interpreter():
     assert rss - bare < 20, (rss, bare)
 
 
+def test_check_lemmas_peaks_within_9_mb_of_a_bare_interpreter():
+    """`check lemmas` on an injections model searches four comma
+    categories of 1,276 morphisms each: it composes from the legs of their
+    squares, builds no composition rows, and its nine induced functors
+    keep the target's name strings.  It peaks within 9 MB of `python -c
+    pass` measured the same way (7.7 MB above it on CPython 3.11), where
+    rows built for the searches and a copy of every name in each functor
+    peaked 9.6 MB above it."""
+    code, _, rss = run_child("check", "lemmas", "--model", "injections_card_0")
+    assert code == 0
+    bare_code, _, bare = measured([sys.executable, "-c", "pass"])
+    assert bare_code == 0
+    assert rss - bare < 9, (rss, bare)
+
+
 def mutation_corpus(specs_dir):
     """(spec text, partial) for each one-line mutation of
     `specs/f2_proper.spec`, `specs/idempotent.spec` and the two specgen

@@ -119,9 +119,10 @@ def test_build_comma_refuses_before_naming_a_morphism(monkeypatch):
     assert named == []
 
 
-def test_build_comma_names_a_square_that_does_not_commute(c3):
-    # alpha sends both steps of the chain to the idempotent e but their
-    # composite to the identity, so the composite of two squares is none.
+def bent(name, c3):
+    """The one-object category M of an idempotent e, and the map from the
+    chain c3 that sends both steps to e but their composite to the
+    identity: it keeps endpoints and identities but not composites."""
     mon = FinCategory(
         "M",
         ("*",),
@@ -131,7 +132,13 @@ def test_build_comma_names_a_square_that_does_not_commute(c3):
     )
     images = {"le:x0>x1": "e", "le:x1>x2": "e", "le:x0>x2": "id"}
     mor_map = {m.name: images.get(m.name, "id") for m in c3.morphisms}
-    alpha = FunctorData("alpha", c3, mon, dict.fromkeys(c3.objects, "*"), mor_map)
+    return mon, FunctorData(name, c3, mon, dict.fromkeys(c3.objects, "*"), mor_map)
+
+
+def test_build_comma_names_a_square_that_does_not_commute(c3):
+    # alpha sends both steps of the chain to the idempotent e but their
+    # composite to the identity, so the composite of two squares is none.
+    mon, alpha = bent("alpha", c3)
     with pytest.raises(EngineError) as err:
         build_comma(alpha, identity_functor(mon), "bent")
     assert str(err.value) == (
@@ -175,6 +182,15 @@ def test_induced_functor_rejects_bad_square(c2, c3):
     dst = arrow_category(c3)
     with pytest.raises(EngineError, match="left square fails"):
         induced_comma_functor("skew", incl, bot, incl, src, dst)
+
+
+def test_induced_functor_names_a_square_with_no_image(c3):
+    # The squares Id.F = F.Id hold, but F breaks a composite, so the image
+    # of a commuting square of Arr(X) need not commute in Arr(M).
+    mon, F = bent("F", c3)
+    with pytest.raises(EngineError) as err:
+        induced_comma_functor("bent", F, F, F, arrow_category(c3), arrow_category(mon))
+    assert str(err.value) == "Arr(M): no comma morphism [e;id](*;id;*)>(*;e;*)"
 
 
 def test_const_functor(c3):

@@ -13,6 +13,7 @@ import nullkan.fincat
 from nullkan.cli import main
 from nullkan.construct import (
     BUILTIN_NAMES,
+    INDUCED,
     Setup,
     build_comma_web,
     builtin_model,
@@ -199,15 +200,16 @@ def test_comma_web_builds_members_on_first_use(monkeypatch, specs_dir, tmp_path,
         direct_prevalence(s)
         assert laws_checked == {"(j1j2|M)": True, "(j2|pi)": True}, s.name
         assert composed() == [], s.name
-    # materialize validates every member; check lemmas composes in three
-    # through its section and adjoint searches.
-    for argv, want in (
-        (["materialize"], sorted(web)),
-        (["check", "lemmas"], ["(j1j2|M)", "(j2|pi)", "Arr(F2-linear)"]),
-    ):
+    # materialize validates every member, which reads the whole table;
+    # check lemmas composes in three through its section and adjoint
+    # searches, each composite from the legs of the two squares.
+    made.clear()
+    main(["materialize", "--model", "f2_proper", "--json"])
+    assert composed() == sorted(web)
+    for model in ("f2_proper", "injections_card_0", "injections_card_1", "injections_card_2"):
         made.clear()
-        main([*argv, "--model", "f2_proper", "--json"])
-        assert composed() == want, argv
+        main(["check", "lemmas", "--model", model, "--json"])
+        assert len(made) == 4 and composed() == [], model
     capsys.readouterr()
 
     # A compose line pointed elsewhere fails the web's setup check, so the
@@ -236,12 +238,35 @@ def test_deferred_rows_are_the_rows_built_at_once(specs_dir):
             cat = cc.category
             assert "_rows" not in vars(cat), (s.name, member)
             at_once = nullkan.comma.build_comma(cc.left, cc.right, cat.name).category
+            # Before its rows exist, the member composes from the legs,
+            # and every composite is the entry of the rows built at once.
+            legs = {(g, f): cat.compose(g, f) for g, f in cat.composable_pairs()}
+            assert legs == dict(at_once.composition.items()), (s.name, member)
+            assert "_rows" not in vars(cat), (s.name, member)
             assert cat.same_table(at_once), (s.name, member)
             # The row-shape check of from_rows runs on deferred rows too.
             args = (cat.name, cat.objects, cat.morphisms, cat.identity)
             short = FinCategory.from_rows(*args, lambda rows=at_once._rows[:-1]: rows)
             with pytest.raises(EngineError, match="do not match the in-lists"):
                 short.compose(*next(iter(cat.composition)))
+
+
+@pytest.mark.parametrize("model", ["injections_card_0", "f2_proper"])
+def test_induced_functors_name_each_square_by_the_target_string(model):
+    # An induced functor maps each square by index and keeps the target
+    # category's own name string, so the web's functors copy no name.
+    web = build_comma_web(builtin_model(model))
+    mapped = []
+    for name in INDUCED:
+        try:
+            F = web.induced(name)
+        except EngineError:
+            continue  # pi_star_section's right square fails on f2_proper
+        names = F.target._names
+        for image in F.mor_map.values():
+            assert image is names[F.target._index[image]], (name, image)
+        mapped.append(name)
+    assert len(mapped) == {"injections_card_0": 9, "f2_proper": 8}[model]
 
 
 def test_materialize_validates_injections_once(monkeypatch):

@@ -151,6 +151,21 @@ def test_setup_functors_are_checked_through_the_kept_reports():
     assert sites == {("fincat.py", "_certified"), ("construct.py", "Setup.functor_reports")}
 
 
+def test_only_build_comma_names_a_square():
+    # A square's name is made once, when `build_comma` builds it; functors
+    # between comma categories map squares by index and keep the target's
+    # names.  An error may still name a square that is missing, so the
+    # exception of every `raise` is left out of the search.
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                node.exc = None
+        sites |= {(path.name, site) for site in constructor_sites(tree, "comma_mor")}
+    assert sites == {("comma.py", "build_comma")}
+
+
 def test_constructor_detector_finds_each_site():
     tree = ast.parse(
         "class M:\n    def step(self):\n        raise E('x', 1)\n"
