@@ -3,13 +3,16 @@
 A comma category over a cospan  A --alpha--> C <--beta-- B  is materialized
 with objects (a, phi, b) where phi: alpha(a) -> beta(b), and morphisms the
 commuting squares (f, g).  Its table, a `CommaTable`, indexes each square
-by its legs (f, g) and its endpoints.  When the caller has checked the
-cospan's inputs, the table composes two squares from the composites of
-their legs, and builds its composition rows only for a reader of the whole
-table.  Both forgetful functors are built alongside the category; jointly
-faithful, they certify its associativity.  `induced_comma_functor` lifts a
-triple of functors between two such cospans after exhaustively checking
-the two defining squares, and maps each square by index.
+by its legs (f, g) and its endpoints.  When the cospan's categories and
+functors pass their checks, whose kept reports `build_comma` reads itself,
+the table composes two squares from the composites of their legs, and
+builds its composition rows only for a reader of the whole table.  Both
+forgetful functors are built alongside the category; jointly faithful,
+they certify its associativity.  `induced_comma_functor` lifts a triple of
+functors between two such cospans after exhaustively checking the two
+defining squares, and maps each square by index.  Right inverses, inverses,
+half right adjoints and isomorphisms, which the construction and the lemma
+checks look for between these categories, are found here too.
 """
 
 from __future__ import annotations
@@ -18,14 +21,20 @@ from array import array
 from typing import NamedTuple
 
 from .fincat import (
+    DEFAULT_BUDGET,
     EngineError,
     FinCategory,
     FunctorData,
     Mor,
+    NatTransData,
+    checked,
     compose_functors,
+    enumerate_functors,
+    find_nat_trans,
     functor_diff,
     functor_equal,
     identity_functor,
+    validated,
 )
 
 MAX_COMMA_OBJECTS = 512
@@ -48,9 +57,10 @@ class CommaTable(FinCategory):
 
     Morphism k is a square from object `_dom[k]` to object `_cod[k]` whose
     legs are `fst[k]` in A and `snd[k]` in B, two int16 arrays; `_square`
-    finds a square by its endpoints and legs.  Until the rows are built,
-    `compose` answers from the legs: the composite of two squares is the
-    square between the outer endpoints whose legs are the composites of
+    finds a square by its endpoints and legs.  `build_comma` builds the
+    rows at once unless its cospan passes its checks.  Until the rows are
+    built, `compose` answers from the legs: the composite of two squares is
+    the square between the outer endpoints whose legs are the composites of
     theirs.  Only a reader of the whole table builds the rows (see
     `FinCategory`).
     """
@@ -137,22 +147,20 @@ class CommaCategory(NamedTuple):
     forget2: FunctorData
 
 
-def build_comma(
-    alpha: FunctorData, beta: FunctorData, name: str | None = None, laws_checked: bool = False
-) -> CommaCategory:
+def build_comma(alpha: FunctorData, beta: FunctorData, name: str | None = None) -> CommaCategory:
     """Materialize the comma category of the cospan (alpha, beta); refuses
     one of more than MAX_COMMA_OBJECTS objects or MAX_COMMA_MORPHISMS
     morphisms before it names a morphism.
 
-    The composition rows are built at once, and a composite that A or B
-    lacks, or a composite square that does not commute, raises.  With
-    `laws_checked`, the caller vouches that A, B and C pass
-    `validate_category` and alpha and beta pass `check_functor`.  The
-    category then composes from the legs of its squares (see
-    `CommaTable`), and builds its rows only for a reader of the whole
-    table.  Neither can fail there: A and B have every composite, and the
+    When A, B and C pass `validate_category` and alpha and beta pass
+    `check_functor`, read through the reports that `validated` and
+    `checked` keep, the category composes from the legs of its squares
+    (see `CommaTable`) and builds its rows only for a reader of the whole
+    table.  Neither can fail then: A and B have every composite, and the
     composite of two squares commutes because alpha and beta preserve
-    composition and C is associative.
+    composition and C is associative.  Otherwise the rows are built at
+    once, and a composite that A or B lacks, or a composite square that
+    does not commute, raises.
     """
     A, B, C = alpha.source, beta.source, alpha.target
     if not C.same_table(beta.target):
@@ -222,7 +230,8 @@ def build_comma(
 
     cat = CommaTable.from_rows(name, objects, morphisms, identity, lambda: cat._square_rows())
     cat.A, cat.B, cat.fst, cat.snd = A, B, legs_a, legs_b
-    if not laws_checked:
+    sound = all(validated(X).ok for X in (A, B, C)) and checked(alpha).ok and checked(beta).ok
+    if not sound:
         cat._rows  # built now: a broken table raises here
     forget1 = FunctorData(f"fst[{name}]", cat, A, {x: obj_data[x][0] for x in objects}, fst)
     forget2 = FunctorData(f"snd[{name}]", cat, B, {x: obj_data[x][2] for x in objects}, snd)
@@ -354,3 +363,43 @@ def functor_inverse(F: FunctorData) -> FunctorData | None:
     if len(mor_inv) != len(F.target.morphisms):
         return None
     return FunctorData(f"inv[{F.name}]", F.target, F.source, obj_inv, mor_inv)
+
+
+# ---------------------------------------------------------------------------
+# Half right adjoints and isomorphisms, by exhaustive search.
+
+
+def check_half_right_adjoint(
+    T: FunctorData, Tstar: FunctorData, kind: str, budget: int = DEFAULT_BUDGET
+) -> NatTransData | None:
+    """Comparison transformation making Tstar a pre/post right adjoint of T.
+
+    pre:  some  T.Tstar => Id_Y;   post:  some  Id_Y => T.Tstar.
+    """
+    comp = compose_functors(T, Tstar)
+    idY = identity_functor(T.target)
+    if kind == "pre":
+        return find_nat_trans(comp, idY, budget)
+    if kind == "post":
+        return find_nat_trans(idY, comp, budget)
+    raise EngineError(f"unknown adjoint kind {kind!r}")
+
+
+def search_half_right_adjoint(
+    T: FunctorData, kind: str, budget: int = DEFAULT_BUDGET
+) -> tuple[FunctorData, NatTransData] | None:
+    """Exhaustively search for a pre/post right adjoint of T, or None."""
+    for cand in enumerate_functors(T.target, T.source, budget):
+        nt = check_half_right_adjoint(T, cand, kind, budget)
+        if nt is not None:
+            return cand._replace(name=f"{kind}-radj[{T.name}]"), nt
+    return None
+
+
+def find_iso(C: FinCategory, a: str, b: str) -> tuple[str, str] | None:
+    """An isomorphism pair (f: a->b, g: b->a), or None."""
+    for f in C.hom(a, b):
+        for g in C.hom(b, a):
+            if C.compose(g, f) == C.id_of(a) and C.compose(f, g) == C.id_of(b):
+                return f, g
+    return None

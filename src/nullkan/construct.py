@@ -38,12 +38,11 @@ from .fincat import (
     ValidationReport,
     Violation,
     _violation,
-    check_functor,
+    checked,
     compose_functors,
     find_section,
     functor_equal,
     identity_functor,
-    validated,
 )
 from .kan import KanResult, NullityDiagram, left_kan, right_kan
 from .nullity import (
@@ -81,8 +80,8 @@ class Setup:
     families on B.
 
     What derives from these is built on first read and kept: `jj`,
-    `gamma_base`, `functor_reports` and the comma web `_web`.  Every reader
-    takes them from here, so no field changes once the setup is built.
+    `gamma_base` and the comma web `_web`.  Every reader takes them from
+    here, so no field changes once the setup is built.
     """
 
     def __init__(
@@ -115,11 +114,6 @@ class Setup:
         mor = {m.name: setmap_of(gamma, jj.on_mor(m.name)) for m in self.base.morphisms}
         return carrier_functor("gamma.j1j2", self.base, obj, mor)
 
-    @cached_property
-    def functor_reports(self) -> tuple[ValidationReport, ValidationReport, ValidationReport]:
-        """The `check_functor` reports of j2, j1 and pi, in that order."""
-        return check_functor(self.j2), check_functor(self.j1), check_functor(self.pi)
-
 
 # ---------------------------------------------------------------------------
 # The comma web: every comma category and induced functor the construction
@@ -146,16 +140,13 @@ class CommaWeb:
     between them.
 
     Each member is built the first time it is read and kept, so a command
-    pays only for the comma categories it uses.  The web checks its setup
-    once, before it builds the first member: base, inter and main must
-    pass `validate_category` (read through `validated`, which keeps each
-    report) and j2, j1 and pi `check_functor` (read from the setup's kept
-    `functor_reports`).  When they do, every member
-    composes from the legs of its squares and defers its composition rows
-    (see `build_comma`), so a command builds the rows only of the members
-    whose whole table it reads.  When they do not,
-    the members build their rows at once, and a broken table is refused as
-    the member is built.
+    pays only for the comma categories it uses.  `build_comma` checks each
+    member's cospan through the kept reports of its categories and
+    functors.  When it passes, the member composes from the legs of its
+    squares and defers its composition rows, so a command builds the rows
+    only of the members whose whole table it reads.  When it fails, the
+    member builds its rows at once, and a broken table is refused as the
+    member is built.
     """
 
     def __init__(self, s: Setup):
@@ -163,35 +154,25 @@ class CommaWeb:
         self._induced: dict[str, FunctorData] = {}
 
     @cached_property
-    def _laws_checked(self) -> bool:
-        s = self.s
-        return all(validated(C).ok for C in (s.base, s.inter, s.main)) and all(
-            rep.ok for rep in s.functor_reports
-        )
-
-    def _comma(self, alpha: FunctorData, beta: FunctorData, name: str) -> CommaCategory:
-        return build_comma(alpha, beta, name, laws_checked=self._laws_checked)
-
-    @cached_property
     def arrow_base(self) -> CommaCategory:
         """Arrow(B)."""
         i = identity_functor(self.s.base)
-        return self._comma(i, i, f"Arr({self.s.base.name})")
+        return build_comma(i, i, f"Arr({self.s.base.name})")
 
     @cached_property
     def comma_main(self) -> CommaCategory:
         """(j1 j2 | Id_M)."""
-        return self._comma(self.s.jj, identity_functor(self.s.main), "(j1j2|M)")
+        return build_comma(self.s.jj, identity_functor(self.s.main), "(j1j2|M)")
 
     @cached_property
     def comma_probe(self) -> CommaCategory:
         """(j2 | pi)."""
-        return self._comma(self.s.j2, self.s.pi, "(j2|pi)")
+        return build_comma(self.s.j2, self.s.pi, "(j2|pi)")
 
     @cached_property
     def comma_inter(self) -> CommaCategory:
         """(j2 | Id_I)."""
-        return self._comma(self.s.j2, identity_functor(self.s.inter), "(j2|I)")
+        return build_comma(self.s.j2, identity_functor(self.s.inter), "(j2|I)")
 
     def _leg(self, key: str) -> FunctorData:
         s = self.s
@@ -236,14 +217,15 @@ def check_assumptions(s: Setup) -> ValidationReport:
     triangle, and the declared retraction of the base-to-intermediate
     comma embedding."""
     violations: list[Violation] = []
-    checked = {"A1": 0, "A2": 0, "A3": 0, "A4": 0}
+    counts = {"A1": 0, "A2": 0, "A3": 0, "A4": 0}
 
     # A:1 gamma is a genuine Set-valued functor.
     rep = check_carrier_action(s.gamma)
-    checked["A1"] = sum(rep.checked.values())
+    counts["A1"] = sum(rep.checked.values())
     violations += [Violation(f"A1-{v.law}", v.witness) for v in rep.violations]
-    for F, frep in zip((s.j2, s.j1, s.pi), s.functor_reports):
-        checked["A1"] += sum(frep.checked.values())
+    for F in (s.j2, s.j1, s.pi):
+        frep = checked(F)
+        counts["A1"] += sum(frep.checked.values())
         violations += [
             Violation(f"A1-{F.name}-{v.law}", v.witness) for v in frep.violations
         ]
@@ -251,13 +233,13 @@ def check_assumptions(s: Setup) -> ValidationReport:
     # A:2 the base carries a valid nullity assignment.
     if not violations:
         nrep = check_nullity_assignment(s.gamma_base, s.base_null)
-        checked["A2"] = sum(nrep.checked.values())
+        counts["A2"] = sum(nrep.checked.values())
         violations += [Violation(f"A2-{v.law}", v.witness) for v in nrep.violations]
 
     # A:3 pi . j1 = Id_I on the nose; the first MAX_VIOLATIONS witnesses,
     # objects first.
     comp = compose_functors(s.pi, s.j1)
-    checked["A3"] = len(s.inter.objects) + len(s.inter.morphisms)
+    counts["A3"] = len(s.inter.objects) + len(s.inter.morphisms)
     triangle = (
         _violation("A3-triangle", **{kind: x, "image": y})
         for kind, table in (("object", comp.obj_map), ("morphism", comp.mor_map))
@@ -269,7 +251,7 @@ def check_assumptions(s: Setup) -> ValidationReport:
     # A:4 iota3 is invertible, so its inverse rstar retracts it.  Broken
     # tables can stop the comma categories it runs between from being built.
     if not any(v.law.startswith(("A1", "A3")) for v in violations):
-        checked["A4"] = 1
+        counts["A4"] = 1
         try:
             rstar = build_comma_web(s).iota3_rstar
             detail = "no iota3_rstar supplied or derivable"
@@ -277,7 +259,7 @@ def check_assumptions(s: Setup) -> ValidationReport:
             rstar, detail = None, str(e)
         if rstar is None:
             violations.append(_violation("A4-missing", detail=detail))
-    return ValidationReport(not violations, checked, violations)
+    return ValidationReport(not violations, counts, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +523,7 @@ def verify_extension(s: Setup, budget: int = DEFAULT_BUDGET) -> ExtensionReport:
     # object and morphism to one with the right endpoints: the first pass of
     # `check_functor`, which stops there when it fails.
     first_pass = ("functor-object", "functor-morphism", "functor-endpoints")
-    if not any(v.law in first_pass for rep in s.functor_reports[:2] for v in rep.violations):
+    if not any(v.law in first_pass for F in (s.j2, s.j1) for v in checked(F).violations):
         bar = _bar_null(s.gamma_base, s.base_null)
         bad = next((b for b in s.base.objects if bar[b].masks != s.base_null[b].masks), None)
         if bad is not None:

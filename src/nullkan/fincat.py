@@ -136,15 +136,18 @@ class FinCategory:
     `validate_category`, `opposite` or a functor check) calls it and
     checks the shape of what it returns.  A deferred builder raises on that
     read whatever it would have raised when called at once.  Only
-    `comma.build_comma` defers, and only when its caller has checked the
-    cospan's inputs (see there).  Its `comma.CommaTable` composes from the
-    legs of its squares in place of the rows, so only a reader of the
-    whole table builds them, and a search builds none.
+    `comma.build_comma` defers, and only when the categories and functors
+    of its cospan pass their checks, whose kept reports it reads itself
+    (see there).  Its `comma.CommaTable` composes from the legs of its
+    squares in place of the rows, so only a reader of the whole table
+    builds them, and a search builds none.
 
-    `faithful` is a certificate of associativity, set only by builders of
-    concrete categories: functors out of this category that should preserve
-    its composition and be jointly faithful, into categories checked by
-    brute force.  `validate_category` verifies it before it relies on it,
+    `faithful` and `images` are certificates of associativity, set only by
+    builders of concrete categories.  `faithful` holds functors out of
+    this category that should preserve its composition and be jointly
+    faithful, into categories checked on their own.  `images` holds each
+    morphism's image tuple, for a category of set maps.
+    `validate_category` verifies a certificate before it relies on it,
     and sweeps every triple when it fails, so a wrong certificate costs
     time, never a verdict.  Default: none.
 
@@ -228,6 +231,7 @@ class FinCategory:
         self.morphisms = mors
         self.identity = identity
         self.faithful: tuple[FunctorData, ...] = ()
+        self.images: list[tuple[int, ...]] | None = None
         self._report: ValidationReport | None = None
         self._op: FinCategory | None = None
 
@@ -384,10 +388,11 @@ def validate_category(cat: FinCategory) -> ValidationReport:
     """Check the full category laws, collecting witnesses for failures.
 
     Identities, units, totality and endpoints are checked by direct table
-    walks.  Associativity is proved through `cat.faithful` when that
-    certificate holds (see `_certified`); otherwise every composable triple
-    is swept by brute force (see `_associativity_sweep`).  Entries already
-    reported as spurious or with wrong endpoints are left out of the sweep.
+    walks.  Associativity is proved through `cat.images` or `cat.faithful`
+    when that certificate holds (see `_certified`); otherwise every
+    composable triple is swept by brute force (see `_associativity_sweep`).
+    Entries already reported as spurious or with wrong endpoints are left
+    out of the sweep.
     It checks no size: sizes are bounded where inputs are read and where
     the comma, set and nullity categories are built.
     """
@@ -500,28 +505,57 @@ def validated(cat: FinCategory) -> ValidationReport:
     return cat._report
 
 
+def checked(F: FunctorData) -> ValidationReport:
+    """`check_functor(F)`, computed on the first call for F and kept on it,
+    as `validated` keeps a category's report."""
+    if F._report is None:
+        F._report = check_functor(F)
+    return F._report
+
+
 def _certified(cat: FinCategory) -> bool:
-    """Do the functors in `cat.faithful` prove cat associative?
+    """Does `cat.images` or `cat.faithful` prove cat associative?
 
     The caller has checked that cat's table is total with the right
-    endpoints.  Loose entries or a missing identity rule the certificate
-    out.  Otherwise it holds when each target carries no certificate of
-    its own and passes the brute-force check, each functor passes
-    `check_functor`, and the functors are jointly faithful:
-    m -> (dom, cod, F1(m), F2(m), ...) is injective.  Then h(gf) and (hg)f
-    have the same endpoints and the same image under every Fi, as
-    Fi(h)(Fi(g)Fi(f)) = (Fi(h)Fi(g))Fi(f) in an associative target, so
+    endpoints.  Loose entries or a missing identity rule a certificate out.
+
+    `images`, set by builders of categories of set maps, gives each
+    morphism as a tuple: the image of each point of its domain.  It holds
+    when each entry's tuple is the composite of its factors' and no hom
+    holds one tuple twice, which one pass over the rows checks.  Then h(gf)
+    and (hg)f have the same endpoints and the same tuple, h after g after f
+    point by point, so they are one morphism.
+
+    `faithful` holds when each target carries no functor certificate of
+    its own and passes `validate_category` (read through `validated`),
+    each functor passes `check_functor` (read through `checked`), and the
+    functors are jointly faithful: m -> (dom, cod, F1(m), F2(m), ...) is
+    injective.  Then h(gf)
+    and (hg)f have the same endpoints and the same image under every Fi,
+    as Fi(h)(Fi(g)Fi(f)) = (Fi(h)Fi(g))Fi(f) in an associative target, so
     they are one morphism.
     """
-    if not cat.faithful or cat._loose or len(cat.identity) < len(cat.objects):
+    if cat._loose or len(cat.identity) < len(cat.objects):
+        return False
+    if cat.images is not None:
+        img = cat.images
+        try:
+            return len(set(zip(cat._dom, cat._cod, img))) == len(img) and all(
+                list(map(img.__getitem__, row))
+                == [tuple(map(img[g].__getitem__, img[f])) for f in cat._in[d]]
+                for g, (d, row) in enumerate(zip(cat._dom, cat._rows))
+            )
+        except IndexError:  # a tuple that does not fit its endpoints
+            return False
+    if not cat.faithful:
         return False
     for F in cat.faithful:
-        if F.target.faithful or not validated(F.target).ok or not check_functor(F).ok:
+        if F.target.faithful or not validated(F.target).ok or not checked(F).ok:
             return False
-    images = {
+    keys = {
         (m.dom, m.cod, *(F.mor_map[m.name] for F in cat.faithful)) for m in cat.morphisms
     }
-    return len(images) == len(cat.morphisms)
+    return len(keys) == len(cat.morphisms)
 
 
 def _associativity_sweep(
@@ -658,21 +692,37 @@ def opposite(C: FinCategory) -> FinCategory:
 # Functors and natural transformations.
 
 
-class FunctorData(NamedTuple):
+class FunctorData:
     """A functor given by explicit object and morphism tables.
 
     `carrier_obj` / `carrier_mor` are optional payloads used when the
     functor assigns concrete finite sets and set maps (see nullity.py);
-    the categorical checks ignore them.
+    the categorical checks ignore them.  `checked` keeps the functor's
+    `check_functor` report in `_report`, so the tables must not change
+    once it has read them; `_replace` gives a copy without the report.
     """
 
-    name: str
-    source: FinCategory
-    target: FinCategory
-    obj_map: dict[str, str]
-    mor_map: dict[str, str]
-    carrier_obj: dict | None = None
-    carrier_mor: dict | None = None
+    __slots__ = (
+        "name", "source", "target", "obj_map", "mor_map", "carrier_obj", "carrier_mor", "_report"
+    )
+
+    def __init__(
+        self,
+        name: str,
+        source: FinCategory,
+        target: FinCategory,
+        obj_map: dict[str, str],
+        mor_map: dict[str, str],
+        carrier_obj: dict | None = None,
+        carrier_mor: dict | None = None,
+    ):
+        self.name, self.source, self.target = name, source, target
+        self.obj_map, self.mor_map = obj_map, mor_map
+        self.carrier_obj, self.carrier_mor = carrier_obj, carrier_mor
+        self._report: ValidationReport | None = None
+
+    def _replace(self, **fields) -> "FunctorData":
+        return FunctorData(**{k: getattr(self, k) for k in self.__slots__[:-1]} | fields)
 
     def on_obj(self, x: str) -> str:
         try:
@@ -941,33 +991,6 @@ def enumerate_functors(
             )
 
 
-def check_half_right_adjoint(
-    T: FunctorData, Tstar: FunctorData, kind: str, budget: int = DEFAULT_BUDGET
-) -> NatTransData | None:
-    """Comparison transformation making Tstar a pre/post right adjoint of T.
-
-    pre:  some  T.Tstar => Id_Y;   post:  some  Id_Y => T.Tstar.
-    """
-    comp = compose_functors(T, Tstar)
-    idY = identity_functor(T.target)
-    if kind == "pre":
-        return find_nat_trans(comp, idY, budget)
-    if kind == "post":
-        return find_nat_trans(idY, comp, budget)
-    raise EngineError(f"unknown adjoint kind {kind!r}")
-
-
-def search_half_right_adjoint(
-    T: FunctorData, kind: str, budget: int = DEFAULT_BUDGET
-) -> tuple[FunctorData, NatTransData] | None:
-    """Exhaustively search for a pre/post right adjoint of T, or None."""
-    for cand in enumerate_functors(T.target, T.source, budget):
-        nt = check_half_right_adjoint(T, cand, kind, budget)
-        if nt is not None:
-            return cand._replace(name=f"{kind}-radj[{T.name}]"), nt
-    return None
-
-
 def fibers(K: FunctorData) -> dict[str, list[str]]:
     """For each target object d, the source objects over d, in the
     source's declared order."""
@@ -1066,12 +1089,3 @@ def limit(F: FunctorData, budget: int = DEFAULT_BUDGET) -> UniversalResult:
     functor between the opposite categories, whose legs are F's cone legs."""
     Fop = FunctorData(F.name, opposite(F.source), opposite(F.target), F.obj_map, F.mor_map)
     return _colimit(Fop, budget, "limit", "cone")
-
-
-def find_iso(C: FinCategory, a: str, b: str) -> tuple[str, str] | None:
-    """An isomorphism pair (f: a->b, g: b->a), or None."""
-    for f in C.hom(a, b):
-        for g in C.hom(b, a):
-            if C.compose(g, f) == C.id_of(a) and C.compose(f, g) == C.id_of(b):
-                return f, g
-    return None

@@ -17,7 +17,15 @@ from __future__ import annotations
 import functools
 import random
 
-from .comma import build_comma, const_functor, induced_comma_functor, terminal_category
+from .comma import (
+    build_comma,
+    check_half_right_adjoint,
+    const_functor,
+    find_iso,
+    induced_comma_functor,
+    search_half_right_adjoint,
+    terminal_category,
+)
 from .fincat import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -26,15 +34,12 @@ from .fincat import (
     FunctorData,
     build_preorder,
     chain_preorder,
-    check_half_right_adjoint,
     colimit,
     compose_functors,
-    find_iso,
     find_section,
     functor_equal,
     identity_functor,
     limit,
-    search_half_right_adjoint,
 )
 from .nullity import nullity_fiber_preorder
 from .order import FiniteSet

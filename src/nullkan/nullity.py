@@ -174,6 +174,11 @@ def set_category(name: str, carriers) -> tuple[FinCategory, dict, dict]:
     would hold more than MAX_SET_ENTRIES entries: the row of each map
     b -> c has one entry per map into b, and there are q^p maps p -> q.
 
+    Each morphism's image tuple is kept as the category's `images`, which
+    proves it associative in one pass over its rows (see
+    `validate_category`); it carries no functor certificate, so it can be
+    the target of one.
+
     Returns (category, object id -> FiniteSet, morphism id -> SetMap).
     """
     distinct: list[FiniteSet] = []
@@ -191,7 +196,9 @@ def set_category(name: str, carriers) -> tuple[FinCategory, dict, dict]:
         raise EngineError("set_category: carrier label collision")
     obj_carrier = dict(zip(obj_ids, distinct))
     maps = _admitted_maps(obj_carrier, lambda f, a, b: True)
-    return _maps_category(name, maps), obj_carrier, maps.setmap
+    cat = _maps_category(name, maps)
+    cat.images = [maps.setmap[m.name].images for m in maps.mors]
+    return cat, obj_carrier, maps.setmap
 
 
 class MaterializedNullity(NamedTuple):

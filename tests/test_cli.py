@@ -2,22 +2,21 @@
 
 import collections
 import hashlib
-import importlib.util
-import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import census
 import pytest
+from census import load_specgen
 
 import nullkan
+import nullkan.fincat
 from nullkan.cli import main
 from nullkan.fincat import EngineError
 from nullkan.specfile import parse_spec, to_setup
-
-SPECGEN = Path(__file__).resolve().parent.parent / "perfbench" / "specgen.py"
 
 BIG = """version: 1
 
@@ -60,13 +59,6 @@ setup
   basenull Y nY
 end
 """
-
-
-def load_specgen():
-    spec = importlib.util.spec_from_file_location("perfbench_specgen", SPECGEN)
-    specgen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(specgen)
-    return specgen
 
 
 def run(capsys, *argv):
@@ -692,46 +684,59 @@ def test_corpus_refusals_are_pinned(specs_dir, tmp_path, capsys):
     assert pinned.hexdigest() == "48164ffc1dc766b32048021b3e0cd2c721e52be8e16d3e83ac312c32a9832d74"
 
 
-def census_slice():
-    """(monoid, base family) for every monoid generated by one map of the
-    3-point set, up to relabelling the points, and every down-closed family
-    containing the empty set that its maps send into itself, up to the
-    relabellings that fix the monoid; masks as in specgen."""
-    sg = load_specgen()
-    perms = list(itertools.permutations(range(3)))
+def test_census_counts_are_pinned():
+    # The census the ROADMAP's census figures are counted on.
+    monoids = census.submonoids()
+    assert all(census.IDENTITY in m and census.closure(m) == m for m in monoids)
+    assert len(monoids) == 699
+    assert len(census.monoid_classes(monoids)) == 160
+    setups = census.census(monoids)
+    assert len(setups) == 1098
+    # Its one-generator part is the slice below.
+    cyclic = [(m, f) for m, f in setups if any(census.closure([g]) == set(m) for g in m)]
+    assert cyclic == census.census_slice()
 
-    def relabel(maps, p):
-        back = [p.index(i) for i in range(3)]
-        return tuple(sorted(tuple(p[f[back[i]]] for i in range(3)) for f in maps))
 
-    monoids = sorted(
-        {
-            min(relabel(sg._closure([f]), p) for p in perms)
-            for f in itertools.product(range(3), repeat=3)
-        }
-    )
-    out = []
-    for monoid in monoids:
-        fixing = [p for p in perms if relabel(monoid, p) == monoid]
-        seen = set()
-        for bits in range(1, 256, 2):
-            family = [s for s in range(8) if bits >> s & 1]
-            if any(t not in family for s in family for t in range(8) if t & s == t):
-                continue
-            if any(sg._image(f, s) not in family for f in monoid for s in family):
-                continue
-            canon = min(tuple(sorted(sg._image(p, s) for s in family)) for p in fixing)
-            if canon not in seen:
-                seen.add(canon)
-                out.append((monoid, family))
-    return out
+def four_point_spec() -> str:
+    """The specgen layout over the points u v w x: the monoid {id, 0101,
+    1010, 1030} of image tuples, with every subset null."""
+    sg = load_specgen()  # a module of its own, so its points change here only
+    sg.POINTS, sg.IDENTITY = ("u", "v", "w", "x"), (0, 1, 2, 3)
+    monoid = sorted({sg.IDENTITY, (0, 1, 0, 1), (1, 0, 1, 0), (1, 0, 3, 0)})
+    return sg.spec_text(monoid, list(range(16)))
+
+
+def test_four_point_set_category_is_proved_in_one_pass(tmp_path, capsys, monkeypatch):
+    # The gamma square's Set category holds the 256 maps of the 4 points
+    # and 65,536 entries (16.7M triples): its image tuples prove it
+    # associative, so no triple of it is swept.
+    spec = tmp_path / "four.spec"
+    spec.write_text(four_point_spec())
+    validated, swept = [], []
+    real_validate, real_sweep = nullkan.fincat.validate_category, nullkan.fincat._associativity_sweep
+
+    def counting_validate(cat):
+        validated.append(cat.name)
+        return real_validate(cat)
+
+    def counting_sweep(cat, rows, limit):
+        swept.append(cat.name)
+        return real_sweep(cat, rows, limit)
+
+    monkeypatch.setattr(nullkan.fincat, "validate_category", counting_validate)
+    monkeypatch.setattr(nullkan.fincat, "_associativity_sweep", counting_sweep)
+    code, out, err = run(capsys, "check", "ext", "--spec", str(spec), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["extension"]["items"]["gamma_square"] == {"status": "verified"}
+    assert validated == ["P", "Set[gamma.j1j2]"]
+    assert swept == ["P"]
 
 
 def test_census_slice_differential(tmp_path, capsys):
     # Every setup validates; the oracle agrees wherever the lift runs, and
     # the lift refuses only a non-functorial main nullity.
     sg = load_specgen()
-    setups = census_slice()
+    setups = census.census_slice()
     assert (len({m for m, _ in setups}), len(setups)) == (7, 67)
     spec = tmp_path / "census.spec"
     pinned = hashlib.sha256()

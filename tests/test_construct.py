@@ -10,7 +10,9 @@ import nullkan.cli
 import nullkan.comma
 import nullkan.construct
 import nullkan.fincat
+from nullkan import lemmas
 from nullkan.cli import main
+from nullkan.comma import arrow_category
 from nullkan.construct import (
     BUILTIN_NAMES,
     INDUCED,
@@ -34,6 +36,7 @@ from nullkan.fincat import (
     EngineError,
     FinCategory,
     FunctorData,
+    chain_preorder,
     discrete_category,
     identity_functor,
 )
@@ -157,13 +160,14 @@ def test_comma_web_shapes_and_memoization():
 def test_comma_web_builds_members_on_first_use(monkeypatch, specs_dir, tmp_path, capsys):
     built = []
     made = {}  # name -> the comma category built under it
-    laws_checked = {}  # name -> whether the web vouched for its inputs
+    deferred = {}  # name -> whether build_comma returned it without rows
     real = nullkan.comma.build_comma
 
-    def counting(alpha, beta, name=None, **kw):
+    def counting(alpha, beta, name=None):
         built.append(name)
-        laws_checked[name] = kw.get("laws_checked", False)
-        made[name] = real(alpha, beta, name, **kw)
+        deferred[name] = False  # kept when the build raises
+        made[name] = real(alpha, beta, name)
+        deferred[name] = "_rows" not in vars(made[name].category)
         return made[name]
 
     def composed():
@@ -194,11 +198,11 @@ def test_comma_web_builds_members_on_first_use(monkeypatch, specs_dir, tmp_path,
     assert len(m17.main.morphisms) == 17
     for s in (builtin_model("injections_card_0"), m17):
         made.clear()
-        laws_checked.clear()
+        deferred.clear()
         run_pipeline(s)
         verify_minimality(s)
         direct_prevalence(s)
-        assert laws_checked == {"(j1j2|M)": True, "(j2|pi)": True}, s.name
+        assert deferred == {"(j1j2|M)": True, "(j2|pi)": True}, s.name
         assert composed() == [], s.name
     # materialize validates every member, which reads the whole table;
     # check lemmas composes in three through its section and adjoint
@@ -212,43 +216,55 @@ def test_comma_web_builds_members_on_first_use(monkeypatch, specs_dir, tmp_path,
         assert len(made) == 4 and composed() == [], model
     capsys.readouterr()
 
-    # A compose line pointed elsewhere fails the web's setup check, so the
-    # member is built at once and refused by naming the broken square.
+    # A compose line pointed elsewhere fails the member's cospan check, so
+    # the member is built at once and refused by naming the broken square.
     text, partial = mutation_corpus(specs_dir)[1]
     assert not partial
     spec = tmp_path / "variant.spec"
     spec.write_text(text)
-    laws_checked.clear()
+    deferred.clear()
     assert main(["construct", "--spec", str(spec), "--json"]) == 2
     assert capsys.readouterr().err == (
         "error: (j1j2|M): [A0;s](F2^0;T0;F2^1)>(F2^1;s;F2^1) after "
         "[id:F2^0;T0](F2^0;id:F2^0;F2^0)>(F2^0;T0;F2^1) is not a commuting square\n"
     )
-    assert laws_checked == {"(j1j2|M)": False}
+    assert deferred == {"(j1j2|M)": False}
 
 
 def test_deferred_rows_are_the_rows_built_at_once(specs_dir):
     setups = [builtin_model(name) for name in BUILTIN_NAMES]
     setups += [to_setup(parse_spec(p.read_text()), p.stem) for p in sorted(specs_dir.glob("*.spec"))]
     setups += [to_setup(parse_spec(t), "seed3") for t in load_specgen().generate(3, 2)]
-    for s in setups:
-        web = build_comma_web(s)
-        for member in ("arrow_base", "comma_main", "comma_probe", "comma_inter"):
-            cc = getattr(web, member)
-            cat = cc.category
-            assert "_rows" not in vars(cat), (s.name, member)
-            at_once = nullkan.comma.build_comma(cc.left, cc.right, cat.name).category
-            # Before its rows exist, the member composes from the legs,
-            # and every composite is the entry of the rows built at once.
-            legs = {(g, f): cat.compose(g, f) for g, f in cat.composable_pairs()}
-            assert legs == dict(at_once.composition.items()), (s.name, member)
-            assert "_rows" not in vars(cat), (s.name, member)
-            assert cat.same_table(at_once), (s.name, member)
-            # The row-shape check of from_rows runs on deferred rows too.
-            args = (cat.name, cat.objects, cat.morphisms, cat.identity)
-            short = FinCategory.from_rows(*args, lambda rows=at_once._rows[:-1]: rows)
-            with pytest.raises(EngineError, match="do not match the in-lists"):
-                short.compose(*next(iter(cat.composition)))
+    commas = [
+        (s.name, getattr(build_comma_web(s), member))
+        for s in setups
+        for member in ("arrow_base", "comma_main", "comma_probe", "comma_inter")
+    ]
+    # Beyond the web: the gamma square of `check ext`, a slice of the lemma
+    # suite and an arrow category defer their rows too.
+    s = builtin_model("f2_proper")
+    gamma = nullkan.comma.build_comma(s.gamma_base, s.gamma, "(gamma.j1j2|gamma)")
+    commas.append(("gamma", gamma))
+    x3, y2 = chain_preorder("x", "abc"), chain_preorder("y", "ab")
+    onto = lemmas.thin_functor("f", x3, y2, {"a": "a", "b": "a", "c": "b"})
+    commas.append(("slice", lemmas._slice(onto, "b", "colim")[0]))
+    commas.append(("arrows", arrow_category(chain_preorder("c3", "abc"))))
+    for where, cc in commas:
+        cat = cc.category
+        assert "_rows" not in vars(cat), (where, cat.name)
+        at_once = nullkan.comma.build_comma(cc.left, cc.right, cat.name).category
+        at_once._rows  # built now, as for a cospan that fails its check
+        # Before its rows exist, the category composes from the legs, and
+        # every composite is the entry of the rows built at once.
+        legs = {(g, f): cat.compose(g, f) for g, f in cat.composable_pairs()}
+        assert "_rows" not in vars(cat), (where, cat.name)
+        assert legs == dict(at_once.composition.items()), (where, cat.name)
+        assert cat.same_table(at_once), (where, cat.name)
+        # The row-shape check of from_rows runs on deferred rows too.
+        args = (cat.name, cat.objects, cat.morphisms, cat.identity)
+        short = FinCategory.from_rows(*args, lambda rows=at_once._rows[:-1]: rows)
+        with pytest.raises(EngineError, match="do not match the in-lists"):
+            short.compose(*next(iter(cat.composition)))
 
 
 @pytest.mark.parametrize("model", ["injections_card_0", "f2_proper"])
@@ -289,27 +305,34 @@ def test_materialize_validates_injections_once(monkeypatch):
 
 @pytest.mark.parametrize("model", ["injections_card_0", "f2_proper"])
 def test_setup_functors_and_base_action_are_derived_once(model, monkeypatch, capsys):
-    # A1, the comma web's setup check and the saturation gate read the
-    # setup's kept functor reports; A2 and the gate its kept base action.
-    checked, actions = [], []
-    real_check, real_action = nullkan.construct.check_functor, nullkan.construct.carrier_functor
+    # A1, the saturation gate and `build_comma` read the report `checked`
+    # keeps on each functor; A2 and the gate the setup's kept base action.
+    seen, actions, setups = [], [], []
+    real_check, real_action = nullkan.fincat.check_functor, nullkan.construct.carrier_functor
 
     def counting_check(F):
-        checked.append(F.name)
+        seen.append(F)
         return real_check(F)
 
     def counting_action(name, *args):
         actions.append(name)
         return real_action(name, *args)
 
-    monkeypatch.setattr(nullkan.construct, "check_functor", counting_check)
+    def kept_model(name):
+        setups.append(builtin_model(name))
+        return setups[-1]
+
+    monkeypatch.setattr(nullkan.fincat, "check_functor", counting_check)
     monkeypatch.setattr(nullkan.construct, "carrier_functor", counting_action)
-    s = builtin_model(model)
+    monkeypatch.setattr(nullkan.cli, "builtin_model", kept_model)
     for argv in (["validate"], ["check", "ext"]):
-        checked.clear()
+        seen.clear()
         actions.clear()
         main([*argv, "--model", model, "--json"])
-        assert checked == [s.j2.name, s.j1.name, s.pi.name], argv
+        # Counted by identity, on the setup the command ran: j2, j1 and pi
+        # may share a name with the identity functors of the web's cospans.
+        s = setups[-1]
+        assert [sum(G is F for G in seen) for F in (s.j2, s.j1, s.pi)] == [1, 1, 1], argv
         assert actions.count("gamma.j1j2") == 1, argv
     capsys.readouterr()
 

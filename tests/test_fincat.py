@@ -6,7 +6,13 @@ import random
 
 import pytest
 
-from nullkan.comma import arrow_category, bang_functor
+from nullkan.comma import (
+    arrow_category,
+    bang_functor,
+    check_half_right_adjoint,
+    find_iso,
+    search_half_right_adjoint,
+)
 from nullkan.fincat import (
     MAX_VIOLATIONS,
     BudgetExceeded,
@@ -18,12 +24,10 @@ from nullkan.fincat import (
     build_preorder,
     chain_preorder,
     check_functor,
-    check_half_right_adjoint,
     colimit,
     compose_functors,
     discrete_category,
     enumerate_functors,
-    find_iso,
     find_nat_trans,
     find_section,
     functor_equal,
@@ -31,10 +35,9 @@ from nullkan.fincat import (
     limit,
     opposite,
     power_set_preorder,
-    search_half_right_adjoint,
     validate_category,
 )
-from nullkan.nullity import materialize_nullity_category, nullity_fiber_preorder
+from nullkan.nullity import materialize_nullity_category, nullity_fiber_preorder, set_category
 from nullkan.order import FiniteSet
 
 
@@ -195,6 +198,24 @@ def test_bad_certificate_is_not_trusted(certificate):
     assert {v["law"] for v in plain["violations"]} == {"associativity"}
 
 
+@pytest.mark.parametrize(
+    "images",
+    [
+        # Each entry is the composite of its factors' tuples, but one hom
+        # holds one tuple three times.
+        [(0,)] * 3,
+        # Tuples that do not fit their endpoints: no composite exists.
+        [(3,), (4,), (5,)],
+    ],
+    ids=["repeated", "misfit"],
+)
+def test_bad_images_are_not_trusted(images):
+    plain = validate_category(z3_bad()).as_dict()
+    broken = z3_bad()
+    broken.images = images
+    assert validate_category(broken).as_dict() == plain
+
+
 def test_certificate_on_mutated_materialized_category():
     # Redirecting an entry to a parallel morphism keeps every endpoint
     # right, and deleting one leaves the others preserved.  Either way the
@@ -235,6 +256,7 @@ def test_associativity_count_matches_hom_sizes():
         arrow_category(chain_preorder("c3", ("a", "b", "c"))).category,
         cyclic_group(5),
         materialize_nullity_category("m2", [FiniteSet(("a", "b"))]).category,
+        set_category("S", [FiniteSet(("a", "b")), FiniteSet(("c",))])[0],
     ]
     for cat in pool:
         rep = validate_category(cat)

@@ -3,9 +3,10 @@ imports it again; every function and class the package defines is
 referenced somewhere; every module imports only the standard library and
 nullkan; budget errors are raised only by the step meter and the
 minimality guard; every parameter default is overridden by some call in
-the package, bar a listed few; the benchmark tracer's targets exist; and
-importing the CLI loads every traced module but not `dataclasses` or
-`inspect`, and no standard library module outside a pinned list."""
+the package, bar a listed few; every module stays under 8,192 parser
+tokens; the benchmark tracer's targets exist; and importing the CLI loads
+every traced module but not `dataclasses` or `inspect`, and no standard
+library module outside a pinned list."""
 
 import ast
 import functools
@@ -14,6 +15,7 @@ import inspect
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -139,8 +141,10 @@ def test_categories_are_validated_through_the_kept_report():
 
 
 def test_setup_functors_are_checked_through_the_kept_reports():
-    # j2, j1 and pi are checked once per setup, on `Setup.functor_reports`;
-    # only an associativity certificate checks its own functors.
+    # Every functor is checked through the report `checked` keeps on it,
+    # as every category is validated through `validated`: A1, the
+    # saturation gate, `build_comma` and an associativity certificate all
+    # read it, so j2, j1 and pi are checked once per run.
     sites = {
         (path.name, site)
         for path in sorted(SRC.glob("*.py"))
@@ -148,7 +152,7 @@ def test_setup_functors_are_checked_through_the_kept_reports():
             ast.parse(path.read_text(encoding="utf-8")), "check_functor"
         )
     }
-    assert sites == {("fincat.py", "_certified"), ("construct.py", "Setup.functor_reports")}
+    assert sites == {("fincat.py", "checked")}
 
 
 def test_only_build_comma_names_a_square():
@@ -280,9 +284,17 @@ def passes(call: ast.Call, param: str, place: int | None) -> bool:
     )
 
 
+def called_as(qualname: str) -> str:
+    """The name a call uses for the function `qualname`: a class's own name
+    for its `__init__`, else the function's."""
+    *outer, name = qualname.split(".")
+    return outer[-1] if name == "__init__" and outer else name
+
+
 def unpassed_defaults(trees: dict[str, ast.Module]) -> set[str]:
     """"module.function.parameter" for each parameter with a default that no
-    call to a function of that name, in any of the trees, passes."""
+    call to a function of that name (see `called_as`), in any of the trees,
+    passes."""
     calls: dict[str, list[ast.Call]] = {}
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -294,7 +306,7 @@ def unpassed_defaults(trees: dict[str, ast.Module]) -> set[str]:
         f"{module}.{qualname}.{param}"
         for module, tree in trees.items()
         for qualname, param, place in defaulted_parameters(tree)
-        if not any(passes(c, param, place) for c in calls.get(qualname.rsplit(".", 1)[-1], ()))
+        if not any(passes(c, param, place) for c in calls.get(called_as(qualname), ()))
     }
 
 
@@ -334,6 +346,15 @@ def test_default_detector_flags_an_unpassed_parameter():
     assert unpassed_defaults({"mod": tree}) == {"mod.f.c", "mod.K.m.y"}
 
 
+def test_default_detector_reads_a_class_call_as_its_init():
+    tree = ast.parse(
+        "class K:\n    def __init__(self, a=0, b=0): pass\n"
+        "    def m(self, c=0): pass\n"
+        "K(1)\nK().m(c=2)\n"
+    )
+    assert unpassed_defaults({"mod": tree}) == {"mod.K.__init__.b"}
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_imports_only_stdlib(path):
     # The package has no runtime dependencies.
@@ -356,6 +377,25 @@ def load_tracer():
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     return tracer
+
+
+# CPython 3.11's parser doubles its token buffers once a module passes
+# 8,192 tokens; compiling such a module adds about 0.5 MB to the peak RSS
+# of every command that imports it without cached bytecode.
+PARSER_TOKENS = 8192
+
+
+def parser_tokens(path: Path) -> int:
+    """The tokens of `path` that reach the parser: all but comments and
+    non-logical newlines."""
+    with path.open(encoding="utf-8") as fh:
+        skipped = (tokenize.COMMENT, tokenize.NL)
+        return sum(t.type not in skipped for t in tokenize.generate_tokens(fh.readline))
+
+
+def test_every_module_stays_under_the_parser_token_buffer():
+    sizes = {path.name: parser_tokens(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: n for name, n in sizes.items() if n >= PARSER_TOKENS} == {}
 
 
 def test_tracer_targets_exist():

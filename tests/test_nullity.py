@@ -1,5 +1,7 @@
 """Nullity structures as data: set categories, materialization, saturation."""
 
+import random
+
 import pytest
 
 import nullkan.nullity
@@ -144,6 +146,22 @@ def test_set_category_refuses_before_enumerating_a_map(monkeypatch):
     with pytest.raises(EngineError, match="S: 9765625 composition entries exceed bound 1048576"):
         set_category("S", [FiniteSet(tuple("abcde"))])
     assert tried == []
+
+
+def test_images_certificate_on_mutated_set_category():
+    # As for the materialized category's functor certificate: an entry
+    # redirected to a parallel morphism keeps every endpoint right, and the
+    # re-attached image tuples must then prove nothing.
+    cat = set_category("S3", [FiniteSet(("a", "b", "c"))])[0]
+    rng = random.Random(0)
+    for key in rng.sample(list(cat.composition), 10):
+        others = [p for p in cat.morphisms if p.name != cat.composition[key]]
+        comp = {**cat.composition, key: rng.choice(others).name}
+        broken = FinCategory("S3-bad", cat.objects, cat.morphisms, dict(cat.identity), comp)
+        plain = validate_category(broken).as_dict()
+        broken.images = cat.images
+        assert validate_category(broken).as_dict() == plain
+        assert not plain["ok"]
 
 
 def test_fiber_preorder():

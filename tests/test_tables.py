@@ -23,13 +23,14 @@ from nullkan.fincat import (
     MAX_MORPHISMS,
     EngineError,
     FinCategory,
+    FunctorData,
     Mor,
     chain_preorder,
     discrete_category,
-    identity_functor,
     opposite,
     power_set_preorder,
     validate_category,
+    validated,
 )
 from nullkan.nullity import materialize_nullity_category, set_category
 from nullkan.order import FiniteSet
@@ -113,9 +114,24 @@ def test_composition_view_is_pinned(source, member):
     assert view_digest(cat) == digest
 
 
-def arrows_of_c3(laws_checked: bool) -> FinCategory:
-    i = identity_functor(chain_preorder("c3", "abc"))
-    return build_comma(i, i, "Arr(c3)", laws_checked=laws_checked).category
+def arrows_of_c3(checks: bool) -> FinCategory:
+    """Arr(c3), as the comma category of c3's inclusion into a target that,
+    unless `checks`, also holds the monoid `z3_bad`.  The cospan then fails
+    its check, so `build_comma` builds the rows at once; they are the same
+    rows, as no square reaches the monoid."""
+    c3 = chain_preorder("c3", "abc")
+    target, z3 = c3, z3_bad()
+    if not checks:
+        target = FinCategory(
+            "c3+Z3-bad",
+            c3.objects + z3.objects,
+            c3.morphisms + z3.morphisms,
+            {**c3.identity, **z3.identity},
+            {**c3.composition, **z3.composition},
+        )
+    i = FunctorData("i", c3, target, {x: x for x in c3.objects}, {m: m for m in c3._names})
+    assert validated(target).ok == checks
+    return build_comma(i, i, "Arr(c3)").category
 
 
 def deferred_c2() -> FinCategory:
@@ -132,8 +148,8 @@ BUILDERS = {
     "from_rows deferred": deferred_c2,
     "build_preorder": lambda: power_set_preorder("p2", "ab"),
     "opposite": lambda: opposite(chain_preorder("c3", "abc")),
-    "build_comma": lambda: arrows_of_c3(False),
-    "build_comma deferred": lambda: arrows_of_c3(True),
+    "build_comma": lambda: arrows_of_c3(checks=False),
+    "build_comma deferred": lambda: arrows_of_c3(checks=True),
     "comma web deferred": lambda: build_comma_web(builtin_model("f2_proper")).comma_main.category,
     "set_category": lambda: set_category("Set", [FiniteSet(("a", "b")), FiniteSet(("c",))])[0],
     "injections": lambda: builtin_model("injections_card_0").main,
