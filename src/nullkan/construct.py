@@ -49,7 +49,6 @@ from .nullity import (
     _admitted_maps,
     _maps_category,
     bar_null as _bar_null,
-    base_nullity,
     carrier_functor,
     carrier_of,
     check_carrier_action,
@@ -62,12 +61,15 @@ from .order import (
     NullityStructure,
     SetMap,
     all_down_sets,
+    cardinality_nullity,
+    enumerate_assignments,
     failed_transports,
     intersect_all,
     masks_on,
     preimage_nullity,
     proper_nullity,
     pushforward_closure,
+    trivial_nullity,
     union_all,
 )
 
@@ -81,7 +83,8 @@ class Setup:
 
     What derives from these is built on first read and kept: `jj`,
     `gamma_base` and the comma web `_web`.  Every reader takes them from
-    here, so no field changes once the setup is built.
+    here, so no field changes once the setup is built, and gamma's is the
+    one Set category a setup builds.
     """
 
     def __init__(
@@ -108,11 +111,12 @@ class Setup:
 
     @cached_property
     def gamma_base(self) -> FunctorData:
-        """The carrier action on the base: gamma pulled back along jj."""
+        """The carrier action on the base: gamma after jj, carriers included."""
         jj, gamma = self.jj, self.gamma
-        obj = {x: carrier_of(gamma, jj.on_obj(x)) for x in self.base.objects}
-        mor = {m.name: setmap_of(gamma, jj.on_mor(m.name)) for m in self.base.morphisms}
-        return carrier_functor("gamma.j1j2", self.base, obj, mor)
+        return compose_functors(gamma, jj, name="gamma.j1j2")._replace(
+            carrier_obj={x: carrier_of(gamma, y) for x, y in jj.obj_map.items()},
+            carrier_mor={m: setmap_of(gamma, g) for m, g in jj.mor_map.items()},
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +426,15 @@ def verify_minimality(s: Setup) -> ValidationReport:
     """main_null is contained in every testable assignment that preserves
     each endomorphism; other morphisms are not checked (ROADMAP item 1).
 
-    Enumerates the full candidate space (product of all null families per
-    main object), so it refuses models where that space exceeds
-    MINIMALITY_GUARD.
+    The candidates are what `enumerate_assignments` yields along the
+    endomorphisms, in product order, and `candidates` is the product
+    position of the last one looked at.  A product of null families past
+    MINIMALITY_GUARD is refused before any work.
     """
     objs = list(s.main.objects)
     carriers = {V: carrier_of(s.gamma, V) for V in objs}
-    per_obj = {V: all_down_sets(carriers[V]) for V in objs}
-    total = math.prod(map(len, per_obj.values()))
+    per_obj = [all_down_sets(c) for c in carriers.values()]
+    total = math.prod(map(len, per_obj))
     if total > MINIMALITY_GUARD:
         raise BudgetExceeded(
             f"verify_minimality candidate space ({total}; a reduced model is required)",
@@ -440,12 +445,10 @@ def verify_minimality(s: Setup) -> ValidationReport:
     pushed = {V: probe_pushforwards(s, V) for V in objs}
 
     violations: list[Violation] = []
-    checked = {"candidates": 0, "admissible": 0}
-    for combo in itertools.product(*(per_obj[V] for V in objs)):
-        checked["candidates"] += 1
-        cand = dict(zip(objs, combo))
-        if any(failed_transports(cand, endos)):
-            continue
+    checked = {"candidates": total, "admissible": 0}
+    # Level k tries at most the product of the first k family counts, so the
+    # search stays within len(objs) * total steps.
+    for cand in enumerate_assignments(carriers, endos, len(objs) * total):
         if not all(is_testable(pushed[V], cand[V]) for V in objs):
             continue
         checked["admissible"] += 1
@@ -462,6 +465,10 @@ def verify_minimality(s: Setup) -> ValidationReport:
                 )
                 break
         if len(violations) >= MAX_VIOLATIONS:
+            at = 0
+            for fams, V in zip(per_obj, objs):
+                at = at * len(fams) + fams.index(cand[V])
+            checked["candidates"] = at + 1
             break
     return ValidationReport(not violations, checked, violations)
 
@@ -513,9 +520,9 @@ def verify_extension(s: Setup, budget: int = DEFAULT_BUDGET) -> ExtensionReport:
     """Does the lifted nullity restrict back to the base nullity?
 
     Gated on the saturation hypothesis and the declared iota3 retraction;
-    checks the three construction squares, the three triangles (the probe
-    triangle only when pi_star admits a section, which is a hypothesis the
-    statement needs), and the object-by-object restriction equality.
+    checks the three construction squares (the gamma square over gamma's
+    own Set category), the three triangles (the probe triangle only when
+    pi_star admits a section) and the object-by-object restriction equality.
     """
     items: dict[str, dict] = {}
     a4 = check_assumptions(s)
@@ -546,33 +553,27 @@ def verify_extension(s: Setup, budget: int = DEFAULT_BUDGET) -> ExtensionReport:
     pipe = run_pipeline(s)
 
     # Square 1: the carrier action commutes with the comma construction.
-    if not s.gamma.target.same_table(gamma_b.target):
-        items["gamma_square"] = {
-            "status": "skipped",
-            "reason": "base and main carriers live in different set categories",
-        }
-    else:
-        gamma_comma = build_comma(gamma_b, s.gamma, "(gamma.j1j2|gamma)")
-        lift_gamma = induced_comma_functor(
-            "gamma_post",
-            identity_functor(s.base),
-            s.gamma,
-            identity_functor(s.main),
-            web.comma_main,
-            gamma_comma,
-        )
-        arrow_to_gamma = induced_comma_functor(
-            "gamma_arrow",
-            identity_functor(s.base),
-            gamma_b,
-            jj,
-            web.arrow_base,
-            gamma_comma,
-        )
-        via_iota2 = compose_functors(lift_gamma, web.induced("iota2"))
-        items["gamma_square"] = {
-            "status": "verified" if functor_equal(via_iota2, arrow_to_gamma) else "failed"
-        }
+    gamma_comma = build_comma(gamma_b, s.gamma, "(gamma.j1j2|gamma)")
+    lift_gamma = induced_comma_functor(
+        "gamma_post",
+        identity_functor(s.base),
+        s.gamma,
+        identity_functor(s.main),
+        web.comma_main,
+        gamma_comma,
+    )
+    arrow_to_gamma = induced_comma_functor(
+        "gamma_arrow",
+        identity_functor(s.base),
+        gamma_b,
+        jj,
+        web.arrow_base,
+        gamma_comma,
+    )
+    via_iota2 = compose_functors(lift_gamma, web.induced("iota2"))
+    items["gamma_square"] = {
+        "status": "verified" if functor_equal(via_iota2, arrow_to_gamma) else "failed"
+    }
 
     # Square 2: pi_star . iota2 = iota1.
     iota1, iota2 = web.induced("iota1"), web.induced("iota2")
@@ -701,7 +702,7 @@ def _f2_base() -> FinCategory:
     return FinCategory("F2-linear", (o0, o1), mors, {o0: id0, o1: id1}, comp)
 
 
-def _f2_setup(kind: str) -> Setup:
+def _f2_setup(kind: str, family) -> Setup:
     B = _f2_base()
     M, gamma = _f2_main()
     ident_b = {x: x for x in B.objects}
@@ -726,9 +727,7 @@ def _f2_setup(kind: str) -> Setup:
             "s": "id:F2^1",
         },
     )
-    base = {
-        x: base_nullity(kind, carrier_of(gamma, x)) for x in B.objects
-    }
+    base = {x: family(carrier_of(gamma, x)) for x in B.objects}
     return Setup(f"f2_{kind}", B, B, M, j2, j1, pi, gamma, base)
 
 
@@ -762,7 +761,7 @@ def _injections_setup(k: int) -> Setup:
     C = _maps_category("injections", maps)
     gamma = carrier_functor("gamma", C, carriers, maps.setmap)
     ident = identity_functor(C)
-    base = {o: base_nullity("cardinality", c, k) for o, c in carriers.items()}
+    base = {o: cardinality_nullity(c, k) for o, c in carriers.items()}
     return Setup(f"injections_card_{k}", C, C, C, ident, ident, ident, gamma, base)
 
 
@@ -780,9 +779,9 @@ def builtin_model(name: str) -> Setup:
     if name == "identity":
         return _identity_setup()
     if name == "f2_trivial":
-        return _f2_setup("trivial")
+        return _f2_setup("trivial", trivial_nullity)
     if name == "f2_proper":
-        return _f2_setup("proper")
+        return _f2_setup("proper", proper_nullity)
     if name in BUILTIN_NAMES and name.startswith("injections_card_"):
         return _injections_setup(int(name[-1]))
     raise EngineError(f"unknown builtin model {name!r} (have {', '.join(BUILTIN_NAMES)})")

@@ -29,12 +29,9 @@ from .order import (
     NullityStructure,
     SetMap,
     all_down_sets,
-    cardinality_nullity,
     failed_transports,
     preimage_nullity,
-    proper_nullity,
     subset_images,
-    trivial_nullity,
     union_all,
 )
 
@@ -317,7 +314,9 @@ def check_carrier_action(gamma: FunctorData) -> ValidationReport:
 
 
 def carrier_functor(name: str, src: FinCategory, obj: dict, mor: dict) -> FunctorData:
-    """Package a carrier action as an honest functor into its set category."""
+    """Package a carrier action as an honest functor into the Set category
+    of its carriers, which each call builds afresh: a setup calls it once,
+    for gamma, and takes its base action as gamma after j1 j2."""
     cat, obj_carrier, mor_setmap = set_category(f"Set[{name}]", list(obj.values()))
     rev = {carrier_id(c): oid for oid, c in obj_carrier.items()}
     obj_map = {x: rev[carrier_id(obj[x])] for x in src.objects}
@@ -402,16 +401,3 @@ def bar_null(
                 pieces.append(preimage_nullity(setmap_of(gamma, m.name), assignment[m.dom]))
         out[x] = union_all(carrier_of(gamma, x), pieces)
     return out
-
-
-def base_nullity(kind: str, carrier: FiniteSet, k: int | None = None) -> NullityStructure:
-    """Finite surrogate base structures: trivial, proper, cardinality k."""
-    if kind == "trivial":
-        return trivial_nullity(carrier)
-    if kind == "proper":
-        return proper_nullity(carrier)
-    if kind == "cardinality":
-        if k is None:
-            raise EngineError("base_nullity: cardinality kind needs k")
-        return cardinality_nullity(carrier, k)
-    raise EngineError(f"base_nullity: unknown kind {kind!r}")

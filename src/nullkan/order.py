@@ -10,6 +10,7 @@ checks and enumerates assignments of null families to objects.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .fincat import EngineError, _Backtrack, _Frozen, _Meter
@@ -237,18 +238,24 @@ def pushforward_closure(f: SetMap, n: NullityStructure) -> NullityStructure:
     return down_closure(f.cod, (f.image_mask(m) for m in n.masks))
 
 
-def all_down_sets(carrier: FiniteSet) -> list[frozenset[int]]:
+def all_down_sets(carrier: FiniteSet) -> tuple[frozenset[int], ...]:
     """Every legal null family on the carrier, in deterministic order.
 
     Exhaustive over the power set of the power set, so the carrier has at
-    most MAX_DOWN_SET_CARRIER elements.
+    most MAX_DOWN_SET_CARRIER elements.  The families depend on the size
+    alone, and each size's are computed once and kept.
     """
     n = carrier.size
     if n > MAX_DOWN_SET_CARRIER:
         raise EngineError(
             f"all_down_sets: carrier size {n} exceeds bound {MAX_DOWN_SET_CARRIER}"
         )
-    nonempty = [m for m in carrier.all_masks() if m != 0]
+    return _down_sets(n)
+
+
+@functools.cache
+def _down_sets(n: int) -> tuple[frozenset[int], ...]:
+    nonempty = range(1, 1 << n)
     out = []
     for extra in itertools.chain.from_iterable(
         itertools.combinations(nonempty, r) for r in range(len(nonempty) + 1)
@@ -256,7 +263,7 @@ def all_down_sets(carrier: FiniteSet) -> list[frozenset[int]]:
         masks = frozenset({0, *extra})
         if is_down_closed(masks, n):
             out.append(masks)
-    return sorted(out, key=lambda ms: (len(ms), sorted(ms)))
+    return tuple(sorted(out, key=lambda ms: (len(ms), sorted(ms))))
 
 
 # ---------------------------------------------------------------------------

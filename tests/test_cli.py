@@ -728,8 +728,23 @@ def test_four_point_set_category_is_proved_in_one_pass(tmp_path, capsys, monkeyp
     code, out, err = run(capsys, "check", "ext", "--spec", str(spec), "--json")
     assert (code, err) == (0, "")
     assert json.loads(out)["extension"]["items"]["gamma_square"] == {"status": "verified"}
-    assert validated == ["P", "Set[gamma.j1j2]"]
+    assert validated == ["P", "Set[gam]"]
     assert swept == ["P"]
+
+
+def test_gamma_square_is_built_when_the_base_lists_its_objects_in_another_order(
+    specs_dir, tmp_path, capsys
+):
+    # The base action maps into gamma's own Set category, so the order in
+    # which the base declares its objects cannot set the two apart.
+    text = (specs_dir / "f2_proper.spec").read_text()
+    ordered = "  object F2^0\n  object F2^1\n"
+    assert text.index(ordered) < text.index("category F2-affine")
+    spec = tmp_path / "reordered.spec"
+    spec.write_text(text.replace(ordered, "  object F2^1\n  object F2^0\n", 1))
+    code, out, err = run(capsys, "check", "ext", "--spec", str(spec), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["extension"]["items"]["gamma_square"] == {"status": "verified"}
 
 
 def test_census_slice_differential(tmp_path, capsys):
@@ -756,3 +771,18 @@ def test_census_slice_differential(tmp_path, capsys):
         lifted[codes["construct"]] += 1
     assert lifted == {0: 53, 2: 14}
     assert pinned.hexdigest() == "500e437ef9d954667a99df223b5f991515405be93761fa795cc667daa958cdb6"
+
+
+def test_census_slice_thm3_and_ext_pinned(tmp_path, capsys):
+    # The two verifiers that read the carrier action and enumerate
+    # assignments, pinned on the same 67 setups by one digest over (exit
+    # code, stdout, stderr) of each run.
+    sg = load_specgen()
+    spec = tmp_path / "census.spec"
+    pinned = hashlib.sha256()
+    for monoid, family in census.census_slice():
+        spec.write_text(sg.spec_text(monoid, family))
+        for command in ("check thm3", "check ext"):
+            code, out, err = run(capsys, *command.split(), "--spec", str(spec), "--json")
+            pinned.update(f"{code}\n{out}\0{err}\0".encode())
+    assert pinned.hexdigest() == "254301c833563c46b8e977bf6a3f481da1ab661af83209102185856d8df86bb2"

@@ -10,6 +10,7 @@ import nullkan.cli
 import nullkan.comma
 import nullkan.construct
 import nullkan.fincat
+import nullkan.nullity
 from nullkan import lemmas
 from nullkan.cli import main
 from nullkan.comma import arrow_category
@@ -306,34 +307,35 @@ def test_materialize_validates_injections_once(monkeypatch):
 @pytest.mark.parametrize("model", ["injections_card_0", "f2_proper"])
 def test_setup_functors_and_base_action_are_derived_once(model, monkeypatch, capsys):
     # A1, the saturation gate and `build_comma` read the report `checked`
-    # keeps on each functor; A2 and the gate the setup's kept base action.
-    seen, actions, setups = [], [], []
-    real_check, real_action = nullkan.fincat.check_functor, nullkan.construct.carrier_functor
+    # keeps on each functor; A2 and the gate the setup's kept base action,
+    # which maps into gamma's Set category, the one Set category built.
+    seen, set_categories, setups = [], [], []
+    real_check, real_set = nullkan.fincat.check_functor, nullkan.nullity.set_category
 
     def counting_check(F):
         seen.append(F)
         return real_check(F)
 
-    def counting_action(name, *args):
-        actions.append(name)
-        return real_action(name, *args)
+    def counting_set(name, *args):
+        set_categories.append(name)
+        return real_set(name, *args)
 
     def kept_model(name):
         setups.append(builtin_model(name))
         return setups[-1]
 
     monkeypatch.setattr(nullkan.fincat, "check_functor", counting_check)
-    monkeypatch.setattr(nullkan.construct, "carrier_functor", counting_action)
+    monkeypatch.setattr(nullkan.nullity, "set_category", counting_set)
     monkeypatch.setattr(nullkan.cli, "builtin_model", kept_model)
     for argv in (["validate"], ["check", "ext"]):
         seen.clear()
-        actions.clear()
+        set_categories.clear()
         main([*argv, "--model", model, "--json"])
         # Counted by identity, on the setup the command ran: j2, j1 and pi
         # may share a name with the identity functors of the web's cospans.
         s = setups[-1]
         assert [sum(G is F for G in seen) for F in (s.j2, s.j1, s.pi)] == [1, 1, 1], argv
-        assert actions.count("gamma.j1j2") == 1, argv
+        assert set_categories == ["Set[gamma]"], argv
     capsys.readouterr()
 
 
@@ -507,6 +509,28 @@ def test_minimality_on_covered_models():
     rep = verify_minimality(builtin_model("identity"))
     assert rep.ok
     assert rep.checked == {"candidates": 5, "admissible": 2}
+    # Stopped at the last violation kept: the candidates are counted up to
+    # its place in the product of the family counts (1 * 2 * 5 * 20).
+    rep = verify_minimality(builtin_model("injections_card_0"))
+    assert len(rep.violations) == MAX_VIOLATIONS
+    assert rep.checked == {"candidates": 171, "admissible": 20}
+
+
+def test_minimality_search_fits_its_own_budget():
+    # A 4-point object, a 3-point one and 62 empty ones: 167 * 19 candidate
+    # assignments, and more than DEFAULT_BUDGET steps to enumerate them.
+    objs = ["A", "B"] + [f"E{i}" for i in range(62)]
+    carrier = {"A": " a0 a1 a2 a3", "B": " b0 b1 b2"}
+    lines = ["version: 1", "category W", *(f"object {o}" for o in objs)]
+    lines += [f"morphism id:{o} {o} {o}\nidentity {o} id:{o}" for o in objs]
+    lines += ["end", "functor idW W W", *(f"obj {o} {o}" for o in objs), "end"]
+    lines += ["carriers g W", *(f"carrier {o}{carrier.get(o, '')}" for o in objs), "end"]
+    lines += [f"nullity n{o}\ncarrier{carrier.get(o, '')}\nend" for o in objs]
+    lines += ["setup", "base W", "inter W", "main W", "j2 idW", "j1 idW", "pi idW", "gamma g"]
+    lines += [*(f"basenull {o} n{o}" for o in objs), "end"]
+    rep = verify_minimality(to_setup(parse_spec("\n".join(lines) + "\n"), "wide"))
+    assert rep.ok
+    assert rep.checked == {"candidates": 3173, "admissible": 3173}
 
 
 def test_minimality_guard(monkeypatch):

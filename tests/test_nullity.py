@@ -14,7 +14,6 @@ from nullkan.fincat import (
 )
 from nullkan.nullity import (
     bar_null,
-    base_nullity,
     carrier_functor,
     carrier_of,
     check_carrier_action,
@@ -224,15 +223,6 @@ def test_bar_and_saturation(loop):
     assert bar["o"].masks == proper_nullity(c).masks != skew["o"].masks
     assert bar_null(gamma, {"o": proper_nullity(c)})["o"].masks == proper_nullity(c).masks
     assert bar_null(gamma, {"o": trivial_nullity(c)})["o"].masks == trivial_nullity(c).masks
-
-
-def test_base_nullity_kinds():
-    c = FiniteSet(("a", "b", "c"))
-    assert base_nullity("trivial", c).is_trivial()
-    assert base_nullity("proper", c).masks == proper_nullity(c).masks
-    assert base_nullity("cardinality", c, k=1).masks == {0, 1, 2, 4}
-    with pytest.raises(EngineError):
-        base_nullity("nosuch", c)
 
 
 def test_nullity_morphism_predicates():
