@@ -180,10 +180,24 @@ def _cmd_oracle_compare(s, args):
 
 
 def _cmd_materialize(s, args):
+    # Build, check and free the nullity category before the comma web, so
+    # the two largest structures of the command are never held at once.
+    distinct = {}
+    for V in s.main.objects:
+        c = carrier_of(s.gamma, V)
+        distinct[c.elements] = c
+    cat = materialize_nullity_category(
+        f"Null[{s.name}]", [distinct[k] for k in sorted(distinct)]
+    ).category
+    ok = validate_category(cat).ok
+    materialized = {"objects": len(cat.objects), "morphisms": len(cat.morphisms), "ok": ok}
+    # Its spent certificate, the forget functor, points back at it: cutting
+    # that cycle lets reference counting free it here.
+    cat.faithful = ()
+    del cat
     web = build_comma_web(s)
     comma = {}
     lines = []
-    ok = True
     for label, cc in (
         ("arrow_base", web.arrow_base),
         ("comma_main", web.comma_main),
@@ -202,28 +216,11 @@ def _cmd_materialize(s, args):
             f"  {label}: {len(cc.category.objects)} objects, "
             f"{len(cc.category.morphisms)} morphisms, {'ok' if rep.ok else 'FAIL'}"
         )
-    distinct = {}
-    for V in s.main.objects:
-        c = carrier_of(s.gamma, V)
-        distinct[c.elements] = c
-    mat = materialize_nullity_category(
-        f"Null[{s.name}]", [distinct[k] for k in sorted(distinct)]
-    )
-    rep = validate_category(mat.category)
-    ok = ok and rep.ok
     lines.append(
-        f"  materialized: {len(mat.category.objects)} objects, "
-        f"{len(mat.category.morphisms)} morphisms, {'ok' if rep.ok else 'FAIL'}"
+        f"  materialized: {materialized['objects']} objects, "
+        f"{materialized['morphisms']} morphisms, {'ok' if materialized['ok'] else 'FAIL'}"
     )
-    body = {
-        "comma": comma,
-        "materialized": {
-            "objects": len(mat.category.objects),
-            "morphisms": len(mat.category.morphisms),
-            "ok": rep.ok,
-        },
-    }
-    return body, ok, lines
+    return {"comma": comma, "materialized": materialized}, ok, lines
 
 
 # Each command, by the name its report gives it.

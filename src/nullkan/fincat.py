@@ -529,11 +529,10 @@ def _certified(cat: FinCategory) -> bool:
     `faithful` holds when each target carries no functor certificate of
     its own and passes `validate_category` (read through `validated`),
     each functor passes `check_functor` (read through `checked`), and the
-    functors are jointly faithful: m -> (dom, cod, F1(m), F2(m), ...) is
-    injective.  Then h(gf)
-    and (hg)f have the same endpoints and the same image under every Fi,
-    as Fi(h)(Fi(g)Fi(f)) = (Fi(h)Fi(g))Fi(f) in an associative target, so
-    they are one morphism.
+    functors are jointly faithful: on each hom, m -> (F1(m), F2(m), ...)
+    is injective.  Then h(gf) and (hg)f lie in one hom and have the same
+    image under every Fi, as Fi(h)(Fi(g)Fi(f)) = (Fi(h)Fi(g))Fi(f) in an
+    associative target, so they are one morphism.
     """
     if cat._loose or len(cat.identity) < len(cat.objects):
         return False
@@ -552,10 +551,10 @@ def _certified(cat: FinCategory) -> bool:
     for F in cat.faithful:
         if F.target.faithful or not validated(F.target).ok or not checked(F).ok:
             return False
-    keys = {
-        (m.dom, m.cod, *(F.mor_map[m.name] for F in cat.faithful)) for m in cat.morphisms
-    }
-    return len(keys) == len(cat.morphisms)
+    return all(
+        len({tuple(F.mor_map[m] for F in cat.faithful) for m in hom}) == len(hom)
+        for hom in cat._hom.values()
+    )
 
 
 def _associativity_sweep(

@@ -1,11 +1,14 @@
 """Command line surface: exit codes, report shapes, determinism."""
 
+import ast
 import collections
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import census
@@ -13,8 +16,10 @@ import pytest
 from census import load_specgen
 
 import nullkan
+import nullkan.cli
 import nullkan.fincat
 from nullkan.cli import main
+from nullkan.construct import build_comma_web
 from nullkan.fincat import EngineError
 from nullkan.specfile import parse_spec, to_setup
 
@@ -573,17 +578,72 @@ def test_construct_refusals_are_pinned(tmp_path, capsys):
     assert refused == CONSTRUCT_REFUSALS
 
 
-def test_materialize_peaks_within_20_mb_of_a_bare_interpreter():
+def test_materialize_peaks_within_14_mb_of_a_bare_interpreter():
     """The largest category any command builds (27 objects, 6,249
-    morphisms, 1,420,123 composites) fits in int16 rows: the whole command
-    peaks within 20 MB of `python -c pass` measured the same way (15.6 MB
-    above it on CPython 3.11), where rows as lists of ints peaked 27.5 MB
-    above it and a composition dict keyed by name pairs at 284 MB."""
+    morphisms, 1,420,123 composites) fits in int16 rows, and is freed
+    before the comma web is built: the whole command peaks within 14 MB of
+    `python -c pass` measured the same way (11.9 MB above it on CPython
+    3.11), where holding the category and the web at once peaked 15.6 MB
+    above it, rows as lists of ints 27.5 MB above it and a composition dict
+    keyed by name pairs at 284 MB."""
     code, _, rss = run_child("materialize", "--model", "injections_card_0")
     assert code == 0
     bare_code, _, bare = measured([sys.executable, "-c", "pass"])
     assert bare_code == 0
-    assert rss - bare < 20, (rss, bare)
+    assert rss - bare < 14, (rss, bare)
+
+
+def test_materialize_frees_the_nullity_category_before_the_comma_web(capsys, monkeypatch):
+    # The category and the forget functor of its certificate point at each
+    # other.  `materialize` cuts that cycle once the category is validated,
+    # so reference counting frees it before the web is built, with
+    # automatic collection off; and no module of the package imports gc.
+    refs, freed = [], []
+    real_materialize, real_web = nullkan.cli.materialize_nullity_category, nullkan.cli.build_comma_web
+
+    def keeping(*args):
+        mat = real_materialize(*args)
+        refs.append(weakref.ref(mat.category))
+        return mat
+
+    def web(s):
+        freed.append([ref() is None for ref in refs])
+        return real_web(s)
+
+    monkeypatch.setattr(nullkan.cli, "materialize_nullity_category", keeping)
+    monkeypatch.setattr(nullkan.cli, "build_comma_web", web)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        code, _, _ = run(capsys, "materialize", "--model", "injections_card_0")
+    finally:
+        if enabled:
+            gc.enable()
+    assert code == 0
+    assert freed[0] == [True]
+    imported = set()
+    for path in Path(nullkan.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+    assert "gc" not in imported
+
+
+def test_materialize_reports_its_own_refusal_before_the_webs(tmp_path, capsys):
+    # A 4-element carrier is over the materialize bound, and Arr(D) of 513
+    # morphisms over the comma bound.  The nullity category is built before
+    # the comma web, so its refusal is the one reported.
+    text = identity_wired_spec(
+        ["X", "Y"], [(f"a{i}", "X", "Y") for i in range(511)], elements=tuple("abcd")
+    )
+    spec = tmp_path / "both.spec"
+    spec.write_text(text)
+    code, out, err = run(capsys, "materialize", "--spec", str(spec))
+    assert (code, out, err) == (2, "", "error: materialize: carrier size 4 exceeds bound 3\n")
+    with pytest.raises(EngineError, match=r"^Arr\(D\): 513 objects exceed bound 512$"):
+        build_comma_web(to_setup(parse_spec(text), "both")).arrow_base
 
 
 def test_check_lemmas_peaks_within_9_mb_of_a_bare_interpreter():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import nullkan.fincat
 from nullkan.comma import (
     arrow_category,
     bang_functor,
@@ -196,6 +197,63 @@ def test_bad_certificate_is_not_trusted(certificate):
     broken.faithful = (certificate(broken),)
     assert validate_category(broken).as_dict() == plain
     assert {v["law"] for v in plain["violations"]} == {"associativity"}
+
+
+def left_zero_pair():
+    """(E, F): E has u, v: X -> X with u u = u v = v v = u and v u = v, so
+    (v u) v = u but v (u v) = v, and a: X -> Y; F sends u and v to one
+    idempotent e and a to b: X -> Y, and preserves every entry of E."""
+    mors = [("id:X", "X", "X"), ("u", "X", "X"), ("v", "X", "X")]
+    mors += [("id:Y", "Y", "Y"), ("a", "X", "Y")]
+    comp = {("id:X", m): m for m in ("id:X", "u", "v")}
+    comp |= {(m, "id:X"): m for m in ("u", "v", "a")}
+    comp |= {("u", "u"): "u", ("u", "v"): "u", ("v", "u"): "v", ("v", "v"): "u"}
+    comp |= {("a", "u"): "a", ("a", "v"): "a", ("id:Y", "a"): "a", ("id:Y", "id:Y"): "id:Y"}
+    E = FinCategory("E", ("X", "Y"), mors, {"X": "id:X", "Y": "id:Y"}, comp)
+    T = FinCategory(
+        "T",
+        ("X", "Y"),
+        [("id:X", "X", "X"), ("e", "X", "X"), ("id:Y", "Y", "Y"), ("b", "X", "Y")],
+        {"X": "id:X", "Y": "id:Y"},
+        {
+            ("id:X", "id:X"): "id:X", ("id:X", "e"): "e", ("e", "id:X"): "e", ("e", "e"): "e",
+            ("b", "id:X"): "b", ("b", "e"): "b", ("id:Y", "b"): "b", ("id:Y", "id:Y"): "id:Y",
+        },
+    )
+    mor_map = {"id:X": "id:X", "u": "e", "v": "e", "id:Y": "id:Y", "a": "b"}
+    return E, FunctorData("F", E, T, {"X": "X", "Y": "Y"}, mor_map)
+
+
+def test_certificate_that_merges_two_parallel_morphisms_is_refused():
+    # F preserves every entry and is injective on every hom but X -> X,
+    # where it sends u and v to e: it proves nothing, so the triples are
+    # swept and the report is the one without a certificate.
+    plain = validate_category(left_zero_pair()[0]).as_dict()
+    assert {v["law"] for v in plain["violations"]} == {"associativity"}
+    E, F = left_zero_pair()
+    assert check_functor(F).ok and validate_category(F.target).ok
+    E.faithful = (F,)
+    assert validate_category(E).as_dict() == plain
+
+
+def test_certificate_that_merges_non_parallel_morphisms_is_trusted(monkeypatch):
+    # The bang functor sends every morphism of the chain to one identity,
+    # but no two parallel ones meet, so it proves the chain associative:
+    # only its one-morphism target is swept.
+    c = chain_preorder("c3", ("a", "b", "c"))
+    cat = FinCategory("c3", c.objects, c.morphisms, c.identity, dict(c.composition))
+    cat.faithful = (bang_functor(cat),)
+    swept = []
+
+    def counting_sweep(cat, rows, limit):
+        swept.append(cat.name)
+        return real_sweep(cat, rows, limit)
+
+    real_sweep = nullkan.fincat._associativity_sweep
+    monkeypatch.setattr(nullkan.fincat, "_associativity_sweep", counting_sweep)
+    rep = validate_category(cat)
+    assert rep.ok and rep.checked["associativity"] == composable_triples(cat)
+    assert swept == ["*"]
 
 
 @pytest.mark.parametrize(
