@@ -1,4 +1,4 @@
-"""Comma categories, arrow categories, and functors induced between them.
+"""Comma categories and the functors induced between them.
 
 A comma category over a cospan  A --alpha--> C <--beta-- B  is materialized
 with objects (a, phi, b) where phi: alpha(a) -> beta(b), and morphisms the
@@ -275,15 +275,6 @@ def const_functor(
         {x: obj for x in src.objects},
         {m.name: ident for m in src.morphisms},
     )
-
-
-def bang_functor(C: FinCategory) -> FunctorData:
-    return const_functor(C, terminal_category(), "*", name=f"!{C.name}")
-
-
-def arrow_category(C: FinCategory) -> CommaCategory:
-    i = identity_functor(C)
-    return build_comma(i, i, f"Arr({C.name})")
 
 
 def induced_comma_functor(

@@ -9,14 +9,7 @@ import time
 from contextlib import contextmanager
 
 from nullkan.cli import main as cli_main
-from nullkan.comma import (
-    arrow_category,
-    bang_functor,
-    build_comma,
-    check_right_inverse,
-    functor_inverse,
-    terminal_category,
-)
+from nullkan.comma import build_comma, check_right_inverse, functor_inverse, terminal_category
 from nullkan.construct import (
     BUILTIN_NAMES,
     build_comma_web,
@@ -47,6 +40,8 @@ from nullkan.nullity import (
 )
 from nullkan.order import FiniteSet, down_closure, proper_nullity
 from nullkan.specfile import parse_spec, serialize_spec, to_setup
+
+from builders import arrow_category, bang_functor
 
 
 @contextmanager

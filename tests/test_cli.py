@@ -19,9 +19,10 @@ import nullkan
 import nullkan.cli
 import nullkan.fincat
 from nullkan.cli import main
-from nullkan.construct import build_comma_web
+from nullkan.construct import BUILTIN_NAMES, build_comma_web
 from nullkan.fincat import EngineError
-from nullkan.specfile import parse_spec, to_setup
+from nullkan.report import digest
+from nullkan.specfile import SpecDocument, parse_spec, serialize_spec, to_setup
 
 BIG = """version: 1
 
@@ -103,6 +104,16 @@ def measured(cmd, stderr=subprocess.DEVNULL):
     return int(code), float(cpu), int(rss) / 1024  # ru_maxrss is in KiB on Linux
 
 
+def peak_above_bare(*argv):
+    """MB by which the peak RSS of `python -m nullkan *argv`, which must
+    exit 0, exceeds that of `python -c pass` measured the same way."""
+    code, _, rss = run_child(*argv)
+    assert code == 0
+    bare_code, _, bare = measured([sys.executable, "-c", "pass"])
+    assert bare_code == 0
+    return rss - bare
+
+
 def identity_wired_spec(objects, arrows=(), compositions=(), elements=("p",)):
     """A spec wired by identity (base = inter = main) on one category: the
     `objects` with their identities, the `arrows` (name, dom, cod), the
@@ -143,6 +154,38 @@ def test_construct_json_payload(capsys):
     assert payload["input_digest"].startswith("sha256:")
     assert payload["seed"] == 0
     assert "timestamp" not in out
+
+
+# Prints the module of the report's SHA-256, then the digest of b"", of
+# each file named on the command line and of each builtin's document.
+DIGESTS = """
+import sys
+from nullkan import report
+from nullkan.construct import BUILTIN_NAMES
+from nullkan.specfile import SpecDocument, serialize_spec
+inputs = [b"", *(open(path, "rb").read() for path in sys.argv[1:])]
+inputs += [serialize_spec(SpecDocument(model=m)).encode("utf-8") for m in BUILTIN_NAMES]
+print(report.sha256.__module__, *map(report.digest, inputs))
+"""
+
+
+def test_digest_is_hashlib_sha256_on_both_paths(specs_dir):
+    # Reports hash their input with the builtin `_sha256`, which maps no
+    # OpenSSL, or with `hashlib` where the builtin is missing (3.12+); the
+    # digests must not depend on which.
+    paths = sorted(str(p) for p in specs_dir.glob("*.spec"))
+    inputs = [b"", *(Path(p).read_bytes() for p in paths)]
+    inputs += [serialize_spec(SpecDocument(model=m)).encode("utf-8") for m in BUILTIN_NAMES]
+    want = ["sha256:" + hashlib.sha256(b).hexdigest() for b in inputs]
+    assert [digest(b) for b in inputs] == want
+    # Blocking `_sha256` makes the import fall back on `hashlib`.
+    probe = "import sys; sys.modules['_sha256'] = None\n" + DIGESTS
+    env = dict(os.environ, PYTHONPATH=str(Path(nullkan.__file__).resolve().parent.parent))
+    module, *got = subprocess.run(
+        [sys.executable, "-c", probe, *paths], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert module != "_sha256"
+    assert got == want
 
 
 def test_reports_are_deterministic(tmp_path, capsys):
@@ -578,19 +621,16 @@ def test_construct_refusals_are_pinned(tmp_path, capsys):
     assert refused == CONSTRUCT_REFUSALS
 
 
-def test_materialize_peaks_within_14_mb_of_a_bare_interpreter():
+def test_materialize_peaks_within_10_mb_of_a_bare_interpreter():
     """The largest category any command builds (27 objects, 6,249
     morphisms, 1,420,123 composites) fits in int16 rows, and is freed
-    before the comma web is built: the whole command peaks within 14 MB of
-    `python -c pass` measured the same way (11.9 MB above it on CPython
-    3.11), where holding the category and the web at once peaked 15.6 MB
-    above it, rows as lists of ints 27.5 MB above it and a composition dict
-    keyed by name pairs at 284 MB."""
-    code, _, rss = run_child("materialize", "--model", "injections_card_0")
-    assert code == 0
-    bare_code, _, bare = measured([sys.executable, "-c", "pass"])
-    assert bare_code == 0
-    assert rss - bare < 14, (rss, bare)
+    before the comma web is built: the whole command peaks within 10 MB of
+    `python -c pass` measured the same way (8.3 MB above it on CPython
+    3.11), where hashing the input through OpenSSL peaked 12.0 MB above it,
+    holding the category and the web at once 15.6 MB above it, rows as
+    lists of ints 27.5 MB above it and a composition dict keyed by name
+    pairs at 284 MB."""
+    assert peak_above_bare("materialize", "--model", "injections_card_0") < 10
 
 
 def test_materialize_frees_the_nullity_category_before_the_comma_web(capsys, monkeypatch):
@@ -646,19 +686,25 @@ def test_materialize_reports_its_own_refusal_before_the_webs(tmp_path, capsys):
         build_comma_web(to_setup(parse_spec(text), "both")).arrow_base
 
 
-def test_check_lemmas_peaks_within_9_mb_of_a_bare_interpreter():
+def test_check_lemmas_peaks_within_6_mb_of_a_bare_interpreter():
     """`check lemmas` on an injections model searches four comma
     categories of 1,276 morphisms each: it composes from the legs of their
     squares, builds no composition rows, and its nine induced functors
-    keep the target's name strings.  It peaks within 9 MB of `python -c
-    pass` measured the same way (7.7 MB above it on CPython 3.11), where
-    rows built for the searches and a copy of every name in each functor
-    peaked 9.6 MB above it."""
-    code, _, rss = run_child("check", "lemmas", "--model", "injections_card_0")
-    assert code == 0
-    bare_code, _, bare = measured([sys.executable, "-c", "pass"])
-    assert bare_code == 0
-    assert rss - bare < 9, (rss, bare)
+    keep the target's name strings.  It peaks within 6 MB of `python -c
+    pass` measured the same way (4.7 MB above it on CPython 3.11), where
+    hashing the input through OpenSSL peaked 8.2 MB above it, and rows
+    built for the searches and a copy of every name in each functor 9.6 MB
+    above it."""
+    assert peak_above_bare("check", "lemmas", "--model", "injections_card_0") < 6
+
+
+def test_construct_peaks_within_6_mb_of_a_bare_interpreter():
+    """`construct` on an injections model sets the peak of the benchmark's
+    `lift` workload.  It hashes its input with the builtin SHA-256 and
+    peaks within 6 MB of `python -c pass` measured the same way (4.3 MB
+    above it on CPython 3.11), where `hashlib`, which maps OpenSSL's
+    libcrypto, peaked 7.8 MB above it."""
+    assert peak_above_bare("construct", "--model", "injections_card_0") < 6
 
 
 def mutation_corpus(specs_dir):

@@ -4,8 +4,6 @@ import pytest
 
 import nullkan.comma
 from nullkan.comma import (
-    arrow_category,
-    bang_functor,
     build_comma,
     check_right_inverse,
     comma_mor,
@@ -26,6 +24,8 @@ from nullkan.fincat import (
     identity_functor,
     validate_category,
 )
+
+from builders import arrow_category, bang_functor
 
 
 def thin(name, src, tgt, obj_map):

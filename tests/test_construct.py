@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from builders import arrow_category
 from test_cli import load_specgen, mutation_corpus
 
 import nullkan.cli
@@ -13,7 +14,6 @@ import nullkan.fincat
 import nullkan.nullity
 from nullkan import lemmas
 from nullkan.cli import main
-from nullkan.comma import arrow_category
 from nullkan.construct import (
     BUILTIN_NAMES,
     INDUCED,

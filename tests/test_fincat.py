@@ -7,13 +7,7 @@ import random
 import pytest
 
 import nullkan.fincat
-from nullkan.comma import (
-    arrow_category,
-    bang_functor,
-    check_half_right_adjoint,
-    find_iso,
-    search_half_right_adjoint,
-)
+from nullkan.comma import check_half_right_adjoint, find_iso, search_half_right_adjoint
 from nullkan.fincat import (
     MAX_VIOLATIONS,
     BudgetExceeded,
@@ -40,6 +34,8 @@ from nullkan.fincat import (
 )
 from nullkan.nullity import materialize_nullity_category, nullity_fiber_preorder, set_category
 from nullkan.order import FiniteSet
+
+from builders import arrow_category, bang_functor
 
 
 def thin(name, src, tgt, obj_map):

@@ -9,14 +9,8 @@ import pytest
 
 from nullkan.construct import BUILTIN_NAMES, builtin_model, main_null
 from nullkan.fincat import EngineError
-from nullkan.specfile import (
-    SpecDocument,
-    SpecError,
-    from_setup,
-    parse_spec,
-    serialize_spec,
-    to_setup,
-)
+from nullkan.specfile import SpecDocument, SpecError, parse_spec, serialize_spec, to_setup
+from builders import from_setup
 from test_cli import load_specgen
 
 MINIMAL = """version: 1

@@ -17,7 +17,7 @@ import pytest
 
 import nullkan.fincat
 from nullkan.cli import main
-from nullkan.comma import arrow_category, build_comma
+from nullkan.comma import build_comma
 from nullkan.construct import build_comma_web, builtin_model
 from nullkan.fincat import (
     MAX_MORPHISMS,
@@ -34,6 +34,8 @@ from nullkan.fincat import (
 )
 from nullkan.nullity import materialize_nullity_category, set_category
 from nullkan.order import FiniteSet
+
+from builders import arrow_category
 
 # (entries, sha256 prefix of sorted(cat.composition.items()), one
 # "g<TAB>f<TAB>gf" line per entry), taken while composition was a dict.
